@@ -30,7 +30,12 @@ from .local import (
     builtin_instances,
     evaluate_local,
 )
-from .tuple_eval import CyclicGraphError, PropagationDepth, evaluate_cyclic
+from .tuple_eval import (
+    CyclicGraphError,
+    EvaluationBoundError,
+    PropagationDepth,
+    evaluate_cyclic,
+)
 from .tuples import TupleFormatError, parse_tuple_literal, compare
 
 __all__ = ["build_parser", "entry", "main"]
@@ -248,8 +253,8 @@ def main(argv=None) -> int:
     except (ParseError, TupleFormatError, OSError) as exc:
         print(f"gradarg: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConvergenceError, EnumerationBoundError, CyclicGraphError,
-            UndecidableError, FrameworkError) as exc:
+    except (ConvergenceError, EnumerationBoundError, EvaluationBoundError,
+            CyclicGraphError, UndecidableError, FrameworkError) as exc:
         print(f"gradarg: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

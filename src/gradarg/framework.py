@@ -9,6 +9,7 @@ deterministic graph-family generators.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -89,7 +90,8 @@ class AttackGraph:
     this package exposes (reports, serialization, iteration).
     """
 
-    __slots__ = ("_args", "_index", "_attacks", "_attackers", "_targets")
+    __slots__ = ("_args", "_index", "_attacks", "_attackers", "_targets",
+                 "_condensation")
 
     def __init__(self, arguments, attacks=()):
         args: list[str] = []
@@ -119,6 +121,7 @@ class AttackGraph:
         self._attacks = tuple(pairs)
         self._attackers = {a: tuple(v) for a, v in attackers.items()}
         self._targets = {a: tuple(v) for a, v in targets.items()}
+        self._condensation = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -180,46 +183,18 @@ class AttackGraph:
 
     def indirect_attackers(self, name: str) -> frozenset[str]:
         """Arguments with a walk to `name` of odd length at least 3."""
-        table = self._walks_into(name)
-        cap = len(table) - 1
-        out = {
-            v
-            for length in range(3, cap + 1, 2)
-            for v in self._args
-            if table[length][self._index[v]]
-        }
-        return frozenset(out)
+        return self._walk_class_into(name, 3)
 
     def indirect_defenders(self, name: str) -> frozenset[str]:
         """Arguments with a walk to `name` of even length at least 4."""
-        table = self._walks_into(name)
-        cap = len(table) - 1
-        out = {
-            v
-            for length in range(4, cap + 1, 2)
-            for v in self._args
-            if table[length][self._index[v]]
-        }
-        return frozenset(out)
+        return self._walk_class_into(name, 4)
 
-    def _walks_into(self, name: str) -> list[list[bool]]:
-        # exists[length][i] <=> a walk of exactly `length` edges leads from
-        # argument i to `name`.  A cap of 2n + 2 suffices to witness every
-        # achievable (parity, >=3 / >=4) combination: a shortest walk of a
-        # given parity uses at most 2n - 1 edges, and whenever a walk passes
-        # through any cycle its length can be padded by one or two laps.
+    def _walk_class_into(self, name: str, wanted: int) -> frozenset[str]:
+        # Walk-length classes 0, 1, 2, then 3 (odd >= 3) and 4 (even >= 4).
         self._check(name)
-        n = len(self._args)
-        cap = 2 * n + 2
-        exists = [[False] * n for _ in range(cap + 1)]
-        exists[0][self._index[name]] = True
-        for length in range(1, cap + 1):
-            prev = exists[length - 1]
-            row = exists[length]
-            for (src, dst) in self._attacks:
-                if prev[self._index[dst]]:
-                    row[self._index[src]] = True
-        return exists
+        reached = self.shortest_walks([(0, name, 0)], step=(1, 2, 3, 4, 3),
+                                      backward=True)
+        return frozenset(v for (v, c) in reached if c == wanted)
 
     def leaves(self) -> frozenset[str]:
         """Arguments with no attacker at all."""
@@ -241,10 +216,59 @@ class AttackGraph:
             counts = nxt
         return counts[query.target]
 
+    def shortest_walks(self, seeds, step=(1, 0), *, backward=False,
+                       within=None) -> dict[tuple[str, int], int]:
+        """Breadth-first search over (argument, walk-length class) states.
+
+        `seeds` are (length, argument, class) triples: walks known to exist.
+        One more attack edge takes a walk of class c to class step[c], so
+        step=(1, 0) tracks parity and step=(0,) plain distance.  Walks follow
+        attacks forward (or backward, into an argument) and stay inside
+        `within` when it is given.  Returns the length of the shortest walk
+        reaching each reachable state.
+        """
+        adjacency = self._attackers if backward else self._targets
+        pending = sorted(seeds, key=lambda seed: seed[0])
+        shortest: dict[tuple[str, int], int] = {}
+        frontier: list[tuple[str, int]] = []
+        taken = 0
+        length = 0
+        while frontier or taken < len(pending):
+            if not frontier:
+                length = pending[taken][0]
+            while taken < len(pending) and pending[taken][0] <= length:
+                _, v, c = pending[taken]
+                taken += 1
+                if (v, c) not in shortest:
+                    shortest[(v, c)] = length
+                    frontier.append((v, c))
+            length += 1
+            nxt = []
+            for (v, c) in frontier:
+                c = step[c]
+                for t in adjacency[v]:
+                    if (t, c) not in shortest and (within is None or t in within):
+                        shortest[(t, c)] = length
+                        nxt.append((t, c))
+            frontier = nxt
+        return shortest
+
     # -- cycle structure ---------------------------------------------------
 
-    def strongly_connected_components(self) -> list[tuple[str, ...]]:
-        """Tarjan's algorithm, iterative; components in a deterministic order."""
+    def condensation(self) -> tuple[tuple[str, ...], ...]:
+        """Strongly connected components in dependency order.
+
+        Every attacker's component precedes its target's; among components
+        whose attackers are all placed, the one holding the earliest
+        declared argument comes first.  Members keep declaration order.
+        Computed once per graph.
+        """
+        if self._condensation is None:
+            self._condensation = self._condense()
+        return self._condensation
+
+    def _condense(self) -> tuple[tuple[str, ...], ...]:
+        # Tarjan's algorithm, iterative, over declaration indices.
         n = len(self._args)
         succ = [
             [self._index[t] for t in self._targets[a]] for a in self._args
@@ -288,25 +312,53 @@ class AttackGraph:
                         comp.append(w)
                         if w == v:
                             break
-                    components.append(comp)
+                    components.append(sorted(comp))
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[v])
-        result = [
-            tuple(self._args[i] for i in sorted(comp)) for comp in components
-        ]
-        result.sort(key=lambda comp: self._index[comp[0]])
-        return result
+        # Kahn's algorithm over the components, smallest first index first.
+        comp_of = [0] * n
+        for cid, comp in enumerate(components):
+            for v in comp:
+                comp_of[v] = cid
+        waiting = [0] * len(components)
+        dependants: list[set[int]] = [set() for _ in components]
+        for cid, comp in enumerate(components):
+            for v in comp:
+                for w in succ[v]:
+                    if comp_of[w] != cid and comp_of[w] not in dependants[cid]:
+                        dependants[cid].add(comp_of[w])
+                        waiting[comp_of[w]] += 1
+        ready = [(comp[0], cid) for cid, comp in enumerate(components)
+                 if not waiting[cid]]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            _, cid = heapq.heappop(ready)
+            order.append(tuple(self._args[i] for i in components[cid]))
+            for dep in dependants[cid]:
+                waiting[dep] -= 1
+                if not waiting[dep]:
+                    heapq.heappush(ready, (components[dep][0], dep))
+        return tuple(order)
+
+    def is_cyclic(self, component: tuple[str, ...]) -> bool:
+        """True for a component that is a cycle union: more than one
+        member, or a single self-attacker."""
+        return len(component) > 1 or component[0] in self._attackers[component[0]]
+
+    def strongly_connected_components(self) -> list[tuple[str, ...]]:
+        """Components ordered by their earliest declared member."""
+        return sorted(self.condensation(), key=lambda comp: self._index[comp[0]])
 
     def find_mcycles(self) -> list[Mcycle]:
         """Maximal interconnected cycle unions: the non-trivial strongly
         connected components (more than one member, or a self-attacker)."""
         out: list[Mcycle] = []
         for comp in self.strongly_connected_components():
-            members = set(comp)
-            nontrivial = len(comp) > 1 or comp[0] in self._attackers[comp[0]]
-            if not nontrivial:
+            if not self.is_cyclic(comp):
                 continue
+            members = set(comp)
             inputs = tuple(
                 m
                 for m in comp
@@ -320,28 +372,14 @@ class AttackGraph:
         return not self.find_mcycles()
 
     def has_odd_cycle(self) -> bool:
-        """True when some elementary cycle has odd length."""
-        for mc in self.find_mcycles():
-            members = set(mc.members)
-            root = mc.members[0]
-            # BFS over (argument, parity) restricted to the component; an odd
-            # closed walk exists iff the root is reachable at odd parity, and
-            # an odd closed walk always contains an odd elementary cycle.
-            seen = {(root, 0)}
-            frontier = [(root, 0)]
-            while frontier:
-                nxt = []
-                for (v, p) in frontier:
-                    for t in self._targets[v]:
-                        if t not in members:
-                            continue
-                        state = (t, 1 - p)
-                        if state not in seen:
-                            seen.add(state)
-                            nxt.append(state)
-                frontier = nxt
-            if (root, 1) in seen:
-                return True
+        """True when some elementary cycle has odd length: an odd closed
+        walk exists iff a union's first member reaches itself at odd
+        parity, and an odd closed walk always contains an odd cycle."""
+        for comp in self.condensation():
+            if self.is_cyclic(comp):
+                reached = self.shortest_walks([(0, comp[0], 0)], within=set(comp))
+                if (comp[0], 1) in reached:
+                    return True
         return False
 
     def topological_order(self) -> tuple[str, ...]:
@@ -349,20 +387,10 @@ class AttackGraph:
 
         Raises FrameworkError when the graph has a cycle.
         """
-        indeg = {a: len(self._attackers[a]) for a in self._args}
-        ready = [a for a in self._args if indeg[a] == 0]
-        order: list[str] = []
-        while ready:
-            ready.sort(key=self._index.get)
-            a = ready.pop(0)
-            order.append(a)
-            for t in self._targets[a]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    ready.append(t)
-        if len(order) != len(self._args):
+        order = self.condensation()
+        if any(self.is_cyclic(comp) for comp in order):
             raise FrameworkError("graph contains a cycle; no topological order")
-        return tuple(order)
+        return tuple(comp[0] for comp in order)
 
     # -- text formats -------------------------------------------------------
 

@@ -163,8 +163,7 @@ def evaluate_local(
     propagation instead.
     """
     config = config or FixpointConfig()
-    mcycles = g.find_mcycles()
-    if not mcycles:
+    if g.is_well_founded():
         values: dict[str, object] = {}
         for name in g.topological_order():
             attackers = g.attackers_of(name)
@@ -180,8 +179,8 @@ def evaluate_local(
             raise UndecidableError(
                 f"label instance {instance.name!r} cannot decide cyclic graphs"
             )
-        return _evaluate_rooted_cyclic(g, mcycles)
-    return _evaluate_float_cyclic(g, mcycles, instance, config)
+        return _evaluate_rooted_cyclic(g)
+    return _evaluate_float_cyclic(g, instance, config)
 
 
 def _is_rooted_style(instance: LocalInstance) -> bool:
@@ -201,60 +200,15 @@ def _is_rooted_style(instance: LocalInstance) -> bool:
     return g_ok and h_ok
 
 
-def _condensation_order(g: AttackGraph, mcycles):
-    comp_of: dict[str, int] = {}
-    for idx, mc in enumerate(mcycles):
-        for m in mc.members:
-            comp_of[m] = idx
-
-    def node_of(name):
-        return ("mc", comp_of[name]) if name in comp_of else ("arg", name)
-
-    nodes = [("mc", i) for i in range(len(mcycles))]
-    nodes += [("arg", a) for a in g.arguments if a not in comp_of]
-    deps = {node: set() for node in nodes}
-    for (src, dst) in g.attacks:
-        a, b = node_of(src), node_of(dst)
-        if a != b:
-            deps[b].add(a)
-
-    def key(node):
-        kind, payload = node
-        if kind == "mc":
-            return min(g.index_of(m) for m in mcycles[payload].members)
-        return g.index_of(payload)
-
-    order = []
-    remaining = {n: set(d) for n, d in deps.items()}
-    ready = sorted((n for n in nodes if not remaining[n]), key=key)
-    dependants = {n: [] for n in nodes}
-    for n, ds in deps.items():
-        for d in ds:
-            dependants[d].append(n)
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        fresh = []
-        for dep in dependants[node]:
-            remaining[dep].discard(node)
-            if not remaining[dep]:
-                fresh.append(dep)
-        if fresh:
-            ready.extend(fresh)
-            ready.sort(key=key)
-    return order
-
-
-def _evaluate_rooted_cyclic(g: AttackGraph, mcycles) -> dict[str, str]:
+def _evaluate_rooted_cyclic(g: AttackGraph) -> dict[str, str]:
     values: dict[str, str] = {}
-    for (kind, payload) in _condensation_order(g, mcycles):
-        if kind == "arg":
-            attackers = g.attackers_of(payload)
-            values[payload] = (
+    for members in g.condensation():
+        if not g.is_cyclic(members):
+            attackers = g.attackers_of(members[0])
+            values[members[0]] = (
                 "+" if not attackers else _label_g(_label_h([values[b] for b in attackers]))
             )
             continue
-        members = mcycles[payload].members
         unresolved = set(members)
         # Propagate forced labels to a fixpoint: a + attacker forces -, and
         # all-known all-minus attackers force +; some known ? with no +
@@ -280,7 +234,7 @@ def _evaluate_rooted_cyclic(g: AttackGraph, mcycles) -> dict[str, str]:
 
 
 def _evaluate_float_cyclic(
-    g: AttackGraph, mcycles, instance: LocalInstance, config: FixpointConfig
+    g: AttackGraph, instance: LocalInstance, config: FixpointConfig
 ) -> dict[str, float]:
     top = float(instance.v_max)
     values: dict[str, float] = {}
@@ -291,11 +245,10 @@ def _evaluate_float_cyclic(
             return top
         return float(instance.g(instance.h(tuple(values[b] for b in attackers))))
 
-    for (kind, payload) in _condensation_order(g, mcycles):
-        if kind == "arg":
-            values[payload] = recompute(payload)
+    for members in g.condensation():
+        if not g.is_cyclic(members):
+            values[members[0]] = recompute(members[0])
             continue
-        members = mcycles[payload].members
         for m in members:
             values[m] = top
         for _ in range(config.max_iterations):

@@ -2,36 +2,52 @@
 
 An argument's value is the pair of sorted multisets of its defence
 (even-length) and attack (odd-length) branch lengths, where a branch is a
-leaf-to-argument path.  On acyclic graphs the recurrence over direct
-attackers computes this exactly.  Cycles stand for infinitely many
-branches: each maximal interconnected cycle union is unrolled by walk
-enumeration up to a configurable number of runs, producing
-horizon-certified infinite multisets; an unattacked cycle contributes one
-branch of every length, while an attacked one only relays its external
-attackers' branches around the cycle.
+leaf-to-argument path.  Cycles stand for infinitely many branches: a
+branch becomes a rooted walk, which starts at a leaf, or inside an
+unattacked cycle union (a non-trivial strongly connected component), and
+may then follow any attack edge.  The number of rooted walks of length L
+ending at x obeys one recurrence, count[x][L] = sum over attackers b of
+count[b][L-1], filled along the condensation of the graph.
+
+Every component that a cycle makes infinite is cut at a certified
+horizon: the stored prefix lists every element up to it.  With
+cap = depth * |union|:
+
+- an unattacked union has horizon cap in both parities;
+- an attacked member i has horizon
+  min(m + 1 + cap, min_j(t_j + 1 + dist(j, i))), where m is the smallest
+  element of any non-empty component of the union's external attackers,
+  t_j is the smallest truncated horizon among the external attackers of
+  entry member j, and dist is the shortest walk inside the union; its
+  parities reached by no walk stay exact and empty;
+- outside unions, a parity's horizon is 1 + the smallest horizon of the
+  attackers' opposite parity, and a parity with no truncated attacker
+  stays exact.
+
+Time and memory grow with horizon * attacks; inputs whose largest horizon
+times the number of attacks exceeds WORK_BOUND fail fast.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .framework import AttackGraph, Mcycle
-from .tuples import (
-    EMPTY,
-    LEAF_VALUE,
-    GradTuple,
-    TupledValue,
-    concat_all,
-    shift,
-)
+from .framework import AttackGraph
+from .tuples import LEAF_VALUE, GradTuple, TupledValue
 
 __all__ = [
+    "WORK_BOUND",
     "CyclicGraphError",
     "DepthError",
+    "EvaluationBoundError",
     "PropagationDepth",
     "evaluate_acyclic",
     "evaluate_cyclic",
 ]
+
+# Largest horizon times the number of attacks that evaluation accepts: a
+# few seconds and a few hundred MB of walk counts at most.
+WORK_BOUND = 2_000_000
 
 
 class CyclicGraphError(ValueError):
@@ -40,6 +56,10 @@ class CyclicGraphError(ValueError):
 
 class DepthError(ValueError):
     """Invalid propagation depth."""
+
+
+class EvaluationBoundError(ValueError):
+    """The horizons are too long to evaluate within WORK_BOUND."""
 
 
 @dataclass(frozen=True)
@@ -53,24 +73,13 @@ class PropagationDepth:
             raise DepthError("propagation depth must be at least 1")
 
 
-def _recurrence_value(g: AttackGraph, name: str, values: dict) -> TupledValue:
-    attackers = g.attackers_of(name)
-    if not attackers:
-        return LEAF_VALUE
-    even = concat_all(shift(values[b].odd, 1) for b in attackers)
-    odd = concat_all(shift(values[b].even, 1) for b in attackers)
-    return TupledValue(even=even, odd=odd)
-
-
 def evaluate_acyclic(g: AttackGraph) -> dict[str, TupledValue]:
     """Exact tupled values; every component is a finite multiset except the
     all-zero tuple on unattacked arguments."""
-    if g.find_mcycles():
+    order = g.condensation()
+    if any(g.is_cyclic(comp) for comp in order):
         raise CyclicGraphError("graph contains a cycle; use evaluate_cyclic")
-    values: dict[str, TupledValue] = {}
-    for name in g.topological_order():
-        values[name] = _recurrence_value(g, name, values)
-    return values
+    return _walk_values(g, order, {a: (None, None) for a in g.arguments})
 
 
 def evaluate_cyclic(
@@ -78,232 +87,167 @@ def evaluate_cyclic(
 ) -> dict[str, TupledValue]:
     """Tupled values for arbitrary graphs.
 
-    Cycle unions are processed along the condensation order.  Components
-    known to be infinite come back as truncated tuples whose certified
-    horizon is derived from the unroll depth; everything untouched by a
-    cycle stays exact.
+    Components known to be infinite come back as truncated tuples whose
+    certified horizon is derived from the unroll depth; everything
+    untouched by a cycle stays exact.  Raises EvaluationBoundError, before
+    counting anything, when the largest horizon times the number of
+    attacks exceeds WORK_BOUND.
     """
-    mcycles = g.find_mcycles()
-    if not mcycles:
+    order = g.condensation()
+    if not any(g.is_cyclic(comp) for comp in order):
         return evaluate_acyclic(g)
+    horizons = _horizons(g, order, depth)
+    longest = max(h for pair in horizons.values() for h in pair if h is not None)
+    if longest * len(g.attacks) > WORK_BOUND:
+        raise EvaluationBoundError(
+            f"tuple horizons up to {longest} over {len(g.attacks)} attacks "
+            f"exceed the evaluation bound of {WORK_BOUND}"
+        )
+    return _walk_values(g, order, horizons)
 
-    comp_of: dict[str, int] = {}
-    for idx, mc in enumerate(mcycles):
-        for m in mc.members:
-            comp_of[m] = idx
 
-    # Condensation nodes: one per mcycle, one per remaining argument.
-    nodes: list[tuple[str, object]] = [("mc", i) for i in range(len(mcycles))]
-    nodes += [("arg", a) for a in g.arguments if a not in comp_of]
+def _after(horizons) -> int | None:
+    """One step past the nearest of some horizons; None when all are exact."""
+    known = [h for h in horizons if h is not None]
+    return 1 + min(known) if known else None
 
-    def node_key(node):
-        kind, payload = node
-        if kind == "mc":
-            return min(g.index_of(m) for m in mcycles[payload].members)
-        return g.index_of(payload)
 
-    def node_of(name: str):
-        return ("mc", comp_of[name]) if name in comp_of else ("arg", name)
+def _horizons(g: AttackGraph, order, depth: PropagationDepth):
+    """(even, odd) horizon of every argument; None marks an exact parity."""
+    horizon: dict[str, tuple] = {}
+    shortest = None
+    for comp in order:
+        if not g.is_cyclic(comp):
+            attackers = g.attackers_of(comp[0])
+            horizon[comp[0]] = (
+                _after(horizon[b][1] for b in attackers),
+                _after(horizon[b][0] for b in attackers),
+            )
+            continue
+        members = set(comp)
+        cap = depth.runs * len(comp)
+        entries = [
+            (j, [b for b in g.attackers_of(j) if b not in members]) for j in comp
+        ]
+        entries = [(j, outside) for (j, outside) in entries if outside]
+        if not entries:
+            for m in comp:
+                horizon[m] = (cap, cap)
+            continue
+        if shortest is None:
+            shortest = g.shortest_walks(_roots(g, order))
+        smallest = []  # m: smallest stored element of an external attacker
+        distance_seeds = []  # t_j + 1 at entry j
+        parity_seeds = []  # entry j reached at the parity of one more step
+        for (j, outside) in entries:
+            truncated = []
+            for b in outside:
+                for p in (0, 1):
+                    h = horizon[b][p]
+                    low = shortest.get((b, p))
+                    if low is not None and (h is None or low <= h):
+                        smallest.append(low)
+                    if h is not None:
+                        truncated.append(h)
+                    if h is not None or low is not None:
+                        parity_seeds.append((0, j, 1 - p))
+            if truncated:
+                distance_seeds.append((min(truncated) + 1, j, 0))
+        reached = g.shortest_walks(parity_seeds, within=members)
+        relayed = g.shortest_walks(distance_seeds, step=(0,), within=members)
+        bound = min(smallest) + 1 + cap if smallest else None
+        for i in comp:
+            h = min(x for x in (bound, relayed.get((i, 0))) if x is not None)
+            horizon[i] = tuple(h if (i, q) in reached else None for q in (0, 1))
+    return horizon
 
-    deps: dict[tuple, set[tuple]] = {node: set() for node in nodes}
-    for (src, dst) in g.attacks:
-        a, b = node_of(src), node_of(dst)
-        if a != b:
-            deps[b].add(a)
 
-    remaining = {node: set(d) for node, d in deps.items()}
-    dependants: dict[tuple, list[tuple]] = {node: [] for node in nodes}
-    for node, ds in deps.items():
-        for d in ds:
-            dependants[d].append(node)
-    ready = sorted((n for n in nodes if not remaining[n]), key=node_key)
+def _roots(g: AttackGraph, order):
+    """Shortest-walk seeds: leaves at length 0, and each member of an
+    unattacked union at length 1, its first step inside the union."""
+    seeds = []
+    for comp in order:
+        if not g.is_cyclic(comp):
+            if not g.attackers_of(comp[0]):
+                seeds.append((0, comp[0], 0))
+            continue
+        members = set(comp)
+        if all(b in members for m in comp for b in g.attackers_of(m)):
+            seeds.extend((1, m, 1) for m in comp)
+    return seeds
 
+
+def _walk_values(g: AttackGraph, order, horizon) -> dict[str, TupledValue]:
+    """Fill count[x][L] along the condensation, each union up to its
+    largest horizon, and cut every parity at its own horizon."""
+    counts: dict[str, dict[int, int]] = {}
     values: dict[str, TupledValue] = {}
-    processed = 0
-    while ready:
-        node = ready.pop(0)
-        processed += 1
-        kind, payload = node
-        if kind == "arg":
-            values[payload] = _recurrence_value(g, payload, values)
-        else:
-            _evaluate_mcycle(g, mcycles[payload], values, depth)
-        newly = []
-        for dep in dependants[node]:
-            remaining[dep].discard(node)
-            if not remaining[dep]:
-                newly.append(dep)
-        if newly:
-            ready.extend(newly)
-            ready.sort(key=node_key)
-    if processed != len(nodes):
-        raise RuntimeError("condensation order incomplete")  # pragma: no cover
+    for comp in order:
+        if not g.is_cyclic(comp):
+            x = comp[0]
+            attackers = g.attackers_of(x)
+            if not attackers:
+                counts[x] = {0: 1}
+                values[x] = LEAF_VALUE
+                continue
+            row: dict[int, int] = {}
+            for b in attackers:
+                for length, c in counts[b].items():
+                    row[length + 1] = row.get(length + 1, 0) + c
+            counts[x] = _cut(row, horizon[x])
+            values[x] = _value(counts[x], horizon[x])
+            continue
+        members = set(comp)
+        top = max(h for m in comp for h in horizon[m] if h is not None)
+        rows = {m: [0] * (top + 1) for m in comp}
+        inside = []
+        attacked = False
+        for m in comp:
+            row = rows[m]
+            within = []
+            for b in g.attackers_of(m):
+                if b in members:
+                    within.append(rows[b])
+                    continue
+                attacked = True
+                for length, c in counts[b].items():
+                    if length < top:
+                        row[length + 1] += c
+            inside.append((row, within))
+        if not attacked:
+            for row, _ in inside:
+                row[0] = 1  # each member starts rooted walks
+        for length in range(1, top + 1):
+            for row, within in inside:
+                total = row[length]
+                for r in within:
+                    total += r[length - 1]
+                row[length] = total
+        for m in comp:
+            row = rows[m]
+            end = max(h for h in horizon[m] if h is not None)
+            counts[m] = {length: row[length] for length in range(1, end + 1) if row[length]}
+            values[m] = _value(counts[m], horizon[m])
     return values
 
 
-# -- mcycle machinery ---------------------------------------------------------
-
-def _internal_attackers(g: AttackGraph, members: tuple[str, ...]):
-    mset = set(members)
-    return {m: tuple(b for b in g.attackers_of(m) if b in mset) for m in members}
-
-
-def _is_simple_cycle(g: AttackGraph, members: tuple[str, ...]) -> bool:
-    internal = _internal_attackers(g, members)
-    return all(len(v) == 1 for v in internal.values())
-
-
-def _closed_form_member(horizon: int) -> TupledValue:
-    evens = {length: 1 for length in range(2, horizon + 1, 2)}
-    odds = {length: 1 for length in range(1, horizon + 1, 2)}
-    return TupledValue(
-        even=GradTuple.truncated(evens, horizon),
-        odd=GradTuple.truncated(odds, horizon),
-    )
-
-
-def _double_cover(internal: dict, members: tuple[str, ...], source: str):
-    """Per target member: achievable walk parities from `source` and the
-    shortest walk length, walking forward along attack edges."""
-    forward: dict[str, list[str]] = {m: [] for m in members}
-    for m, attackers in internal.items():
-        for b in attackers:
-            forward[b].append(m)
-    dist: dict[tuple[str, int], int] = {(source, 0): 0}
-    frontier = [(source, 0)]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            v, p = state
-            for t in forward[v]:
-                succ = (t, 1 - p)
-                if succ not in dist:
-                    dist[succ] = dist[state] + 1
-                    nxt.append(succ)
-        frontier = nxt
-    parities = {m: frozenset(p for p in (0, 1) if (m, p) in dist) for m in members}
-    dmin = {
-        m: min((dist[(m, p)] for p in (0, 1) if (m, p) in dist), default=None)
-        for m in members
+def _cut(row: dict[int, int], horizons) -> dict[int, int]:
+    """Drop the counts beyond their parity's horizon."""
+    if horizons == (None, None):
+        return row
+    return {
+        length: c
+        for length, c in row.items()
+        if horizons[length % 2] is None or length <= horizons[length % 2]
     }
-    return parities, dmin
 
 
-def _walk_counts(internal: dict, members: tuple[str, ...], source: str, cap: int):
-    """counts[d][m]: number of walks of exactly d edges from source to m,
-    staying inside the mcycle."""
-    table: list[dict[str, int]] = [{m: 0 for m in members}]
-    table[0][source] = 1
-    for _ in range(cap):
-        prev = table[-1]
-        row = {m: 0 for m in members}
-        for m in members:
-            total = 0
-            for b in internal[m]:
-                total += prev[b]
-            row[m] = total
-        table.append(row)
-    return table
-
-
-def _component_elements(t: GradTuple):
-    """(elements, truncated, bound) view of one value component of an
-    external attacker: `elements` are certified (value, count) pairs,
-    `bound` is the horizon when the component is truncated."""
-    if t.constant == 0:
-        return ((0, 1),), False, None
-    if t.constant is not None:  # pragma: no cover - never produced by evaluation
-        raise RuntimeError("unexpected constant tuple during propagation")
-    return t.runs, (t.infinite and not t.exact), t.horizon
-
-
-def _evaluate_mcycle(
-    g: AttackGraph, mc: Mcycle, values: dict[str, TupledValue], depth: PropagationDepth
-) -> None:
-    members = mc.members
-    internal = _internal_attackers(g, members)
-    cap = depth.runs * len(members)
-
-    if not mc.inputs:
-        if _is_simple_cycle(g, members):
-            # One branch of every positive length reaches each member.
-            value = _closed_form_member(cap)
-            for m in members:
-                values[m] = value
-            return
-        # Interconnected, unattacked: one branch per finite backward walk.
-        back: list[dict[str, int]] = [{m: 1 for m in members}]
-        for _ in range(cap):
-            prev = back[-1]
-            back.append(
-                {m: sum(prev[b] for b in internal[m]) for m in members}
-            )
-        for m in members:
-            evens: dict[int, int] = {}
-            odds: dict[int, int] = {}
-            for d in range(1, cap + 1):
-                count = back[d][m]
-                if count:
-                    (evens if d % 2 == 0 else odds)[d] = count
-            values[m] = TupledValue(
-                even=GradTuple.truncated(evens, cap),
-                odd=GradTuple.truncated(odds, cap),
-            )
-        return
-
-    # Attacked: members relay their external attackers' branches; a branch
-    # of length b entering at member j reaches member i with length
-    # b + 1 + d for every internal walk j -> i of d edges.
-    mset = set(members)
-    families: list[tuple[str, str]] = []
-    for j in members:
-        for b in g.attackers_of(j):
-            if b not in mset:
-                families.append((j, b))
-    walk_tables = {}
-    cover = {}
-    for j in {j for (j, _) in families}:
-        walk_tables[j] = _walk_counts(internal, members, j, cap)
-        cover[j] = _double_cover(internal, members, j)
-
-    for i in members:
-        even_counts: dict[int, int] = {}
-        odd_counts: dict[int, int] = {}
-        inf = {0: False, 1: False}
-        horizon_terms: list[int] = []
-        for (j, b_name) in families:
-            parities, dmins = cover[j]
-            if not parities[i]:
-                continue  # no walk from the entry point to this member
-            table = walk_tables[j]
-            bval = values[b_name]
-            for parity, component in ((0, bval.even), (1, bval.odd)):
-                elements, truncated, bound = _component_elements(component)
-                if not elements and not truncated:
-                    continue
-                for walk_parity in parities[i]:
-                    inf[(parity + 1 + walk_parity) % 2] = True
-                if elements:
-                    for d in range(cap + 1):
-                        mult = table[d][i]
-                        if not mult:
-                            continue
-                        for (b, c) in elements:
-                            length = b + 1 + d
-                            bucket = even_counts if length % 2 == 0 else odd_counts
-                            bucket[length] = bucket.get(length, 0) + c * mult
-                    horizon_terms.append(elements[0][0] + 1 + cap)
-                if truncated:
-                    horizon_terms.append(bound + 1 + dmins[i])
-        horizon = min(horizon_terms)
-        even = (
-            GradTuple.truncated(even_counts, horizon)
-            if inf[0]
-            else GradTuple(runs=tuple(sorted(even_counts.items())))
-        )
-        odd = (
-            GradTuple.truncated(odd_counts, horizon)
-            if inf[1]
-            else GradTuple(runs=tuple(sorted(odd_counts.items())))
-        )
-        values[i] = TupledValue(even=even, odd=odd)
+def _value(row: dict[int, int], horizons) -> TupledValue:
+    ordered = sorted(row.items())
+    even, odd = horizons
+    return TupledValue(
+        even=GradTuple(runs=tuple([run for run in ordered if not run[0] % 2]),
+                       infinite=even is not None, horizon=even),
+        odd=GradTuple(runs=tuple([run for run in ordered if run[0] % 2]),
+                      infinite=odd is not None, horizon=odd),
+    )

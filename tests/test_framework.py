@@ -160,6 +160,95 @@ class TestCycleStructure:
             load_fixture("example7").topological_order()
 
 
+def _walk_class(length: int, step) -> int:
+    """Class of a walk of `length` edges under a step table from class 0."""
+    c = 0
+    for _ in range(length):
+        c = step[c]
+    return c
+
+
+def _brute_shortest(g, seeds, step, *, backward=False, limit):
+    """Shortest walk per (argument, class), by counting walks of every
+    length up to `limit` from each seed."""
+    out = {}
+    for offset, seed, _ in seeds:
+        for length in range(limit + 1):
+            cls = _walk_class(length, step)
+            for v in g.arguments:
+                query = PathQuery(v, seed, length) if backward else PathQuery(seed, v, length)
+                if g.walk_count(query) and out.get((v, cls), limit + offset + 1) > offset + length:
+                    out[(v, cls)] = offset + length
+    return out
+
+
+def _small_graphs():
+    for seed in range(40):
+        yield random_attack_graph(seed, 3 + seed % 5, (0.2, 0.3, 0.45)[seed % 3])
+
+
+class TestShortestWalks:
+    def test_parity_search_matches_walk_counts(self):
+        for g in _small_graphs():
+            limit = 2 * len(g) + 1
+            for source in g.arguments:
+                for backward in (False, True):
+                    seeds = [(0, source, 0)]
+                    assert g.shortest_walks(seeds, backward=backward) == _brute_shortest(
+                        g, seeds, (1, 0), backward=backward, limit=limit
+                    ), (g.serialize(), source, backward)
+
+    def test_length_classes_match_walk_counts(self):
+        step = (1, 2, 3, 4, 3)  # 0, 1, 2, odd >= 3, even >= 4
+        for g in _small_graphs():
+            for target in g.arguments:
+                seeds = [(0, target, 0)]
+                got = g.shortest_walks(seeds, step=step, backward=True)
+                assert got == _brute_shortest(
+                    g, seeds, step, backward=True, limit=2 * len(g) + 2
+                )
+                assert g.indirect_attackers(target) == {v for (v, c) in got if c == 3}
+                assert g.indirect_defenders(target) == {v for (v, c) in got if c == 4}
+
+    def test_offset_seeds_inside_a_component(self):
+        for g in _small_graphs():
+            for comp in g.condensation():
+                inner = AttackGraph(comp, [(s, t) for (s, t) in g.attacks
+                                           if s in comp and t in comp])
+                seeds = [(3 * k + 1, m, 0) for k, m in enumerate(comp)]
+                got = g.shortest_walks(seeds, step=(0,), within=set(comp))
+                assert got == _brute_shortest(inner, seeds, (0,), limit=len(comp))
+
+
+class TestCondensation:
+    def test_dependency_order_and_members(self):
+        for g in _small_graphs():
+            order = g.condensation()
+            assert g.condensation() is order
+            position = {m: k for k, comp in enumerate(order) for m in comp}
+            assert sorted(position) == sorted(g.arguments)
+            for src, dst in g.attacks:
+                assert position[src] <= position[dst]
+            for comp in order:
+                assert list(comp) == sorted(comp, key=g.index_of)
+            assert sorted(map(set, order), key=min) == sorted(
+                map(set, g.strongly_connected_components()), key=min
+            )
+
+    def test_topological_order_takes_the_earliest_ready_argument(self):
+        for seed in range(40):
+            g = random_acyclic_graph(seed, 3 + seed % 9, 0.35)
+            waiting = {a: len(g.attackers_of(a)) for a in g.arguments}
+            expected = []
+            while len(expected) < len(g):
+                nxt = min((a for a in g.arguments if waiting[a] == 0), key=g.index_of)
+                expected.append(nxt)
+                waiting[nxt] = -1
+                for t in g.targets_of(nxt):
+                    waiting[t] -= 1
+            assert g.topological_order() == tuple(expected)
+
+
 class TestSerialization:
     def test_serialize_is_stable(self):
         g = load_fixture("example6")

@@ -55,6 +55,8 @@ def rooted_walk_counts(g, bound):
     union with its first step staying inside; afterwards it may follow any
     attack edge, revisiting vertices freely.  Its length profile is exactly
     the branch-length profile of the infinite cycle-unfolded graph.
+    The evaluator fills the same recurrence, so the frozen digests in
+    test_frozen_tuples are the independent check of its output.
     """
     counts = {a: [0] * (bound + 1) for a in g.arguments}
     leaves = g.leaves()
