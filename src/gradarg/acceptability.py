@@ -188,7 +188,10 @@ def classify(g: AttackGraph, semantics: str = "preferred") -> dict[str, str]:
     extension with no direct attacker in any; only-exi: in some extension
     but a direct attacker also appears in one; not-accepted: in none.
     """
-    extensions = _extensions_for(g, semantics)
+    return _levels(g, _extensions_for(g, semantics))
+
+
+def _levels(g: AttackGraph, extensions) -> dict[str, str]:
     member_sets = [set(e.members) for e in extensions]
     levels = {}
     for name in g.arguments:
@@ -252,7 +255,7 @@ def classification_report(
 ) -> AcceptabilityReport:
     """Bundle extensions, levels, and per-valuation well-defended sets."""
     extensions = tuple(_extensions_for(g, semantics))
-    level = classify(g, semantics)
+    level = _levels(g, extensions)
     defended = {
         name: well_defended(g, valuation_preference(values))
         for name, values in (valuations or {}).items()

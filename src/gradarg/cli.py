@@ -36,7 +36,7 @@ from .tuple_eval import (
     PropagationDepth,
     evaluate_cyclic,
 )
-from .tuples import TupleFormatError, parse_tuple_literal, compare
+from .tuples import RenderLimitError, TupleFormatError, parse_tuple_literal, compare
 
 __all__ = ["build_parser", "entry", "main"]
 
@@ -254,7 +254,8 @@ def main(argv=None) -> int:
         print(f"gradarg: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConvergenceError, EnumerationBoundError, EvaluationBoundError,
-            CyclicGraphError, UndecidableError, FrameworkError) as exc:
+            CyclicGraphError, UndecidableError, FrameworkError,
+            RenderLimitError) as exc:
         print(f"gradarg: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -6,15 +6,19 @@ attackers into the attacked argument's value, and a combination function h
 folding attacker values together.  Unattacked arguments take the top
 value; everything else follows v(A) = g(h(values of direct attackers)).
 
-Acyclic graphs are evaluated exactly (rational arithmetic for rational
-instances).  Graphs with cycles run a simultaneous fixpoint iteration over
-each cycle union, except for the rooted three-label instance which uses a
-dedicated propagation that settles unresolved cycle members at the middle
+Evaluation is one pass along the graph's condensation, its strongly
+connected components in dependency order, with one step rule for every
+argument outside a cycle union and one solver per cycle union.  Acyclic
+graphs are evaluated exactly (rational arithmetic for rational instances).
+On graphs with cycles, numeric instances run a simultaneous fixpoint
+iteration over each union in floats, and the rooted three-label instance
+propagates forced labels and settles unresolved members at the middle
 label.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -157,30 +161,44 @@ def evaluate_local(
 ) -> dict[str, object]:
     """Value of every argument under the instance.
 
-    Acyclic graphs evaluate exactly in reverse attack order.  Cyclic graphs
-    run per-cycle-union fixpoint iteration from the all-top start (floats
-    for numeric instances); the rooted label instance uses its dedicated
-    propagation instead.
+    One pass along the condensation: an unattacked argument takes the top
+    value, any other argument outside a cycle union takes g(h(values of
+    its attackers)), and each cycle union goes to a solver chosen once per
+    call - fixpoint iteration from the all-top start for numeric
+    instances, forced-label propagation for the rooted label instance.
+    Acyclic graphs evaluate exactly; on a cyclic graph every numeric value
+    is a float.
     """
     config = config or FixpointConfig()
-    if g.is_well_founded():
-        values: dict[str, object] = {}
-        for name in g.topological_order():
-            attackers = g.attackers_of(name)
-            if not attackers:
-                values[name] = instance.v_max
-            else:
-                values[name] = instance.g(
-                    instance.h(tuple(values[b] for b in attackers))
+    order = g.condensation()
+    top, combine, drop = instance.v_max, instance.h, instance.g
+    if any(g.is_cyclic(members) for members in order):
+        if instance.kind == "label":
+            if not _is_rooted_style(instance):
+                raise UndecidableError(
+                    f"label instance {instance.name!r} cannot decide cyclic graphs"
                 )
-        return values
-    if instance.kind == "label":
-        if not _is_rooted_style(instance):
-            raise UndecidableError(
-                f"label instance {instance.name!r} cannot decide cyclic graphs"
-            )
-        return _evaluate_rooted_cyclic(g)
-    return _evaluate_float_cyclic(g, instance, config)
+            # _is_rooted_style checks h on short tuples only, so a cyclic
+            # graph is decided with the built-in label functions.
+            top, combine, drop = "+", _label_h, _label_g
+            solve = _propagate_labels
+        else:
+            top, drop = float(top), lambda x: float(instance.g(x))
+            solve = functools.partial(_iterate, top=top, config=config)
+    values: dict[str, object] = {}
+
+    def step(name):
+        attackers = g.attackers_of(name)
+        if not attackers:
+            return top
+        return drop(combine(tuple(values[b] for b in attackers)))
+
+    for members in order:
+        if g.is_cyclic(members):
+            solve(g, members, values, step)
+        else:
+            values[members[0]] = step(members[0])
+    return values
 
 
 def _is_rooted_style(instance: LocalInstance) -> bool:
@@ -200,68 +218,39 @@ def _is_rooted_style(instance: LocalInstance) -> bool:
     return g_ok and h_ok
 
 
-def _evaluate_rooted_cyclic(g: AttackGraph) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for members in g.condensation():
-        if not g.is_cyclic(members):
-            attackers = g.attackers_of(members[0])
-            values[members[0]] = (
-                "+" if not attackers else _label_g(_label_h([values[b] for b in attackers]))
-            )
-            continue
-        unresolved = set(members)
-        # Propagate forced labels to a fixpoint: a + attacker forces -, and
-        # all-known all-minus attackers force +; some known ? with no +
-        # forces ?.  Whatever stays unforced settles at ?.
-        changed = True
-        while changed and unresolved:
-            changed = False
-            for m in members:
-                if m not in unresolved:
-                    continue
-                attacker_labels = [values.get(b) for b in g.attackers_of(m)]
-                if any(lab == "+" for lab in attacker_labels):
-                    values[m] = "-"
-                elif all(lab is not None for lab in attacker_labels):
-                    values[m] = _label_g(_label_h(attacker_labels))
-                else:
-                    continue
-                unresolved.discard(m)
-                changed = True
-        for m in unresolved:
-            values[m] = "?"
-    return values
+def _iterate(g, members, values, step, *, top, config):
+    """Simultaneous fixpoint iteration over one cycle union."""
+    for m in members:
+        values[m] = top
+    for _ in range(config.max_iterations):
+        nxt = {m: step(m) for m in members}
+        residual = max(abs(nxt[m] - values[m]) for m in members)
+        values.update(nxt)
+        if residual < config.tolerance:
+            return
+    raise ConvergenceError(f"no fixpoint within {config.max_iterations} iterations")
 
 
-def _evaluate_float_cyclic(
-    g: AttackGraph, instance: LocalInstance, config: FixpointConfig
-) -> dict[str, float]:
-    top = float(instance.v_max)
-    values: dict[str, float] = {}
-
-    def recompute(name):
-        attackers = g.attackers_of(name)
-        if not attackers:
-            return top
-        return float(instance.g(instance.h(tuple(values[b] for b in attackers))))
-
-    for members in g.condensation():
-        if not g.is_cyclic(members):
-            values[members[0]] = recompute(members[0])
-            continue
+def _propagate_labels(g, members, values, step):
+    """Forced labels over one cycle union: a + attacker forces -, and
+    all-known attackers force g(h(their labels)).  Whatever stays unforced
+    settles at ?, in declaration order."""
+    changed = True
+    while changed:
+        changed = False
         for m in members:
-            values[m] = top
-        for _ in range(config.max_iterations):
-            nxt = {m: recompute(m) for m in members}
-            residual = max(abs(nxt[m] - values[m]) for m in members)
-            values.update(nxt)
-            if residual < config.tolerance:
-                break
-        else:
-            raise ConvergenceError(
-                f"no fixpoint within {config.max_iterations} iterations"
-            )
-    return values
+            if m in values:
+                continue
+            attacker_labels = [values.get(b) for b in g.attackers_of(m)]
+            if "+" in attacker_labels:
+                values[m] = "-"
+            elif None not in attacker_labels:
+                values[m] = step(m)
+            else:
+                continue
+            changed = True
+    for m in members:
+        values.setdefault(m, "?")
 
 
 # -- ordering and diagnostics --------------------------------------------------

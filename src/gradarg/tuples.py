@@ -29,6 +29,7 @@ __all__ = [
     "ComparisonOutcome",
     "GradTuple",
     "LexOutcome",
+    "RenderLimitError",
     "TupleFormatError",
     "TupledValue",
     "Verdict",
@@ -46,6 +47,11 @@ _RENDER_RUN_LIMIT = 9  # longest run rendered element-by-element
 
 class TupleFormatError(ValueError):
     """Raised for malformed tuple literals or unrepresentable operations."""
+
+
+class RenderLimitError(ValueError):
+    """A branch count has more decimal digits than the interpreter's
+    integer-to-string limit lets it print."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +151,12 @@ class GradTuple:
         parts: list[str] = []
         for value, count in self.runs:
             if count > _RENDER_RUN_LIMIT:
-                parts.append(f"{value}^{count}")
+                try:
+                    parts.append(f"{value}^{count}")
+                except ValueError:
+                    raise RenderLimitError(
+                        "a branch count has too many decimal digits to print"
+                    ) from None
             else:
                 parts.extend(str(value) for _ in range(count))
         if self.infinite:

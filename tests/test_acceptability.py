@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import load_fixture
+from conftest import fixture_path, load_fixture
 
 from gradarg import (
     EnumerationBoundError,
@@ -31,7 +31,9 @@ from gradarg import (
     valuation_preference,
     well_defended,
 )
+from gradarg import acceptability
 from gradarg.acceptability import CLEAN_LEVELS
+from gradarg.cli import main
 
 
 def oracle_extensions(g):
@@ -387,3 +389,23 @@ class TestReport:
         assert report.semantics == "stable"
         assert report.level["A1"] == "uni"
         assert report.well_defended == {}
+
+    @pytest.mark.parametrize("semantics", ["preferred", "stable"])
+    def test_one_search_per_classification(self, monkeypatch, capsys, semantics):
+        searches = []
+        search = acceptability._conflict_free_masks
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(acceptability, "_conflict_free_masks", counted)
+        g = load_fixture("star3")
+        classify(g, semantics)
+        assert len(searches) == 1
+        classification_report(g, semantics)
+        assert len(searches) == 2
+        path = str(fixture_path("star3"))
+        assert main(["classify", path, "--semantics", semantics]) == 0
+        assert len(searches) == 3
+        assert capsys.readouterr().out

@@ -1,10 +1,15 @@
-"""Differential gate: rendered `value --model tuples` output, frozen.
+"""Differential gate: rendered CLI output, frozen.
 
 `frozen_tuple_digests.json` holds the sha256 of the CLI's text output for
-every case below at `--depth` 1..12, recorded from the evaluator that
-unrolled cycle unions by per-entry relay tables.  The rooted-walk oracle
-in `test_tuple_eval` is the same recurrence as today's evaluator, so these
-digests are the independent check that the output has not moved.
+every case below.  Keys `<case>@<depth>` freeze `value --model tuples` at
+`--depth` 1..12, recorded from the evaluator that unrolled cycle unions by
+per-entry relay tables.  The rooted-walk oracle in `test_tuple_eval` is the
+same recurrence as today's evaluator, so these digests are the independent
+check that the output has not moved.  Keys `<case>@<command>:<option>`
+freeze the local side - `value` and `well-defended` under the categoriser
+and labelling models, `classify` under preferred and stable semantics -
+recorded from the local evaluator that kept separate acyclic, float-cyclic
+and label-cyclic code paths.
 
 Regenerate (only when a change of output is intended and announced):
     PYTHONPATH=src python3 tests/test_frozen_tuples.py > tests/frozen_tuple_digests.json
@@ -23,11 +28,29 @@ sys.path.insert(0, str(HERE))
 
 from conftest import FIXTURES  # noqa: E402
 
+import pytest  # noqa: E402
+
 from gradarg import AttackGraph, parse_framework, random_attack_graph  # noqa: E402
+from gradarg.acceptability import ENUMERATION_BOUND  # noqa: E402
 from gradarg.cli import main  # noqa: E402
 
 DIGESTS = HERE / "frozen_tuple_digests.json"
 DEPTHS = range(1, 13)
+TUPLE_COMMANDS = {
+    str(depth): ["value", "--model", "tuples", "--depth", str(depth)]
+    for depth in DEPTHS
+}
+LOCAL_COMMANDS = {
+    f"{command}:{model}": [command, "--model", model]
+    for command in ("value", "well-defended")
+    for model in ("categoriser", "labelling")
+}
+# Extension enumeration refuses graphs past its bound, so `classify` keys
+# exist only for cases within it.
+CLASSIFY_COMMANDS = {
+    f"classify:{semantics}": ["classify", "--semantics", semantics]
+    for semantics in ("preferred", "stable")
+}
 
 # Hand-built shapes the random graphs may miss: self-loops feeding and fed
 # by cycle unions, bipartite unions with one and several entry points, and
@@ -91,11 +114,11 @@ def cases() -> dict[str, str]:
     return out
 
 
-def render(path: Path, depth: int) -> str:
+def render(path: Path, argv: list[str]) -> str:
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
-        code = main(["value", str(path), "--model", "tuples", "--depth", str(depth)])
-    assert code == 0, (path, depth)
+        code = main([argv[0], str(path), *argv[1:]])
+    assert code == 0, (path, argv)
     return buffer.getvalue()
 
 
@@ -104,9 +127,12 @@ def digests(workdir: Path) -> dict[str, str]:
     for index, (case, text) in enumerate(cases().items()):
         path = workdir / f"case{index}.apx"
         path.write_text(text)
-        for depth in DEPTHS:
-            output = render(path, depth).encode()
-            out[f"{case}@{depth}"] = hashlib.sha256(output).hexdigest()
+        commands = {**TUPLE_COMMANDS, **LOCAL_COMMANDS}
+        if len(parse_framework(text)) <= ENUMERATION_BOUND:
+            commands.update(CLASSIFY_COMMANDS)
+        for key, argv in commands.items():
+            output = render(path, argv).encode()
+            out[f"{case}@{key}"] = hashlib.sha256(output).hexdigest()
     return out
 
 
@@ -147,11 +173,27 @@ def test_cases_cover_every_union_shape():
     assert {"self-loop", "bipartite", "fed-by-union"} <= seen
 
 
-def test_rendered_tuple_values_match_the_frozen_digests(tmp_path):
+@pytest.fixture(scope="module")
+def frozen_and_got(tmp_path_factory):
     frozen = json.loads(DIGESTS.read_text())
-    got = digests(tmp_path)
+    got = digests(tmp_path_factory.mktemp("frozen"))
     assert sorted(got) == sorted(frozen)
-    moved = [case for case in frozen if got[case] != frozen[case]]
+    return frozen, got
+
+
+def _moved(frozen, got, tupled):
+    keys = [k for k in frozen if k.rpartition("@")[2].isdigit() == tupled]
+    assert keys
+    return [k for k in keys if got[k] != frozen[k]]
+
+
+def test_rendered_tuple_values_match_the_frozen_digests(frozen_and_got):
+    moved = _moved(*frozen_and_got, tupled=True)
+    assert not moved, f"{len(moved)} cases changed output, first: {moved[:5]}"
+
+
+def test_local_outputs_match_the_frozen_digests(frozen_and_got):
+    moved = _moved(*frozen_and_got, tupled=False)
     assert not moved, f"{len(moved)} cases changed output, first: {moved[:5]}"
 
 

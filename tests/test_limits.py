@@ -1,6 +1,6 @@
-"""Whole-process behaviour of the CLI, each case in a fresh interpreter:
-the evaluation bound under a memory limit, and output that does not
-depend on the interpreter's hash seed."""
+"""Whole-process behaviour, each case in a fresh interpreter: the
+evaluation bound under a memory limit, and output that does not depend on
+the interpreter's hash seed."""
 
 import os
 import subprocess
@@ -13,7 +13,7 @@ import pytest
 from conftest import fixture_path
 
 import gradarg
-from gradarg import random_attack_graph
+from gradarg import AttackGraph, random_attack_graph
 
 SRC = str(Path(gradarg.__file__).resolve().parents[1])
 MEMORY_LIMIT = 512 * 1024 * 1024
@@ -30,13 +30,28 @@ raise SystemExit(code)
 """
 
 
-def run_cli(argv, *, hash_seed="0", limit=None):
+# Prints the tie groups of the rooted labelling's preorder, whose order
+# within a group follows the key order of the value map.
+LABEL_RANKING = """
+import sys
+from gradarg import evaluate_local, induced_preorder, parse_framework, rooted_labelling
+with open(sys.argv[1], encoding="utf-8") as handle:
+    values = evaluate_local(parse_framework(handle.read()), rooted_labelling())
+print(induced_preorder(values).ranking())
+"""
+
+
+def run_python(args, *, hash_seed="0"):
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def run_cli(argv, *, hash_seed="0", limit=None):
     if limit is None:
-        command = [sys.executable, "-m", "gradarg.cli", *argv]
-    else:
-        command = [sys.executable, "-c", LIMITED_CLI.format(limit=limit), *argv]
-    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+        return run_python(["-m", "gradarg.cli", *argv], hash_seed=hash_seed)
+    return run_python(["-c", LIMITED_CLI.format(limit=limit), *argv],
+                      hash_seed=hash_seed)
 
 
 def write_graph(tmp_path, name, g):
@@ -70,10 +85,33 @@ class TestEvaluationBound:
         assert peak_kib < 100 * 1024
 
 
+# Every argument of a complete graph with self-attacks has about 10**L
+# branches of each length L, so at depth 500 some branch counts pass the
+# interpreter's limit on decimal digits in integer-to-string conversion.
+NAMES = [f"A{i}" for i in range(10)]
+COMPLETE = AttackGraph(NAMES, [(a, b) for a in NAMES for b in NAMES])
+
+
+class TestUnprintableCounts:
+    def test_value_exits_with_a_one_line_message(self, tmp_path):
+        path = write_graph(tmp_path, "complete", COMPLETE)
+        done = run_cli(["value", path, "--model", "tuples", "--depth", "500"])
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("gradarg: ")
+        assert len(done.stderr.splitlines()) == 1
+
+    def test_well_defended_needs_no_printing(self, tmp_path):
+        path = write_graph(tmp_path, "complete", COMPLETE)
+        done = run_cli(["well-defended", path, "--model", "tuples", "--depth", "500"])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == NAMES
+
+
 CYCLIC = random_attack_graph(9, 30, 0.08)
 
 
-@pytest.mark.parametrize("command", ["value", "well-defended"])
+@pytest.mark.parametrize("command", ["value", "well-defended", "label-ranking"])
 @pytest.mark.parametrize("source", ["mcycles", "seeded"])
 def test_output_is_independent_of_the_hash_seed(tmp_path, command, source):
     if source == "seeded":
@@ -83,7 +121,10 @@ def test_output_is_independent_of_the_hash_seed(tmp_path, command, source):
         path = str(fixture_path(source))
     outputs = set()
     for hash_seed in ("0", "1", "4242"):
-        done = run_cli([command, path, "--model", "tuples"], hash_seed=hash_seed)
+        if command == "label-ranking":
+            done = run_python(["-c", LABEL_RANKING, path], hash_seed=hash_seed)
+        else:
+            done = run_cli([command, path, "--model", "tuples"], hash_seed=hash_seed)
         assert done.returncode == 0, done.stderr
         outputs.add(done.stdout)
     assert len(outputs) == 1
