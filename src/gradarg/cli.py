@@ -250,7 +250,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, TupleFormatError, OSError) as exc:
+    except (ParseError, TupleFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"gradarg: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConvergenceError, EnumerationBoundError, EvaluationBoundError,

@@ -5,12 +5,18 @@ parsing and serialization of the textual framework format, DOT export,
 attacker/defender queries, leaf and cycle detection, maximal interconnected
 cycle unions ("mcycles"), branch edits used by the monotonicity suites, and
 deterministic graph-family generators.
+
+Framework text is parsed by one compiled pattern, built from a single
+table of statement shapes and matched once per statement.  Only when it
+fails is the text walked token by token, and only then are line and
+column computed.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+import re
 from dataclasses import dataclass
 
 __all__ = [
@@ -412,96 +418,88 @@ class AttackGraph:
 
 # -- parsing ----------------------------------------------------------------
 
-_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+# The statement grammar, written once: each head's shape after the head,
+# with "I" standing for an identifier and any other character for itself.
+_SHAPES = {"arg": "(I).", "att": "(I,I)."}
+
+_IDENT = "[A-Za-z0-9_]+"
+# Unicode whitespace (`\s` and str.isspace accept the same characters) and
+# % comments running to "\n".  A comment must reach the line end, or a
+# failed statement could backtrack into it and match the text it hides.
+_BLANK = r"\s*(?:%[^\n]*(?![^\n])\s*)*"
 
 
-class _Scanner:
-    """Character scanner with line/column tracking and % line comments."""
+def _token(symbol: str) -> str:
+    return f"({_IDENT})" if symbol == "I" else re.escape(symbol)
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
 
-    def _advance(self, ch: str) -> None:
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
+# One statement with the blank before it; the head's group is named after
+# the head and encloses the statement's identifier groups.
+_STATEMENT = re.compile(_BLANK + "(?:" + "|".join(
+    f"(?P<{head}>{head}" + "".join(_BLANK + _token(s) for s in shape) + ")"
+    for head, shape in _SHAPES.items()) + ")")
+_BLANK_RE = re.compile(_BLANK)
 
-    def skip_blank(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "%":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance(self.text[self.pos])
-            elif ch.isspace():
-                self._advance(ch)
-            else:
-                return
 
-    def at_end(self) -> bool:
-        self.skip_blank()
-        return self.pos >= len(self.text)
+def _error_at(text: str, pos: int, message: str) -> ParseError:
+    # Lines count "\n" only; columns count characters from 1.
+    return ParseError(message, text.count("\n", 0, pos) + 1,
+                      pos - text.rfind("\n", 0, pos))
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column)
 
-    def take_ident(self) -> str:
-        self.skip_blank()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _IDENT_CHARS:
-            self._advance(self.text[self.pos])
-        if self.pos == start:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise self.error(f"expected identifier, found {found!r}")
-        return self.text[start : self.pos]
+def _statement_error(text: str, pos: int) -> ParseError:
+    """The error in the statement starting at `pos`, which the statement
+    pattern rejected: the first of its tokens that breaks the grammar."""
+    head = re.compile(_IDENT).match(text, pos)
+    if head is None:
+        return _unexpected(text, pos, "identifier")
+    if head[0] not in _SHAPES:
+        return _error_at(text, pos, f"unknown statement {head[0]!r}")
+    pos = head.end()
+    for symbol in _SHAPES[head[0]]:
+        pos = _BLANK_RE.match(text, pos).end()
+        token = re.compile(_token(symbol)).match(text, pos)
+        if token is None:
+            return _unexpected(text, pos, "identifier" if symbol == "I" else repr(symbol))
+        pos = token.end()
+    raise AssertionError(f"statement pattern rejected a whole statement ending at {pos}")
 
-    def expect(self, ch: str) -> None:
-        self.skip_blank()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            found = self.text[self.pos] if self.pos < len(self.text) else "end of input"
-            raise self.error(f"expected {ch!r}, found {found!r}")
-        self._advance(ch)
+
+def _unexpected(text: str, pos: int, what: str) -> ParseError:
+    found = text[pos] if pos < len(text) else "end of input"
+    return _error_at(text, pos, f"expected {what}, found {found!r}")
 
 
 def parse_framework(text: str) -> AttackGraph:
     """Parse framework text of the form ``arg(a).`` / ``att(a,b).``.
 
-    Whitespace is insignificant and ``%`` starts a comment running to the
-    end of the line.  Attacks may reference only declared arguments.
+    Identifiers are ASCII letters, digits and ``_``; any Unicode whitespace
+    separates tokens, and ``%`` starts a comment running to the next
+    newline.  Every attack endpoint must be declared somewhere in the text.
+    One compiled pattern matches each statement; only on failure is the
+    text walked token by token, to name and locate the error.
     """
-    scanner = _Scanner(text)
     args: list[str] = []
-    attacks: list[tuple[str, str, int, int]] = []
-    while not scanner.at_end():
-        line, column = scanner.line, scanner.column
-        head = scanner.take_ident()
-        if head == "arg":
-            scanner.expect("(")
-            name = scanner.take_ident()
-            scanner.expect(")")
-            scanner.expect(".")
+    attacks: list[tuple[str, str]] = []
+    heads: list[int] = []
+    pos = 0
+    while (statement := _STATEMENT.match(text, pos)) is not None:
+        pos = statement.end()
+        _, name, _, src, dst = statement.groups()
+        if name is not None:
             args.append(name)
-        elif head == "att":
-            scanner.expect("(")
-            src = scanner.take_ident()
-            scanner.expect(",")
-            dst = scanner.take_ident()
-            scanner.expect(")")
-            scanner.expect(".")
-            attacks.append((src, dst, line, column))
         else:
-            raise ParseError(f"unknown statement {head!r}", line, column)
+            attacks.append((src, dst))
+            heads.append(statement.start("att"))
+    pos = _BLANK_RE.match(text, pos).end()
+    if pos < len(text):
+        raise _statement_error(text, pos)
     declared = set(args)
-    for (src, dst, line, column) in attacks:
+    for (src, dst), head in zip(attacks, heads):
         for end in (src, dst):
             if end not in declared:
-                raise ParseError(f"undeclared argument {end!r}", line, column)
-    return AttackGraph(args, [(s, t) for (s, t, _, _) in attacks])
+                raise _error_at(text, head, f"undeclared argument {end!r}")
+    return AttackGraph(args, attacks)
 
 
 # -- branch edits -------------------------------------------------------------

@@ -202,6 +202,19 @@ class TestErrors:
         assert code == 2
         assert err.startswith("gradarg: parse error:")
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_undecodable_input_is_a_parse_error(self, capsys, monkeypatch,
+                                                 tmp_path, source):
+        data = b"arg(a).\xff\n"
+        path = tmp_path / "bad.apx"
+        path.write_bytes(data)
+        monkeypatch.setattr("sys.stdin",
+                            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code, out, err = run_cli(capsys, "value", str(path) if source == "file" else "-")
+        assert (code, out) == (2, "")
+        assert err.startswith("gradarg: parse error:")
+        assert "0xff" in err and err.count("\n") == 1
+
     def test_malformed_framework(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("arg(a)\narg(b)."))
         code, _, err = run_cli(capsys, "value")

@@ -1,7 +1,16 @@
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import load_fixture
 
+import gradarg
 from gradarg import (
     AttackGraph,
     BranchEdit,
@@ -16,6 +25,56 @@ from gradarg import (
     random_acyclic_graph,
     random_attack_graph,
 )
+
+
+# Pieces of the seeded parser corpus: identifiers valid and not (ASCII
+# only), every kind of blank the grammar must skip or reject, comments with
+# and without a closing newline, and whole statements.
+CORPUS_IDENTS = ("a", "b", "c", "Z9", "_", "0", "x_1", "é", "aé")
+CORPUS_BLANKS = (" ", "\n", "\r\n", "\t", "\xa0", "\x1c", "\u2028",
+                 "% note\n", "% arg(b). ", "%%\r\n", "%")
+CORPUS_PIECES = (("arg", "att", "argx", "(", ")", ",", ".")
+                 + CORPUS_IDENTS + CORPUS_BLANKS + ("arg(a).", "att(a,b)."))
+
+# sha256 of every corpus text with its outcome, recorded with the
+# character-scanner parser that preceded the statement pattern.
+PARSER_CORPUS_SHA256 = (
+    "79cb0c289d77d189c8e276edaba749c478bcf9b794b04ad04a2bc96c9e13a573")
+
+
+def _parser_corpus(seed, count):
+    """Texts of up to four statements, some edited by deleting, replacing
+    or inserting one piece, with random blanks between the tokens."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        tokens = []
+        for _ in range(rng.randint(0, 4)):
+            head = rng.choice(("arg",) * 6 + ("att",) * 4
+                              + ("argx", rng.choice(CORPUS_IDENTS)))
+            shape = "(I,I)." if head == "att" else "(I)."
+            tokens.append(head)
+            tokens += [rng.choice(CORPUS_IDENTS[:3] * 8 + CORPUS_IDENTS)
+                       if s == "I" else s for s in shape]
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            at = rng.randint(0, len(tokens))
+            tokens[at:at + rng.randint(0, 1)] = (
+                [rng.choice(CORPUS_PIECES)][:rng.randint(0, 1)])
+        text = ""
+        for token in tokens + [""]:
+            while rng.random() < 0.25:
+                text += rng.choice(CORPUS_BLANKS)
+            text += token
+        yield text
+
+
+def _parse_outcome(text):
+    try:
+        g = parse_framework(text)
+    except ParseError as exc:
+        return ["ParseError", str(exc), exc.line, exc.column]
+    except FrameworkError as exc:
+        return [type(exc).__name__, str(exc)]
+    return [list(g.arguments), [list(pair) for pair in g.attacks]]
 
 
 class TestParsing:
@@ -53,9 +112,53 @@ class TestParsing:
 
     def test_undeclared_attack_endpoint(self):
         with pytest.raises(ParseError) as err:
-            parse_framework("arg(a).\natt(a,zz).")
-        assert "zz" in str(err.value)
-        assert err.value.line == 2
+            parse_framework("arg(a).\n  att( a ,\nzz).")
+        assert str(err.value) == "line 2, column 3: undeclared argument 'zz'"
+
+    def test_attacks_may_precede_declarations(self):
+        g = parse_framework("att(b,a). arg(a). arg(b).")
+        assert g.arguments == ("a", "b")
+        assert g.attacks == (("b", "a"),)
+
+    def test_statements_inside_comments_are_ignored(self):
+        g = parse_framework("arg(a). % arg(b). arg(c).\narg(d).")
+        assert g.arguments == ("a", "d")
+
+    def test_comment_may_end_the_input(self):
+        assert parse_framework("arg(a). % no newline").arguments == ("a",)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x1c"])
+    def test_only_newline_advances_the_line(self, separator):
+        with pytest.raises(ParseError) as err:
+            parse_framework(f"arg(a).{separator}foo(a).")
+        assert str(err.value) == "line 1, column 9: unknown statement 'foo'"
+
+    def test_identifiers_are_ascii(self):
+        with pytest.raises(ParseError) as err:
+            parse_framework("arg(é).")
+        assert str(err.value) == "line 1, column 5: expected identifier, found 'é'"
+
+    def test_long_blank_run_parses_in_linear_time(self):
+        # A fresh interpreter under a timeout, so that a parser which
+        # backtracks quadratically fails here instead of hanging the suite.
+        script = (
+            "from gradarg import ParseError, parse_framework\n"
+            "try:\n"
+            "    parse_framework(' ' * (1 << 20) + 'x')\n"
+            "except ParseError as exc:\n"
+            "    print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(gradarg.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert done.stdout == "line 1, column 1048577: unknown statement 'x'\n"
+
+    def test_outcomes_match_the_frozen_corpus_digest(self):
+        digest = hashlib.sha256()
+        for text in _parser_corpus(seed=20261018, count=5000):
+            record = json.dumps([text, _parse_outcome(text)])
+            digest.update(record.encode() + b"\n")
+        assert digest.hexdigest() == PARSER_CORPUS_SHA256
 
     def test_duplicate_attacks_collapse(self):
         g = parse_framework("arg(a). arg(b). att(a,b). att(a,b).")
