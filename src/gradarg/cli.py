@@ -11,6 +11,7 @@ computation error.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from fractions import Fraction
@@ -127,7 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_graph(path: str) -> AttackGraph:
     if path == "-":
-        text = sys.stdin.read()
+        # the decoder open() gives a path: strict UTF-8, universal newlines
+        stdin = io.BytesIO(sys.stdin.buffer.read())
+        text = io.TextIOWrapper(stdin, encoding="utf-8").read()
     else:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()

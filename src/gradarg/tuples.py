@@ -235,14 +235,6 @@ class LexOutcome(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def _mirror_lex(outcome: LexOutcome) -> LexOutcome:
-    if outcome is LexOutcome.LESS:
-        return LexOutcome.GREATER
-    if outcome is LexOutcome.GREATER:
-        return LexOutcome.LESS
-    return outcome
-
-
 class _Cursor:
     """Position-by-position view of a tuple for the lexicographic walk."""
 

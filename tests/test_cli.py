@@ -1,14 +1,24 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
 
+import gradarg
 from gradarg import random_attack_graph
 from gradarg.cli import main
 
 CYCLE3 = "arg(a). arg(b). arg(c). att(a,b). att(b,c). att(c,a)."
+
+
+def stdin_of(text):
+    """A standard input double backed by the UTF-8 bytes of `text`."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
 
 
 def run_cli(capsys, *argv):
@@ -110,12 +120,12 @@ class TestSolve:
         assert (code, out, err) == (0, "{A1,A4}\n", "")
 
     def test_stable_may_be_empty(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(CYCLE3))
+        monkeypatch.setattr("sys.stdin", stdin_of(CYCLE3))
         code, out, err = run_cli(capsys, "solve", "--semantics", "stable")
         assert (code, out, err) == (0, "", "")
 
     def test_preferred_keeps_the_empty_set(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(CYCLE3))
+        monkeypatch.setattr("sys.stdin", stdin_of(CYCLE3))
         code, out, _ = run_cli(capsys, "solve")
         assert (code, out) == (0, "{}\n")
 
@@ -178,7 +188,7 @@ class TestWellDefended:
 
 class TestExportDot:
     def test_exact_rendering(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("arg(a). arg(b). att(a,b)."))
+        monkeypatch.setattr("sys.stdin", stdin_of("arg(a). arg(b). att(a,b)."))
         code, out, err = run_cli(capsys, "export-dot")
         assert (code, err) == (0, "")
         assert out == 'digraph attack_graph {\n  "a";\n  "b";\n  "a" -> "b";\n}\n'
@@ -215,8 +225,24 @@ class TestErrors:
         assert err.startswith("gradarg: parse error:")
         assert "0xff" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("data", [b"arg(a).\xff\n", b"arg(a).\r\narg(b)\rarg(c)."])
+    def test_stdin_reads_like_a_path_in_the_c_locale(self, tmp_path, data):
+        path = tmp_path / "input.apx"
+        path.write_bytes(data)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+        env.update(LC_ALL="C", PYTHONPATH=str(Path(gradarg.__file__).parents[1]))
+        done = [
+            subprocess.run([sys.executable, "-m", "gradarg.cli", "value", *argv],
+                           input=data, env=env, capture_output=True, timeout=60)
+            for argv in ([str(path)], ["-"])
+        ]
+        assert [d.returncode for d in done] == [2, 2]
+        assert done[0].stderr == done[1].stderr
+        assert done[0].stderr.count(b"\n") == 1
+
     def test_malformed_framework(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("arg(a)\narg(b)."))
+        monkeypatch.setattr("sys.stdin", stdin_of("arg(a)\narg(b)."))
         code, _, err = run_cli(capsys, "value")
         assert code == 2
         assert "line 2, column 1" in err

@@ -5,10 +5,12 @@ import pytest
 from conftest import load_fixture
 
 from gradarg import (
+    AttackGraph,
     BranchEdit,
     CyclicGraphError,
     DepthError,
     EMPTY,
+    EvaluationBoundError,
     LEAF_VALUE,
     PropagationDepth,
     Verdict,
@@ -294,9 +296,54 @@ def explode_attackers(g, root):
             # a fresh pendant chain of `element + 1` edges into the root
             # realises a single-branch attacker of the same strength
             add_chain(element + 1)
-    from gradarg import AttackGraph
 
     return AttackGraph(tuple(arguments), tuple(attacks)), values
+
+
+# An unattacked 2-cycle feeding a chain: the largest horizon (23 at depth
+# 10) sits on the chain's last singleton.
+TWO_CYCLE_CHAIN = AttackGraph(
+    ["a", "b", "c1", "c2", "c3"],
+    [("a", "b"), ("b", "a"), ("a", "c1"), ("c1", "c2"), ("c2", "c3")],
+)
+UNION = [("u1", "u2"), ("u2", "u3"), ("u3", "u1")]
+XS = [f"x{i}" for i in range(1, 11)]
+
+
+def two_cycle_into_union(chain):
+    """The 2-cycle feeds the attacked 3-cycle u1-u2-u3 through a chain of
+    `chain` arguments at u1, and a leaf attacks u2."""
+    xs = XS[:chain]
+    path = list(zip(["a", *xs], [*xs, "u1"]))
+    return AttackGraph(["a", "b", *xs, "l", "u1", "u2", "u3"],
+                       [("a", "b"), ("b", "a"), *path, ("l", "u2"), *UNION])
+
+
+class TestEvaluationBound:
+    """WORK_BOUND equal to the largest horizon times the number of attacks
+    evaluates; one less fails, wherever that horizon sits."""
+
+    @pytest.mark.parametrize("g, longest_at", [
+        (TWO_CYCLE_CHAIN, {"c3"}),
+        # relayed distance from u1 sets the horizons 22, 23, 24
+        (two_cycle_into_union(1), {"u3"}),
+        # the leaf's first count (0) caps every member at 0 + 1 + 30
+        (two_cycle_into_union(10), {"u1", "u2", "u3"}),
+    ], ids=["singleton-after-union", "union-relayed", "union-capped"])
+    def test_bound_is_exact_at_the_largest_horizon(self, monkeypatch, g, longest_at):
+        values = evaluate_cyclic(g)
+        horizons = {
+            name: max(h for h in (v.even.horizon, v.odd.horizon) if h is not None)
+            for name, v in values.items() if not v.exact
+        }
+        longest = max(horizons.values())
+        assert {name for name, h in horizons.items() if h == longest} == longest_at
+        work = longest * len(g.attacks)
+        monkeypatch.setattr("gradarg.tuple_eval.WORK_BOUND", work)
+        assert list(evaluate_cyclic(g).items()) == list(values.items())
+        monkeypatch.setattr("gradarg.tuple_eval.WORK_BOUND", work - 1)
+        with pytest.raises(EvaluationBoundError):
+            evaluate_cyclic(g)
 
 
 class TestBranchIndependence:
