@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import signal
 import sys
 from fractions import Fraction
 
@@ -264,6 +265,10 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """Console entry point.  A reader that closes standard output early
+    ends the process quietly by SIGPIPE, like other Unix filters."""
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 

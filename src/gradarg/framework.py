@@ -274,67 +274,54 @@ class AttackGraph:
         return self._condensation
 
     def _condense(self) -> tuple[tuple[str, ...], ...]:
-        # Tarjan's algorithm, iterative, over declaration indices.
+        # Tarjan's algorithm, iterative, over declaration indices.  A
+        # visited vertex with no component yet is still on the stack.
         n = len(self._args)
         succ = [
             [self._index[t] for t in self._targets[a]] for a in self._args
         ]
         indices = [-1] * n
         low = [0] * n
-        on_stack = [False] * n
+        comp_of = [-1] * n
         stack: list[int] = []
         components: list[list[int]] = []
         counter = 0
         for root in range(n):
             if indices[root] != -1:
                 continue
-            work = [(root, 0)]
+            indices[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            work = [(root, iter(succ[root]))]
             while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    indices[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                advanced = False
-                while pi < len(succ[v]):
-                    w = succ[v][pi]
-                    pi += 1
+                v, later = work[-1]
+                for w in later:
                     if indices[w] == -1:
-                        work[-1] = (v, pi)
-                        work.append((w, 0))
-                        advanced = True
+                        indices[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        work.append((w, iter(succ[w])))
                         break
-                    if on_stack[w]:
+                    if comp_of[w] == -1:
                         low[v] = min(low[v], indices[w])
-                if advanced:
-                    continue
-                work.pop()
-                if low[v] == indices[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    components.append(sorted(comp))
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                else:
+                    work.pop()
+                    if low[v] == indices[v]:
+                        comp = []
+                        while not comp or comp[-1] != v:
+                            comp.append(stack.pop())
+                            comp_of[comp[-1]] = len(components)
+                        components.append(sorted(comp))
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[v])
         # Kahn's algorithm over the components, smallest first index first.
-        comp_of = [0] * n
-        for cid, comp in enumerate(components):
-            for v in comp:
-                comp_of[v] = cid
+        # waiting counts the attacks into each component from unplaced ones.
         waiting = [0] * len(components)
-        dependants: list[set[int]] = [set() for _ in components]
-        for cid, comp in enumerate(components):
-            for v in comp:
-                for w in succ[v]:
-                    if comp_of[w] != cid and comp_of[w] not in dependants[cid]:
-                        dependants[cid].add(comp_of[w])
-                        waiting[comp_of[w]] += 1
+        for v in range(n):
+            for w in succ[v]:
+                if comp_of[w] != comp_of[v]:
+                    waiting[comp_of[w]] += 1
         ready = [(comp[0], cid) for cid, comp in enumerate(components)
                  if not waiting[cid]]
         heapq.heapify(ready)
@@ -342,10 +329,13 @@ class AttackGraph:
         while ready:
             _, cid = heapq.heappop(ready)
             order.append(tuple(self._args[i] for i in components[cid]))
-            for dep in dependants[cid]:
-                waiting[dep] -= 1
-                if not waiting[dep]:
-                    heapq.heappush(ready, (components[dep][0], dep))
+            for v in components[cid]:
+                for w in succ[v]:
+                    dep = comp_of[w]
+                    if dep != cid:
+                        waiting[dep] -= 1
+                        if not waiting[dep]:
+                            heapq.heappush(ready, (components[dep][0], dep))
         return tuple(order)
 
     def is_cyclic(self, component: tuple[str, ...]) -> bool:

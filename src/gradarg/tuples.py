@@ -172,12 +172,13 @@ ZERO_INF = GradTuple(infinite=True, constant=0)
 ONE_INF = GradTuple(infinite=True, constant=1)
 
 
-def cardinality(t: GradTuple) -> float:
-    """Number of elements; math.inf for any infinite tuple.  Exact even for
-    truncated tuples, since the tail flag is certain."""
+def cardinality(t: GradTuple) -> int | float:
+    """Number of elements: an exact int for a finite tuple, math.inf for
+    any infinite one.  Exact even for truncated tuples, since the tail flag
+    is certain; Python compares the int with math.inf exactly."""
     if t.infinite:
         return math.inf
-    return float(sum(count for _, count in t.runs))
+    return sum(count for _, count in t.runs)
 
 
 def concat(a: GradTuple, b: GradTuple) -> GradTuple:
@@ -235,85 +236,51 @@ class LexOutcome(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class _Cursor:
-    """Position-by-position view of a tuple for the lexicographic walk."""
-
-    __slots__ = ("t", "run", "used")
-
-    def __init__(self, t: GradTuple):
-        self.t = t
-        self.run = 0
-        self.used = 0
-
-    def state(self):
-        # ("known", value) | ("end", None) | ("unknown", horizon)
-        if self.t.constant is not None:
-            return ("known", self.t.constant)
-        if self.run < len(self.t.runs):
-            return ("known", self.t.runs[self.run][0])
-        if self.t.infinite:
-            return ("unknown", self.t.horizon)
-        return ("end", None)
-
-    def remaining_in_run(self) -> int:
-        return self.t.runs[self.run][1] - self.used
-
-    def advance(self, steps: int) -> None:
-        if self.t.constant is not None:
-            return
-        self.used += steps
-        if self.used >= self.t.runs[self.run][1]:
-            self.run += 1
-            self.used = 0
+def _runs_and_tail(t: GradTuple):
+    """The runs of `t` and what follows them: None for nothing, or the
+    horizon above which a truncated tuple's unknown tail lies.  A constant
+    c is one endless run (c, inf) followed by nothing."""
+    if t.constant is not None:
+        return ((t.constant, math.inf),), None
+    return t.runs, t.horizon
 
 
 def lex_compare(a: GradTuple, b: GradTuple) -> LexOutcome:
     """Lexicographic order over sorted tuples, exhausted-first-is-smaller.
 
-    Walks the certified prefixes.  When a truncated tuple runs out of
-    certified elements, the next element is only known to exceed the
-    horizon; comparisons that would need it return UNKNOWN unless the other
-    side's element already decides the position.
+    Skips the runs the two tuples share and decides at the first different
+    run: the smaller value is smaller; for equal values, the side whose
+    run ends first is larger when a later run or an unknown tail follows,
+    and smaller when nothing does.  Past the last run of a truncated tuple
+    the next element is only known to exceed the horizon, so a comparison
+    that would need it returns UNKNOWN unless the other side's element
+    already decides the position.
     """
-    if a.constant is not None and b.constant is not None:
-        if a.constant == b.constant:
-            return LexOutcome.EQUAL
-        return LexOutcome.LESS if a.constant < b.constant else LexOutcome.GREATER
-    ca, cb = _Cursor(a), _Cursor(b)
-    while True:
-        ka, va = ca.state()
-        kb, vb = cb.state()
-        if ka == "end" and kb == "end":
-            return LexOutcome.EQUAL
-        if ka == "end":
-            return LexOutcome.LESS  # a exhausted, b still has an element
-        if kb == "end":
-            return LexOutcome.GREATER
-        if ka == "known" and kb == "known":
-            if va < vb:
-                return LexOutcome.LESS
-            if va > vb:
-                return LexOutcome.GREATER
-            if a.constant is not None or b.constant is not None:
-                step = 1
-                if a.constant is not None and b.constant is None:
-                    step = cb.remaining_in_run()
-                elif b.constant is not None and a.constant is None:
-                    step = ca.remaining_in_run()
-                ca.advance(step)
-                cb.advance(step)
-                continue
-            step = min(ca.remaining_in_run(), cb.remaining_in_run())
-            ca.advance(step)
-            cb.advance(step)
-            continue
-        if ka == "known" and kb == "unknown":
-            # b's element exceeds its horizon; decide only when a's element
-            # cannot reach past it.
-            return LexOutcome.LESS if va <= vb else LexOutcome.UNKNOWN
-        if ka == "unknown" and kb == "known":
-            return LexOutcome.GREATER if vb <= va else LexOutcome.UNKNOWN
+    (ra, ta), (rb, tb) = _runs_and_tail(a), _runs_and_tail(b)
+    i = 0
+    while i < len(ra) and i < len(rb) and ra[i] == rb[i]:
+        i += 1
+    a_done, b_done = i == len(ra), i == len(rb)
+    if not (a_done or b_done):
+        (va, ca), (vb, cb) = ra[i], rb[i]
+        if va != vb:
+            return LexOutcome.LESS if va < vb else LexOutcome.GREATER
+        if ca < cb:
+            followed = i + 1 < len(ra) or ta is not None
+            return LexOutcome.GREATER if followed else LexOutcome.LESS
+        followed = i + 1 < len(rb) or tb is not None
+        return LexOutcome.LESS if followed else LexOutcome.GREATER
+    if a_done and b_done and ta is None and tb is None:
+        return LexOutcome.EQUAL
+    if a_done and ta is None:
+        return LexOutcome.LESS
+    if b_done and tb is None:
+        return LexOutcome.GREATER
+    if a_done and b_done:
         return LexOutcome.UNKNOWN
+    if a_done:
+        return LexOutcome.GREATER if rb[i][0] <= ta else LexOutcome.UNKNOWN
+    return LexOutcome.LESS if ra[i][0] <= tb else LexOutcome.UNKNOWN
 
 
 @dataclass(frozen=True)

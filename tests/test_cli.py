@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,15 @@ class TestCompare:
             "exact": True,
         }
 
+    def test_counts_beyond_float_precision_are_exact(self, capsys):
+        # One more defence branch, the same attack branches; the two counts
+        # are one apart above 2**53, where floats cannot tell them apart.
+        code, out, err = run_cli(
+            capsys, "compare",
+            "[(2^9007199254740993),(1)]", "[(2^9007199254740992),(1)]",
+        )
+        assert (code, out, err) == (0, "first-better (exact)\n", "")
+
 
 class TestSolve:
     def test_preferred(self, capsys):
@@ -185,6 +195,20 @@ class TestWellDefended:
         )
         assert (code, out) == (0, "C1\nC2\nC3\n")
 
+    def test_branch_counts_beyond_float_range(self, capsys, tmp_path):
+        # 1,101 two-argument layers, each argument attacking both arguments
+        # of the next layer: the last layers have about 2**1100 branches.
+        layers = 1101
+        lines = [f"arg(l{i}a). arg(l{i}b)." for i in range(layers)]
+        lines += [f"att(l{i}{s},l{i + 1}{t})." for i in range(layers - 1)
+                  for s in "ab" for t in "ab"]
+        path = tmp_path / "ladder.apx"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "well-defended", str(path),
+                                 "--model", "tuples")
+        assert (code, err) == (0, "")
+        assert out == "".join(f"l{i}a\nl{i}b\n" for i in range(0, layers, 2))
+
 
 class TestExportDot:
     def test_exact_rendering(self, capsys, monkeypatch):
@@ -240,6 +264,22 @@ class TestErrors:
         assert [d.returncode for d in done] == [2, 2]
         assert done[0].stderr == done[1].stderr
         assert done[0].stderr.count(b"\n") == 1
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_closed_standard_output_ends_quietly(self, tmp_path):
+        # About 340 KB of output, far more than a pipe buffers.
+        names = [f"argument_{i:05d}" for i in range(20000)]
+        path = tmp_path / "wide.apx"
+        path.write_text("".join(f"arg({n}).\n" for n in names), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(gradarg.__file__).parents[1]))
+        with subprocess.Popen([sys.executable, "-m", "gradarg.cli", "value", str(path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline() == b"argument_00000 1\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (-signal.SIGPIPE, b"")
 
     def test_malformed_framework(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", stdin_of("arg(a)\narg(b)."))

@@ -351,6 +351,36 @@ class TestCondensation:
                     waiting[t] -= 1
             assert g.topological_order() == tuple(expected)
 
+    def test_cyclic_order_takes_the_earliest_ready_component(self):
+        cyclic = 0
+        for seed in range(60):
+            g = random_attack_graph(seed, 4 + seed % 12, 0.2)
+            reach = {}
+            for a in g.arguments:
+                seen, todo = {a}, [a]
+                while todo:
+                    for t in g.targets_of(todo.pop()):
+                        if t not in seen:
+                            seen.add(t)
+                            todo.append(t)
+                reach[a] = seen
+            components = {
+                tuple(b for b in g.arguments if b in reach[a] and a in reach[b])
+                for a in g.arguments
+            }
+            expected = []
+            while components:
+                placed = {m for comp in expected for m in comp}
+                ready = [comp for comp in components
+                         if all(b in placed or b in comp
+                                for m in comp for b in g.attackers_of(m))]
+                nxt = min(ready, key=lambda comp: g.index_of(comp[0]))
+                expected.append(nxt)
+                components.remove(nxt)
+            cyclic += any(len(comp) > 1 for comp in expected)
+            assert g.condensation() == tuple(expected)
+        assert cyclic >= 30
+
 
 class TestSerialization:
     def test_serialize_is_stable(self):

@@ -183,6 +183,76 @@ class TestLexOrder:
             b = random_tuple(rng)
             assert lex_compare(b, a) is mirror[lex_compare(a, b)]
 
+    def test_every_pair_agrees_with_a_position_by_position_oracle(self):
+        descriptions = _small_tuple_descriptions()
+        assert len(descriptions) >= 509
+        built = [(d, _build_described(d)) for d in descriptions]
+        for x, a in built:
+            for y, b in built:
+                assert lex_compare(a, b) is _oracle_lex(x, y), (x, y)
+
+
+# A tuple description is ("finite", elements), ("truncated", elements,
+# horizon) or ("constant", c).  The oracle below reads a description one
+# position at a time and knows nothing of runs.
+_ORACLE_PREFIX = 4  # longest stored prefix among the described tuples
+
+
+def _small_tuple_descriptions():
+    """Values 0-4 with up to four elements, finite or truncated at
+    horizons max..max+2 (0..3 when empty), plus the constants 0-3."""
+    out = []
+    for size in range(_ORACLE_PREFIX + 1):
+        for els in itertools.combinations_with_replacement(range(5), size):
+            out.append(("finite", els))
+            low = max(els) if els else 0
+            for horizon in range(low, low + (3 if els else 4)):
+                out.append(("truncated", els, horizon))
+    out.extend(("constant", c) for c in range(4))
+    return out
+
+
+def _build_described(d):
+    if d[0] == "constant":
+        return GradTuple(infinite=True, constant=d[1])
+    runs = tuple((v, d[1].count(v)) for v in sorted(set(d[1])))
+    if d[0] == "finite":
+        return GradTuple(runs=runs)
+    return GradTuple(runs=runs, infinite=True, horizon=d[2])
+
+
+def _position(d, k):
+    """Position k of a described tuple: ("known", element), ("end", None)
+    or ("above", horizon) for an element only known to exceed it."""
+    if d[0] == "constant":
+        return ("known", d[1])
+    if k < len(d[1]):
+        return ("known", d[1][k])
+    return ("above", d[2]) if d[0] == "truncated" else ("end", None)
+
+
+def _oracle_lex(x, y):
+    for k in range(_ORACLE_PREFIX + 1):
+        (kx, ex), (ky, ey) = _position(x, k), _position(y, k)
+        if kx == ky == "end":
+            return LexOutcome.EQUAL
+        if kx == "end":
+            return LexOutcome.LESS
+        if ky == "end":
+            return LexOutcome.GREATER
+        if kx == ky == "known":
+            if ex != ey:
+                return LexOutcome.LESS if ex < ey else LexOutcome.GREATER
+        elif kx == ky == "above":
+            return LexOutcome.UNKNOWN
+        elif kx == "known":
+            return LexOutcome.LESS if ex <= ey else LexOutcome.UNKNOWN
+        else:
+            return LexOutcome.GREATER if ey <= ex else LexOutcome.UNKNOWN
+    # Past every stored prefix only constants are still known: two equal
+    # constants agree on every position.
+    return LexOutcome.EQUAL
+
 
 def value(evens, odds):
     return TupledValue(GradTuple.from_elements(evens), GradTuple.from_elements(odds))
