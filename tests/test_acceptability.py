@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from conftest import fixture_path, load_fixture
 
 from gradarg import (
+    AttackGraph,
     EnumerationBoundError,
     Extension,
     LEAF_VALUE,
@@ -70,6 +72,95 @@ def oracle_extensions(g):
     return sorted(preferred, key=key), sorted(stable, key=key)
 
 
+def bitmask_extensions(g):
+    """Preferred and stable extensions by the whole-graph bitmask search
+    the package used up to 25 arguments: every conflict-free set, then the
+    admissible, maximal and stable ones among them."""
+    names = g.arguments
+    index = {name: i for i, name in enumerate(names)}
+    attackers = [0] * len(names)
+    attacks = [0] * len(names)
+    for src, dst in g.attacks:
+        attackers[index[dst]] |= 1 << index[src]
+        attacks[index[src]] |= 1 << index[dst]
+    conflict_free = []
+    stack = [(0, 0, 0)]
+    while stack:
+        i, mask, attacked = stack.pop()
+        if i == len(names):
+            conflict_free.append((mask, attacked))
+            continue
+        stack.append((i + 1, mask, attacked))
+        bit = 1 << i
+        if not attackers[i] & (mask | bit) and not attacks[i] & mask:
+            stack.append((i + 1, mask | bit, attacked | attacks[i]))
+    admissible = [
+        mask
+        for mask, attacked in conflict_free
+        if all(not attackers[i] & ~attacked
+               for i in range(len(names)) if mask >> i & 1)
+    ]
+    preferred = [
+        m for m in admissible
+        if not any(m != other and not m & ~other for other in admissible)
+    ]
+    full = (1 << len(names)) - 1
+    stable = [mask for mask, attacked in conflict_free if mask | attacked == full]
+
+    def listed(masks):
+        members = [
+            tuple(name for i, name in enumerate(names) if mask >> i & 1)
+            for mask in masks
+        ]
+        return sorted(members, key=lambda m: (len(m), sorted(m)))
+
+    return listed(preferred), listed(stable)
+
+
+def grounded_extension(g):
+    """Least fixpoint of the characteristic function: the arguments whose
+    every attacker is attacked by the current set, from the empty set up."""
+    current = set()
+    while True:
+        defended = {
+            a for a in g.arguments
+            if all(set(g.attackers_of(b)) & current for b in g.attackers_of(a))
+        }
+        if defended == current:
+            return current
+        current = defended
+
+
+def assert_extension_laws(g, preferred, stable):
+    """Conflict-free, admissible, containing the grounded extension, no one
+    inside another; stable ones attack every outside argument."""
+    grounded = grounded_extension(g)
+    bit = {name: 1 << i for i, name in enumerate(g.arguments)}
+    masks = []
+    for e in preferred:
+        members = set(e.members)
+        attacked = {t for a in members for t in g.targets_of(a)}
+        assert not members & attacked
+        assert all(set(g.attackers_of(a)) <= attacked for a in members)
+        assert grounded <= members
+        masks.append(sum(bit[a] for a in members))
+    assert masks
+    for m in masks:
+        assert not any(m != other and not m & ~other for other in masks)
+    for e in stable:
+        members = set(e.members)
+        assert sum(bit[a] for a in members) in masks
+        attacked = {t for a in members for t in g.targets_of(a)}
+        assert attacked | members == set(g.arguments)
+
+
+def disjoint_mutual_attacks(pairs):
+    names = [f"p{i}" for i in range(2 * pairs)]
+    return AttackGraph(names, [
+        (names[i], names[i ^ 1]) for i in range(2 * pairs)
+    ])
+
+
 class TestDefinitions:
     def test_conflict_freeness(self):
         g = load_fixture("example1")
@@ -133,12 +224,66 @@ class TestEnumeration:
                 assert is_conflict_free(g, members)
                 assert leaves <= members  # unattacked arguments always belong
 
+    def test_matches_the_bitmask_search(self):
+        stream = scan_graph_stream(7)
+        graphs = [next(stream) for _ in range(3000)]
+        for seed in range(300):
+            density = (0.08, 0.15, 0.3)[seed % 3]
+            graphs.append(random_attack_graph(seed, 2 + seed % 15, density))
+        graphs.append(random_attack_graph(2, 24, 0.05))
+        for g in graphs:
+            want_preferred, want_stable = bitmask_extensions(g)
+            got_preferred = [e.members for e in preferred_extensions(g)]
+            got_stable = [e.members for e in stable_extensions(g)]
+            assert got_preferred == want_preferred, g.serialize()
+            assert got_stable == want_stable, g.serialize()
+
+    @pytest.mark.parametrize("size", [50, 100, 200, 500])
+    def test_laws_on_large_graphs_with_a_large_grounded_part(self, size):
+        for seed in range(3):
+            sparse = random_attack_graph(seed, size, 1.2 / size)
+            rng = random.Random(seed)
+            mutual = []
+            for _ in range(size // 20):
+                a, b = rng.sample(sparse.arguments, 2)
+                mutual += [(a, b), (b, a)]
+            g = AttackGraph(sparse.arguments, [*sparse.attacks, *mutual])
+            grounded = grounded_extension(g)
+            assert len(grounded) >= size // 4
+            assert_extension_laws(g, preferred_extensions(g), stable_extensions(g))
+
     def test_enumeration_bound(self):
-        big = random_attack_graph(seed=0, size=26, density=0.05)
+        big = generate_family("unattacked-cycle", size=26)
         with pytest.raises(EnumerationBoundError):
             preferred_extensions(big)
         with pytest.raises(EnumerationBoundError):
+            stable_extensions(big)
+        with pytest.raises(EnumerationBoundError):
             classify(big)
+
+    def test_the_bound_counts_undecided_arguments_only(self):
+        g = random_attack_graph(seed=0, size=26, density=0.05)
+        preferred = preferred_extensions(g)
+        assert_extension_laws(g, preferred, stable_extensions(g))
+        assert [e.members for e in preferred] == [
+            ("a1", "a2", "a6", "a8", "a11", "a13", "a20", "a24", "a25", "a26")
+        ]
+
+    def test_long_undecided_chain(self):
+        # a self-attacker leaves every argument of the chain it feeds
+        # undecided: 2,001 singleton components, searched without recursion
+        chain = [f"c{i}" for i in range(2000)]
+        g = AttackGraph(["s", *chain], [("s", "s"), ("s", "c0")]
+                        + list(zip(chain, chain[1:])))
+        assert [e.members for e in preferred_extensions(g)] == [()]
+        assert stable_extensions(g) == []
+
+    def test_extension_cap(self):
+        # 2**13 extensions stay under the cap, 2**14 pass it
+        assert len(preferred_extensions(disjoint_mutual_attacks(13))) == 2**13
+        for semantics in ("preferred", "stable"):
+            with pytest.raises(EnumerationBoundError, match="enumeration bound"):
+                classify(disjoint_mutual_attacks(14), semantics)
 
 
 class TestClassify:
@@ -393,13 +538,13 @@ class TestReport:
     @pytest.mark.parametrize("semantics", ["preferred", "stable"])
     def test_one_search_per_classification(self, monkeypatch, capsys, semantics):
         searches = []
-        search = acceptability._conflict_free_masks
+        search = acceptability._extension_masks
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             searches.append(args)
-            return search(*args)
+            return search(*args, **kwargs)
 
-        monkeypatch.setattr(acceptability, "_conflict_free_masks", counted)
+        monkeypatch.setattr(acceptability, "_extension_masks", counted)
         g = load_fixture("star3")
         classify(g, semantics)
         assert len(searches) == 1

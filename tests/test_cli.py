@@ -11,7 +11,7 @@ import pytest
 from conftest import FIXTURES
 
 import gradarg
-from gradarg import random_attack_graph
+from gradarg import generate_family
 from gradarg.cli import main
 
 CYCLE3 = "arg(a). arg(b). arg(c). att(a,b). att(b,c). att(c,a)."
@@ -301,7 +301,7 @@ class TestErrors:
         assert "--depth" in err
 
     def test_oversized_graph_is_a_computation_error(self, capsys, tmp_path):
-        big = random_attack_graph(seed=0, size=26, density=0.05)
+        big = generate_family("unattacked-cycle", size=26)
         path = tmp_path / "big.apx"
         path.write_text(big.serialize(), encoding="utf-8")
         code, _, err = run_cli(capsys, "solve", str(path))

@@ -45,8 +45,8 @@ LOCAL_COMMANDS = {
     for command in ("value", "well-defended")
     for model in ("categoriser", "labelling")
 }
-# Extension enumeration refuses graphs past its bound, so `classify` keys
-# exist only for cases within it.
+# `classify` keys exist only for cases of at most ENUMERATION_BOUND
+# arguments, the bound on the argument count when the digests were frozen.
 CLASSIFY_COMMANDS = {
     f"classify:{semantics}": ["classify", "--semantics", semantics]
     for semantics in ("preferred", "stable")

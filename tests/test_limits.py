@@ -85,6 +85,31 @@ class TestEvaluationBound:
         assert peak_kib < 100 * 1024
 
 
+class TestEnumerationBound:
+    def test_too_many_extensions_fail_fast(self, tmp_path):
+        # 30 disjoint mutual attacks have 2**30 preferred extensions
+        names = [f"p{i}" for i in range(60)]
+        pairs = AttackGraph(names, [(names[i], names[i ^ 1]) for i in range(60)])
+        path = write_graph(tmp_path, "pairs", pairs)
+        start = time.monotonic()
+        done = run_cli(["classify", path], limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 3, done.stderr
+        assert "enumeration bound" in done.stderr
+        assert done.stdout == ""
+        assert elapsed < 20
+
+    def test_small_undecided_components_of_a_large_graph_classify(self, tmp_path):
+        size = 800
+        path = write_graph(tmp_path, "large", random_attack_graph(5, size, 2 / size))
+        start = time.monotonic()
+        done = run_cli(["classify", path], limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.splitlines()) == size
+        assert elapsed < 20
+
+
 # Every argument of a complete graph with self-attacks has about 10**L
 # branches of each length L, so at depth 500 some branch counts pass the
 # interpreter's limit on decimal digits in integer-to-string conversion.
