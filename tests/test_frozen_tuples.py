@@ -9,7 +9,12 @@ check that the output has not moved.  Keys `<case>@<command>:<option>`
 freeze the local side - `value` and `well-defended` under the categoriser
 and labelling models, `classify` under preferred and stable semantics -
 recorded from the local evaluator that kept separate acyclic, float-cyclic
-and label-cyclic code paths.
+and label-cyclic code paths.  Keys `<case>@order:<instance>` and
+`<case>@ranking:<instance>` freeze, for every built-in local instance,
+the key order of `evaluate_local`'s value map and the tie groups of
+`induced_preorder(...).ranking()`, which inherits that order; the CLI
+prints in declaration order and cannot see it.  They were recorded from
+the evaluator that looked attackers up by name.
 
 Regenerate (only when a change of output is intended and announced):
     PYTHONPATH=src python3 tests/test_frozen_tuples.py > tests/frozen_tuple_digests.json
@@ -33,6 +38,7 @@ import pytest  # noqa: E402
 from gradarg import AttackGraph, parse_framework, random_attack_graph  # noqa: E402
 from gradarg.acceptability import ENUMERATION_BOUND  # noqa: E402
 from gradarg.cli import main  # noqa: E402
+from gradarg.local import builtin_instances, evaluate_local, induced_preorder  # noqa: E402
 
 DIGESTS = HERE / "frozen_tuple_digests.json"
 DEPTHS = range(1, 13)
@@ -122,17 +128,27 @@ def render(path: Path, argv: list[str]) -> str:
     return buffer.getvalue()
 
 
+def _sha256_json(document) -> str:
+    return hashlib.sha256(json.dumps(document).encode()).hexdigest()
+
+
 def digests(workdir: Path) -> dict[str, str]:
     out = {}
     for index, (case, text) in enumerate(cases().items()):
         path = workdir / f"case{index}.apx"
         path.write_text(text)
         commands = {**TUPLE_COMMANDS, **LOCAL_COMMANDS}
-        if len(parse_framework(text)) <= ENUMERATION_BOUND:
+        g = parse_framework(text)
+        if len(g) <= ENUMERATION_BOUND:
             commands.update(CLASSIFY_COMMANDS)
         for key, argv in commands.items():
             output = render(path, argv).encode()
             out[f"{case}@{key}"] = hashlib.sha256(output).hexdigest()
+        for name, instance in builtin_instances().items():
+            values = evaluate_local(g, instance)
+            out[f"{case}@order:{name}"] = _sha256_json(list(values))
+            out[f"{case}@ranking:{name}"] = _sha256_json(
+                induced_preorder(values).ranking())
     return out
 
 
