@@ -2,12 +2,13 @@
 
 Preferred and stable extensions are enumerated exactly.  The grounded
 labelling is computed first, in one linear pass; the arguments it leaves
-undecided are then searched one strongly connected component of their
-subgraph at a time, in dependency order, over each component's
-conflict-free sets (bitmask encoded).  The cost is exponential only in
-the largest undecided component, which `ENUMERATION_BOUND` caps, and a
-fixed cap on the number of extensions stops lists that would outgrow
-memory.  Acceptance levels grade each argument by how the whole extension
+undecided are then searched one weakly connected part of their subgraph
+at a time, and within a part one strongly connected component at a time,
+in dependency order, over each component's conflict-free sets (bitmask
+encoded).  The parts' answers are combined once at the end.  The cost is
+exponential only in the largest undecided component, which
+`ENUMERATION_BOUND` caps, and a fixed cap on the number of extensions
+stops lists that would outgrow memory.  Acceptance levels grade each argument by how the whole extension
 list treats it.  Well-defendedness instead compares an argument against
 its direct attackers in a valuation's preorder, and a seeded scan hunts
 for graphs where the two notions come apart.
@@ -15,12 +16,15 @@ for graphs where the two notions come apart.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from .framework import (
     AttackGraph,
+    _condense,
+    _generated,
     random_acyclic_graph,
     random_attack_graph,
 )
@@ -114,17 +118,6 @@ def defends(g: AttackGraph, members, name: str) -> bool:
 _IN, _OUT = 1, 2  # grounded labels; 0 is undecided
 
 
-def _tables(g: AttackGraph):
-    """Argument index plus attacker and target lists on declaration indices."""
-    index = {name: i for i, name in enumerate(g.arguments)}
-    attackers: list[list[int]] = [[] for _ in index]
-    targets: list[list[int]] = [[] for _ in index]
-    for src, dst in g.attacks:
-        attackers[index[dst]].append(index[src])
-        targets[index[src]].append(index[dst])
-    return index, attackers, targets
-
-
 def _grounded_labels(attackers, targets) -> list[int]:
     """The grounded labelling in one queue pass: IN once every attacker is
     OUT, OUT once some attacker is IN, undecided for the rest."""
@@ -145,23 +138,45 @@ def _grounded_labels(attackers, targets) -> list[int]:
     return label
 
 
-def _undecided_components(g: AttackGraph, index, label) -> list[list[int]]:
+def _undecided_components(g: AttackGraph, label) -> list[tuple[int, ...]]:
     """Strongly connected components of the subgraph that the undecided
     arguments induce, in dependency order: each component of the graph's
     cached condensation restricted to them, condensed again where the
     restriction drops some of its members."""
     out = []
-    for comp in g.condensation():
-        members = [a for a in comp if not label[index[a]]]
+    for comp in g._components():
+        members = [a for a in comp if not label[a]]
         if 1 < len(members) < len(comp):
-            inside = set(members)
-            parts = AttackGraph(members, [
-                (a, t) for a in members for t in g.targets_of(a) if t in inside
-            ]).condensation()
-        else:
-            parts = (members,) if members else ()
-        out.extend([index[a] for a in part] for part in parts)
+            pos = {a: j for j, a in enumerate(members)}
+            parts = _condense([[pos[t] for t in g._targets[a] if t in pos]
+                               for a in members])
+            out.extend(tuple(members[j] for j in part) for part in parts)
+        elif members:
+            out.append(tuple(members))
     return out
+
+
+def _weak_parts(components, attackers, label) -> list[list[tuple[int, ...]]]:
+    """The components grouped by weakly connected part of the undecided
+    subgraph, each part keeping dependency order."""
+    part = list(range(len(components)))  # union-find over component ids
+
+    def find(c):
+        while part[c] != c:
+            part[c] = c = part[part[c]]
+        return c
+
+    owner = {}
+    for cid, comp in enumerate(components):
+        owner.update(dict.fromkeys(comp, cid))
+        for v in comp:
+            for b in attackers[v]:
+                if not label[b]:
+                    part[find(owner[b])] = find(cid)
+    grouped: dict[int, list[tuple[int, ...]]] = {}
+    for cid, comp in enumerate(components):
+        grouped.setdefault(find(cid), []).append(comp)
+    return list(grouped.values())
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -209,25 +224,53 @@ def _extension_masks(g: AttackGraph, stable: bool) -> list[int]:
 
     Every complete labelling extends the grounded one, and each undecided
     argument's decided attackers are OUT, so only the subgraph of the
-    undecided arguments is searched, one component at a time in dependency
-    order.  Preferred semantics is SCC-recursive: each partial labelling
-    is extended by the IN-maximal complete labellings of the next component
-    given the labels upstream of it.  Stable labellings are the preferred
-    ones without an undecided member, so the stable search drops any
-    component labelling that has one.
+    undecided arguments is searched.  Its weakly connected parts do not
+    constrain each other: each part is searched alone, and the answer is
+    every combination of one labelling per part.
     """
-    index, attackers, targets = _tables(g)
-    label = _grounded_labels(attackers, targets)
-    components = _undecided_components(g, index, label)
+    attackers = g._attackers
+    label = _grounded_labels(attackers, g._targets)
+    components = _undecided_components(g, label)
     largest = max(map(len, components), default=0)
     if largest > ENUMERATION_BOUND:
         raise EnumerationBoundError(
             f"an undecided component of {largest} arguments exceeds the "
             f"enumeration bound of {ENUMERATION_BOUND}"
         )
+    grounded = sum(1 << i for i, lab in enumerate(label) if lab == _IN)
+    searched = []
+    for part in _weak_parts(components, attackers, label):
+        found = _part_masks(part, attackers, label, stable)
+        if not found:
+            return []
+        searched.append(found)
+    if math.prod(map(len, searched)) > _EXTENSION_CAP:
+        raise _cap_error()
+    masks = [grounded]
+    for found in searched:
+        masks = [mask | chosen for mask in masks for chosen in found]
+    return masks
+
+
+def _cap_error() -> EnumerationBoundError:
+    return EnumerationBoundError(
+        f"more than {_EXTENSION_CAP} extensions exceed the enumeration bound")
+
+
+def _part_masks(components, attackers, label, stable: bool) -> list[int]:
+    """IN sets, over declaration indices, of the IN-maximal complete (or
+    stable) labellings of one weakly connected part of the undecided
+    subgraph, given as its components in dependency order.
+
+    Preferred semantics is SCC-recursive: each partial labelling is
+    extended by the IN-maximal complete labellings of the next component
+    given the labels upstream of it.  Stable labellings are the preferred
+    ones without an undecided member, so the stable search drops any
+    component labelling that has one.
+    """
     # (IN, OUT) masks.  OUT holds undecided arguments only: the decided
     # attackers of an undecided argument are all OUT and need no test.
-    partial = [(sum(1 << i for i, lab in enumerate(label) if lab == _IN), 0)]
+    partial = [(0, 0)]
     for comp in components:
         pos = {v: j for j, v in enumerate(comp)}
         att = [0] * len(comp)
@@ -260,10 +303,7 @@ def _extension_masks(g: AttackGraph, stable: bool) -> list[int]:
             extended.extend((in_mask | chosen, out_mask | out)
                             for chosen, out in options[key])
             if len(extended) > _EXTENSION_CAP:
-                raise EnumerationBoundError(
-                    f"more than {_EXTENSION_CAP} extensions exceed the "
-                    f"enumeration bound"
-                )
+                raise _cap_error()
         partial = extended
     return [in_mask for in_mask, _ in partial]
 
@@ -305,16 +345,17 @@ def classify(g: AttackGraph, semantics: str = "preferred") -> dict[str, str]:
 
 
 def _levels(g: AttackGraph, extensions) -> dict[str, str]:
-    member_sets = [set(e.members) for e in extensions]
+    index = g._index
+    member_sets = [{index[m] for m in e.members} for e in extensions]
     somewhere = set().union(*member_sets)
     everywhere = set.intersection(*member_sets) if member_sets else set()
     levels = {}
-    for name in g.arguments:
-        if name in everywhere:
+    for i, (name, attackers) in enumerate(zip(g.arguments, g._attackers)):
+        if i in everywhere:
             levels[name] = "uni"
-        elif name not in somewhere:
+        elif i not in somewhere:
             levels[name] = "not-accepted"
-        elif any(b in somewhere for b in g.attackers_of(name)):
+        elif not somewhere.isdisjoint(attackers):
             levels[name] = "only-exi"
         else:
             levels[name] = "cleanly"
@@ -329,10 +370,11 @@ def well_defended(
     Ties and incomparability both count in the argument's favour;
     unattacked arguments qualify vacuously.
     """
+    names = g.arguments
     return frozenset(
         a
-        for a in g.arguments
-        if not any(strictly_better(b, a) for b in g.attackers_of(a))
+        for a, attackers in zip(names, g._attackers)
+        if not any(strictly_better(names[b], a) for b in attackers)
     )
 
 
@@ -407,22 +449,21 @@ class ScanReport:
 
 def _attack_tree(rng: random.Random, size: int) -> AttackGraph:
     names = [f"N{i}" for i in range(1, size + 1)]
-    attacks = [(names[i], names[rng.randrange(i)]) for i in range(1, size)]
-    return AttackGraph(names, attacks)
+    attacks = [(i, rng.randrange(i)) for i in range(1, size)]
+    return _generated(names, attacks)
 
 
 def _cycle_tangle(rng: random.Random, size: int) -> AttackGraph:
     names = ["O1", "O2", "O3", "E1", "E2"]
-    attacks = [("O1", "O2"), ("O2", "O3"), ("O3", "O1"), ("E1", "E2"), ("E2", "E1")]
+    attacks = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)]
     for i in range(1, max(1, size - 5) + 1):
-        fresh = f"X{i}"
-        pool = list(names)
-        attackers = [src for src in pool if rng.random() < 0.3]
+        fresh = len(names)
+        attackers = [src for src in range(fresh) if rng.random() < 0.3]
         if not attackers:
-            attackers = [rng.choice(pool)]
-        names.append(fresh)
+            attackers = [rng.randrange(fresh)]
+        names.append(f"X{i}")
         attacks.extend((src, fresh) for src in attackers)
-    return AttackGraph(names, attacks)
+    return _generated(names, attacks)
 
 
 def scan_graph_stream(

@@ -159,8 +159,9 @@ def _emit(args, text_lines, document) -> int:
     if args.format == "json":
         print(json.dumps(document, indent=2, sort_keys=False))
     else:
-        for line in text_lines:
-            print(line)
+        # One call, line by line: a joined copy of a large tuple output
+        # would hold it twice more (as text and encoded) at its peak.
+        sys.stdout.writelines(f"{line}\n" for line in text_lines)
     return EXIT_OK
 
 

@@ -6,6 +6,13 @@ attacker/defender queries, leaf and cycle detection, maximal interconnected
 cycle unions ("mcycles"), branch edits used by the monotonicity suites, and
 deterministic graph-family generators.
 
+A graph stores its adjacency once, on declaration indices, and computes
+its condensation (strongly connected components in dependency order) once,
+on the same indices.  The evaluators read both directly; names appear only
+at the API edge.  The public constructor checks every name and endpoint;
+the parser and the seeded generators, which produce valid indices
+themselves, build through a private constructor that checks nothing again.
+
 Framework text is parsed by one compiled pattern, built from a single
 table of statement shapes and matched once per statement.  Only when it
 fails is the text walked token by token, and only then are line and
@@ -93,11 +100,19 @@ class AttackGraph:
     """An immutable set of named arguments plus a binary attack relation.
 
     Arguments keep their declaration order, which fixes every ordering
-    this package exposes (reports, serialization, iteration).
+    this package exposes (reports, serialization, iteration).  The graph
+    stores its adjacency once, on declaration indices: `_attackers[i]` and
+    `_targets[i]` are tuples of indices, `_pairs` the attacks as index
+    pairs in input order with duplicates dropped, and `_components()` the
+    condensation, computed once.  Names appear only at the API edge.
+
+    `AttackGraph(arguments, attacks)` checks every name and endpoint.  The
+    parser and the seeded generators, which produce valid indices
+    themselves, build through the private `_from_indices` instead.
     """
 
-    __slots__ = ("_args", "_index", "_attacks", "_attackers", "_targets",
-                 "_condensation")
+    __slots__ = ("_args", "_index", "_pairs", "_attackers", "_targets",
+                 "_condensation", "_named_condensation")
 
     def __init__(self, arguments, attacks=()):
         args: list[str] = []
@@ -108,26 +123,35 @@ class AttackGraph:
             if name not in index:
                 index[name] = len(args)
                 args.append(name)
-        attackers: dict[str, list[str]] = {a: [] for a in args}
-        targets: dict[str, list[str]] = {a: [] for a in args}
-        pairs: list[tuple[str, str]] = []
-        seen: set[tuple[str, str]] = set()
+        pairs = []
         for src, dst in attacks:
             for end in (src, dst):
                 if end not in index:
                     raise UnknownArgumentError(f"undeclared argument: {end!r}")
-            if (src, dst) in seen:
-                continue
-            seen.add((src, dst))
-            pairs.append((src, dst))
+            pairs.append((index[src], index[dst]))
+        self._store(tuple(args), index, pairs)
+
+    @classmethod
+    def _from_indices(cls, args, index, pairs) -> AttackGraph:
+        """A graph from distinct names, their declaration index and attacks
+        as index pairs, none of them checked."""
+        graph = cls.__new__(cls)
+        graph._store(tuple(args), index, pairs)
+        return graph
+
+    def _store(self, args, index, pairs) -> None:
+        pairs = tuple(dict.fromkeys(pairs))
+        attackers: list[list[int]] = [[] for _ in args]
+        targets: list[list[int]] = [[] for _ in args]
+        for src, dst in pairs:
             attackers[dst].append(src)
             targets[src].append(dst)
-        self._args = tuple(args)
+        self._args = args
         self._index = index
-        self._attacks = tuple(pairs)
-        self._attackers = {a: tuple(v) for a, v in attackers.items()}
-        self._targets = {a: tuple(v) for a, v in targets.items()}
-        self._condensation = None
+        self._pairs = pairs
+        self._attackers = tuple(map(tuple, attackers))
+        self._targets = tuple(map(tuple, targets))
+        self._condensation = self._named_condensation = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -137,7 +161,8 @@ class AttackGraph:
 
     @property
     def attacks(self) -> tuple[tuple[str, str], ...]:
-        return self._attacks
+        args = self._args
+        return tuple([(args[src], args[dst]) for src, dst in self._pairs])
 
     def __len__(self) -> int:
         return len(self._args)
@@ -148,13 +173,13 @@ class AttackGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttackGraph):
             return NotImplemented
-        return self._args == other._args and set(self._attacks) == set(other._attacks)
+        return self._args == other._args and set(self._pairs) == set(other._pairs)
 
     def __hash__(self):
-        return hash((self._args, frozenset(self._attacks)))
+        return hash((self._args, frozenset(self._pairs)))
 
     def __repr__(self) -> str:
-        return f"AttackGraph({len(self._args)} arguments, {len(self._attacks)} attacks)"
+        return f"AttackGraph({len(self._args)} arguments, {len(self._pairs)} attacks)"
 
     def index_of(self, name: str) -> int:
         self._check(name)
@@ -164,28 +189,29 @@ class AttackGraph:
         if name not in self._index:
             raise UnknownArgumentError(f"unknown argument: {name!r}")
 
+    def _names(self, indices) -> tuple[str, ...]:
+        args = self._args
+        return tuple([args[i] for i in indices])
+
     # -- neighbourhood queries -------------------------------------------
 
     def direct_attackers(self, name: str) -> frozenset[str]:
-        self._check(name)
-        return frozenset(self._attackers[name])
+        return frozenset(self.attackers_of(name))
 
     def attackers_of(self, name: str) -> tuple[str, ...]:
         """Direct attackers in declaration-stable order."""
-        self._check(name)
-        return self._attackers[name]
+        return self._names(self._attackers[self.index_of(name)])
 
     def targets_of(self, name: str) -> tuple[str, ...]:
-        self._check(name)
-        return self._targets[name]
+        return self._names(self._targets[self.index_of(name)])
 
     def direct_defenders(self, name: str) -> frozenset[str]:
         """Attackers of the direct attackers."""
-        self._check(name)
-        out: set[str] = set()
-        for b in self._attackers[name]:
-            out.update(self._attackers[b])
-        return frozenset(out)
+        attackers = self._attackers
+        out: set[int] = set()
+        for b in attackers[self.index_of(name)]:
+            out.update(attackers[b])
+        return frozenset(self._names(out))
 
     def indirect_attackers(self, name: str) -> frozenset[str]:
         """Arguments with a walk to `name` of odd length at least 3."""
@@ -197,30 +223,29 @@ class AttackGraph:
 
     def _walk_class_into(self, name: str, wanted: int) -> frozenset[str]:
         # Walk-length classes 0, 1, 2, then 3 (odd >= 3) and 4 (even >= 4).
-        self._check(name)
-        reached = self.shortest_walks([(0, name, 0)], step=(1, 2, 3, 4, 3),
-                                      backward=True)
-        return frozenset(v for (v, c) in reached if c == wanted)
+        reached = self._shortest_walks([(0, self.index_of(name), 0)],
+                                       (1, 2, 3, 4, 3), self._attackers)
+        return frozenset(self._names(v for (v, c) in reached if c == wanted))
 
     def leaves(self) -> frozenset[str]:
         """Arguments with no attacker at all."""
-        return frozenset(a for a in self._args if not self._attackers[a])
+        return frozenset(a for a, b in zip(self._args, self._attackers) if not b)
 
     def walk_count(self, query: PathQuery) -> int:
         """Number of walks of exactly `query.length` edges from source to target."""
-        self._check(query.source)
-        self._check(query.target)
+        source = self.index_of(query.source)
+        target = self.index_of(query.target)
         if query.length < 0:
             raise FrameworkError("walk length must be non-negative")
-        counts = {a: 0 for a in self._args}
-        counts[query.source] = 1
+        counts = [0] * len(self._args)
+        counts[source] = 1
         for _ in range(query.length):
-            nxt = {a: 0 for a in self._args}
-            for (src, dst) in self._attacks:
+            nxt = [0] * len(counts)
+            for (src, dst) in self._pairs:
                 if counts[src]:
                     nxt[dst] += counts[src]
             counts = nxt
-        return counts[query.target]
+        return counts[target]
 
     def shortest_walks(self, seeds, step=(1, 0), *, backward=False,
                        within=None) -> dict[tuple[str, int], int]:
@@ -233,10 +258,21 @@ class AttackGraph:
         `within` when it is given.  Returns the length of the shortest walk
         reaching each reachable state.
         """
-        adjacency = self._attackers if backward else self._targets
+        index, args = self._index, self._args
+        if within is not None:
+            within = {index[v] for v in within if v in index}
+        reached = self._shortest_walks(
+            [(length, index[v], c) for (length, v, c) in seeds], step,
+            self._attackers if backward else self._targets, within)
+        return {(args[v], c): length for (v, c), length in reached.items()}
+
+    @staticmethod
+    def _shortest_walks(seeds, step, adjacency,
+                        within=None) -> dict[tuple[int, int], int]:
+        """`shortest_walks` on declaration indices, along `adjacency`."""
         pending = sorted(seeds, key=lambda seed: seed[0])
-        shortest: dict[tuple[str, int], int] = {}
-        frontier: list[tuple[str, int]] = []
+        shortest: dict[tuple[int, int], int] = {}
+        frontier: list[tuple[int, int]] = []
         taken = 0
         length = 0
         while frontier or taken < len(pending):
@@ -261,87 +297,31 @@ class AttackGraph:
 
     # -- cycle structure ---------------------------------------------------
 
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """The condensation on declaration indices, computed once."""
+        if self._condensation is None:
+            self._condensation = _condense(self._targets)
+        return self._condensation
+
+    def _is_cyclic(self, component: tuple[int, ...]) -> bool:
+        return len(component) > 1 or component[0] in self._attackers[component[0]]
+
     def condensation(self) -> tuple[tuple[str, ...], ...]:
         """Strongly connected components in dependency order.
 
         Every attacker's component precedes its target's; among components
         whose attackers are all placed, the one holding the earliest
         declared argument comes first.  Members keep declaration order.
-        Computed once per graph.
+        A name view of `_components()`, built once.
         """
-        if self._condensation is None:
-            self._condensation = self._condense()
-        return self._condensation
-
-    def _condense(self) -> tuple[tuple[str, ...], ...]:
-        # Tarjan's algorithm, iterative, over declaration indices.  A
-        # visited vertex with no component yet is still on the stack.
-        n = len(self._args)
-        succ = [
-            [self._index[t] for t in self._targets[a]] for a in self._args
-        ]
-        indices = [-1] * n
-        low = [0] * n
-        comp_of = [-1] * n
-        stack: list[int] = []
-        components: list[list[int]] = []
-        counter = 0
-        for root in range(n):
-            if indices[root] != -1:
-                continue
-            indices[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            work = [(root, iter(succ[root]))]
-            while work:
-                v, later = work[-1]
-                for w in later:
-                    if indices[w] == -1:
-                        indices[w] = low[w] = counter
-                        counter += 1
-                        stack.append(w)
-                        work.append((w, iter(succ[w])))
-                        break
-                    if comp_of[w] == -1:
-                        low[v] = min(low[v], indices[w])
-                else:
-                    work.pop()
-                    if low[v] == indices[v]:
-                        comp = []
-                        while not comp or comp[-1] != v:
-                            comp.append(stack.pop())
-                            comp_of[comp[-1]] = len(components)
-                        components.append(sorted(comp))
-                    if work:
-                        parent = work[-1][0]
-                        low[parent] = min(low[parent], low[v])
-        # Kahn's algorithm over the components, smallest first index first.
-        # waiting counts the attacks into each component from unplaced ones.
-        waiting = [0] * len(components)
-        for v in range(n):
-            for w in succ[v]:
-                if comp_of[w] != comp_of[v]:
-                    waiting[comp_of[w]] += 1
-        ready = [(comp[0], cid) for cid, comp in enumerate(components)
-                 if not waiting[cid]]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            _, cid = heapq.heappop(ready)
-            order.append(tuple(self._args[i] for i in components[cid]))
-            for v in components[cid]:
-                for w in succ[v]:
-                    dep = comp_of[w]
-                    if dep != cid:
-                        waiting[dep] -= 1
-                        if not waiting[dep]:
-                            heapq.heappush(ready, (components[dep][0], dep))
-        return tuple(order)
+        if self._named_condensation is None:
+            self._named_condensation = tuple(map(self._names, self._components()))
+        return self._named_condensation
 
     def is_cyclic(self, component: tuple[str, ...]) -> bool:
         """True for a component that is a cycle union: more than one
         member, or a single self-attacker."""
-        return len(component) > 1 or component[0] in self._attackers[component[0]]
+        return len(component) > 1 or component[0] in self.attackers_of(component[0])
 
     def strongly_connected_components(self) -> list[tuple[str, ...]]:
         """Components ordered by their earliest declared member."""
@@ -350,30 +330,26 @@ class AttackGraph:
     def find_mcycles(self) -> list[Mcycle]:
         """Maximal interconnected cycle unions: the non-trivial strongly
         connected components (more than one member, or a self-attacker)."""
-        out: list[Mcycle] = []
-        for comp in self.strongly_connected_components():
-            if not self.is_cyclic(comp):
-                continue
-            members = set(comp)
-            inputs = tuple(
-                m
-                for m in comp
-                if any(b not in members for b in self._attackers[m])
-            )
-            out.append(Mcycle(members=comp, inputs=inputs))
+        out = []
+        for comp in sorted(self._components()):
+            if self._is_cyclic(comp):
+                inside = set(comp)
+                inputs = [m for m in comp if not inside.issuperset(self._attackers[m])]
+                out.append(Mcycle(self._names(comp), self._names(inputs)))
         return out
 
     def is_well_founded(self) -> bool:
         """True exactly when the graph has no cycle."""
-        return not self.find_mcycles()
+        return not any(map(self._is_cyclic, self._components()))
 
     def has_odd_cycle(self) -> bool:
         """True when some elementary cycle has odd length: an odd closed
         walk exists iff a union's first member reaches itself at odd
         parity, and an odd closed walk always contains an odd cycle."""
-        for comp in self.condensation():
-            if self.is_cyclic(comp):
-                reached = self.shortest_walks([(0, comp[0], 0)], within=set(comp))
+        for comp in self._components():
+            if self._is_cyclic(comp):
+                reached = self._shortest_walks([(0, comp[0], 0)], (1, 0),
+                                               self._targets, set(comp))
                 if (comp[0], 1) in reached:
                     return True
         return False
@@ -383,10 +359,9 @@ class AttackGraph:
 
         Raises FrameworkError when the graph has a cycle.
         """
-        order = self.condensation()
-        if any(self.is_cyclic(comp) for comp in order):
+        if not self.is_well_founded():
             raise FrameworkError("graph contains a cycle; no topological order")
-        return tuple(comp[0] for comp in order)
+        return self._names(comp[0] for comp in self._components())
 
     # -- text formats -------------------------------------------------------
 
@@ -394,16 +369,89 @@ class AttackGraph:
         """Framework text: declarations in declaration order, then attacks
         sorted lexicographically."""
         lines = [f"arg({a})." for a in self._args]
-        lines += [f"att({s},{t})." for (s, t) in sorted(self._attacks)]
+        lines += [f"att({s},{t})." for (s, t) in sorted(self.attacks)]
         return "\n".join(lines) + "\n"
 
     def to_dot(self, name: str = "attack_graph") -> str:
         """Graphviz rendering with a stable node and edge order."""
         lines = [f"digraph {name} {{"]
         lines += [f'  "{a}";' for a in self._args]
-        lines += [f'  "{s}" -> "{t}";' for (s, t) in sorted(self._attacks)]
+        lines += [f'  "{s}" -> "{t}";' for (s, t) in sorted(self.attacks)]
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _condense(successors) -> tuple[tuple[int, ...], ...]:
+    """Strongly connected components of the digraph on 0..n-1 given by
+    successor lists, in dependency order: among components whose
+    predecessors are all placed, the one with the smallest member comes
+    first.  Members are sorted."""
+    # Tarjan's algorithm, iterative.  A visited vertex with no component
+    # yet is still on the stack.
+    n = len(successors)
+    indices = [-1] * n
+    low = [0] * n
+    comp_of = [-1] * n
+    stack: list[int] = []
+    components: list[tuple[int, ...]] = []
+    counter = 0
+    for root in range(n):
+        if indices[root] != -1:
+            continue
+        indices[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, iter(successors[root]))]
+        while work:
+            v, later = work[-1]
+            for w in later:
+                if indices[w] == -1:
+                    indices[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, iter(successors[w])))
+                    break
+                if comp_of[w] == -1 and indices[w] < low[v]:
+                    low[v] = indices[w]
+            else:
+                work.pop()
+                if low[v] == indices[v]:
+                    cid = len(components)
+                    w = stack.pop()
+                    comp_of[w] = cid
+                    members = [w]
+                    while w != v:
+                        w = stack.pop()
+                        comp_of[w] = cid
+                        members.append(w)
+                    components.append(tuple(sorted(members)))
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+    # Kahn's algorithm over the components, keyed by smallest member (which
+    # names its component).  waiting counts the attacks into each
+    # component from unplaced ones.
+    waiting = [0] * len(components)
+    for v in range(n):
+        for w in successors[v]:
+            if comp_of[w] != comp_of[v]:
+                waiting[comp_of[w]] += 1
+    ready = [comp[0] for cid, comp in enumerate(components) if not waiting[cid]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        cid = comp_of[heapq.heappop(ready)]
+        comp = components[cid]
+        order.append(comp)
+        for v in comp:
+            for w in successors[v]:
+                dep = comp_of[w]
+                if dep != cid:
+                    waiting[dep] -= 1
+                    if not waiting[dep]:
+                        heapq.heappush(ready, components[dep][0])
+    return tuple(order)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -470,6 +518,7 @@ def parse_framework(text: str) -> AttackGraph:
     text walked token by token, to name and locate the error.
     """
     args: list[str] = []
+    index: dict[str, int] = {}
     attacks: list[tuple[str, str]] = []
     heads: list[int] = []
     pos = 0
@@ -477,19 +526,24 @@ def parse_framework(text: str) -> AttackGraph:
         pos = statement.end()
         _, name, _, src, dst = statement.groups()
         if name is not None:
-            args.append(name)
+            if name not in index:
+                index[name] = len(args)
+                args.append(name)
         else:
             attacks.append((src, dst))
             heads.append(statement.start("att"))
     pos = _BLANK_RE.match(text, pos).end()
     if pos < len(text):
         raise _statement_error(text, pos)
-    declared = set(args)
-    for (src, dst), head in zip(attacks, heads):
-        for end in (src, dst):
-            if end not in declared:
-                raise _error_at(text, head, f"undeclared argument {end!r}")
-    return AttackGraph(args, attacks)
+    try:
+        pairs = [(index[src], index[dst]) for src, dst in attacks]
+    except KeyError:
+        for (src, dst), head in zip(attacks, heads):
+            for end in (src, dst):
+                if end not in index:
+                    raise _error_at(text, head, f"undeclared argument {end!r}") from None
+        raise
+    return AttackGraph._from_indices(args, index, pairs)
 
 
 # -- branch edits -------------------------------------------------------------
@@ -608,24 +662,19 @@ def generate_family(kind: str, *, size: int | None = None, seed: int | None = No
     if kind == "chain":
         if not size or size < 1:
             raise FrameworkError("chain requires size >= 1")
-        args = [f"A{i}" for i in range(1, size + 1)]
-        attacks = [(f"A{i + 1}", f"A{i}") for i in range(1, size)]
-        return AttackGraph(args, attacks)
+        return _generated([f"A{i}" for i in range(1, size + 1)],
+                          [(i, i - 1) for i in range(1, size)])
     if kind == "unattacked-cycle":
         if not size or size < 1:
             raise FrameworkError("unattacked-cycle requires size >= 1")
-        args = [f"C{i}" for i in range(1, size + 1)]
-        attacks = [
-            (f"C{i}", f"C{i % size + 1}") for i in range(1, size + 1)
-        ]
-        return AttackGraph(args, attacks)
+        return _generated([f"C{i}" for i in range(1, size + 1)],
+                          [(i, (i + 1) % size) for i in range(size)])
     if kind == "attacked-cycle":
         if not size or size < 1:
             raise FrameworkError("attacked-cycle requires size >= 1")
-        cycle = generate_family("unattacked-cycle", size=size)
-        args = ["D"] + list(cycle.arguments)
-        attacks = [("D", "C1")] + list(cycle.attacks)
-        return AttackGraph(args, attacks)
+        # D is 0, and cycle member Ci is i.
+        return _generated(["D"] + [f"C{i}" for i in range(1, size + 1)],
+                          [(0, 1)] + [(i, i % size + 1) for i in range(1, size + 1)])
     if kind == "spider":
         rng = random.Random(seed)
         branches = size if size else rng.randint(1, 4)
@@ -633,12 +682,11 @@ def generate_family(kind: str, *, size: int | None = None, seed: int | None = No
         attacks = []
         for b in range(1, branches + 1):
             length = rng.randint(1, 5)
-            chain = [f"X{b}_{k}" for k in range(1, length + 1)]
-            args.extend(chain)
-            attacks.append((chain[0], "A"))
-            for k in range(1, length):
-                attacks.append((chain[k], chain[k - 1]))
-        return AttackGraph(args, attacks)
+            tip = len(args)  # X{b}_1, attacking the root A at 0
+            args.extend(f"X{b}_{k}" for k in range(1, length + 1))
+            attacks.append((tip, 0))
+            attacks.extend((tip + k, tip + k - 1) for k in range(1, length))
+        return _generated(args, attacks)
     if kind == "random":
         if size is None or density is None:
             raise FrameworkError("random requires size and density")
@@ -650,25 +698,29 @@ def random_attack_graph(seed: int, size: int, density: float) -> AttackGraph:
     """Seeded digraph; every ordered pair (self-pairs included) attacks with
     probability `density`."""
     rng = random.Random(seed)
-    args = [f"a{i}" for i in range(1, size + 1)]
     attacks = [
         (src, dst)
-        for src in args
-        for dst in args
+        for src in range(size)
+        for dst in range(size)
         if rng.random() < density
     ]
-    return AttackGraph(args, attacks)
+    return _generated([f"a{i}" for i in range(1, size + 1)], attacks)
 
 
 def random_acyclic_graph(seed: int, size: int, density: float) -> AttackGraph:
     """Seeded acyclic digraph: only later-declared arguments attack earlier
     ones, so declaration order is a reverse topological order."""
     rng = random.Random(seed)
-    args = [f"a{i}" for i in range(1, size + 1)]
     attacks = [
-        (args[j], args[i])
+        (j, i)
         for i in range(size)
         for j in range(i + 1, size)
         if rng.random() < density
     ]
-    return AttackGraph(args, attacks)
+    return _generated([f"a{i}" for i in range(1, size + 1)], attacks)
+
+
+def _generated(args: list[str], attacks) -> AttackGraph:
+    """A generator's graph: distinct names and attacks as index pairs."""
+    return AttackGraph._from_indices(
+        args, {name: i for i, name in enumerate(args)}, attacks)

@@ -170,9 +170,9 @@ def evaluate_local(
     is a float.
     """
     config = config or FixpointConfig()
-    order = g.condensation()
+    order = g._components()
     top, combine, drop = instance.v_max, instance.h, instance.g
-    if any(g.is_cyclic(members) for members in order):
+    if any(map(g._is_cyclic, order)):
         if instance.kind == "label":
             if not _is_rooted_style(instance):
                 raise UndecidableError(
@@ -185,20 +185,24 @@ def evaluate_local(
         else:
             top, drop = float(top), lambda x: float(instance.g(x))
             solve = functools.partial(_iterate, top=top, config=config)
-    values: dict[str, object] = {}
+    attackers = g._attackers
+    value: list = [None] * len(attackers)  # by declaration index
+    read = value.__getitem__
 
-    def step(name):
-        attackers = g.attackers_of(name)
-        if not attackers:
+    def step(i):
+        if not attackers[i]:
             return top
-        return drop(combine(tuple(values[b] for b in attackers)))
+        return drop(combine(tuple(map(read, attackers[i]))))
 
+    filled = []  # indices in the order their values are first set
     for members in order:
-        if g.is_cyclic(members):
-            solve(g, members, values, step)
+        if g._is_cyclic(members):
+            filled += solve(members, attackers, value, step)
         else:
-            values[members[0]] = step(members[0])
-    return values
+            value[members[0]] = step(members[0])
+            filled.append(members[0])
+    names = g.arguments
+    return {names[i]: value[i] for i in filled}
 
 
 def _is_rooted_style(instance: LocalInstance) -> bool:
@@ -218,39 +222,47 @@ def _is_rooted_style(instance: LocalInstance) -> bool:
     return g_ok and h_ok
 
 
-def _iterate(g, members, values, step, *, top, config):
-    """Simultaneous fixpoint iteration over one cycle union."""
+def _iterate(members, attackers, value, step, *, top, config):
+    """Simultaneous fixpoint iteration over one cycle union; returns its
+    members in the order their values were first set."""
     for m in members:
-        values[m] = top
+        value[m] = top
     for _ in range(config.max_iterations):
-        nxt = {m: step(m) for m in members}
-        residual = max(abs(nxt[m] - values[m]) for m in members)
-        values.update(nxt)
+        nxt = [step(m) for m in members]
+        residual = max(abs(v - value[m]) for m, v in zip(members, nxt))
+        for m, v in zip(members, nxt):
+            value[m] = v
         if residual < config.tolerance:
-            return
+            return members
     raise ConvergenceError(f"no fixpoint within {config.max_iterations} iterations")
 
 
-def _propagate_labels(g, members, values, step):
+def _propagate_labels(members, attackers, value, step):
     """Forced labels over one cycle union: a + attacker forces -, and
     all-known attackers force g(h(their labels)).  Whatever stays unforced
-    settles at ?, in declaration order."""
+    settles at ?, in declaration order.  Returns the members in the order
+    their labels were set."""
+    settled = []
     changed = True
     while changed:
         changed = False
         for m in members:
-            if m in values:
+            if value[m] is not None:
                 continue
-            attacker_labels = [values.get(b) for b in g.attackers_of(m)]
+            attacker_labels = [value[b] for b in attackers[m]]
             if "+" in attacker_labels:
-                values[m] = "-"
+                value[m] = "-"
             elif None not in attacker_labels:
-                values[m] = step(m)
+                value[m] = step(m)
             else:
                 continue
+            settled.append(m)
             changed = True
     for m in members:
-        values.setdefault(m, "?")
+        if value[m] is None:
+            value[m] = "?"
+            settled.append(m)
+    return settled
 
 
 # -- ordering and diagnostics --------------------------------------------------

@@ -79,8 +79,8 @@ class PropagationDepth:
 def evaluate_acyclic(g: AttackGraph) -> dict[str, TupledValue]:
     """Exact tupled values; every component is a finite multiset except the
     all-zero tuple on unattacked arguments."""
-    order = g.condensation()
-    if any(g.is_cyclic(comp) for comp in order):
+    order = g._components()
+    if any(map(g._is_cyclic, order)):
         raise CyclicGraphError("graph contains a cycle; use evaluate_cyclic")
     return _walk_values(g, order, PropagationDepth())
 
@@ -97,8 +97,8 @@ def evaluate_cyclic(
     horizon whose product with the number of attacks exceeds WORK_BOUND,
     before filling that component's counts.
     """
-    order = g.condensation()
-    if not any(g.is_cyclic(comp) for comp in order):
+    order = g._components()
+    if not any(map(g._is_cyclic, order)):
         return evaluate_acyclic(g)
     return _walk_values(g, order, depth)
 
@@ -110,22 +110,24 @@ def _walk_values(
     takes its horizons from its attackers' horizons and count rows, checks
     them against WORK_BOUND, then fills count[x][L], each parity cut at its
     own horizon (None marks an exact parity)."""
-    counts: dict[str, dict[int, int]] = {}
-    horizon: dict[str, tuple] = {}
+    names, attackers_of = g.arguments, g._attackers
+    attack_count = len(g._pairs)
+    counts: list = [None] * len(names)  # by declaration index
+    horizon: list = [None] * len(names)
     values: dict[str, TupledValue] = {}
     for comp in order:
-        if not g.is_cyclic(comp):
+        if not g._is_cyclic(comp):
             x = comp[0]
-            attackers = g.attackers_of(x)
+            attackers = attackers_of[x]
             if not attackers:
                 counts[x], horizon[x] = {0: 1}, (None, None)
-                values[x] = LEAF_VALUE
+                values[names[x]] = LEAF_VALUE
                 continue
             cut = horizon[x] = (
                 _after(horizon[b][1] for b in attackers),
                 _after(horizon[b][0] for b in attackers),
             )
-            _check_bound(g, cut)
+            _check_bound(attack_count, cut)
             row: dict[int, int] = {}
             for b in attackers:
                 for length, c in counts[b].items():
@@ -133,26 +135,28 @@ def _walk_values(
                     if h is None or length < h:
                         row[length + 1] = row.get(length + 1, 0) + c
             counts[x] = row
-            values[x] = _value(row, cut)
+            values[names[x]] = _value(row, cut)
             continue
         members = set(comp)
         cap = depth.runs * len(comp)
         entries = [
-            (j, [b for b in g.attackers_of(j) if b not in members]) for j in comp
+            (j, [b for b in attackers_of[j] if b not in members]) for j in comp
         ]
         entries = [(j, outside) for (j, outside) in entries if outside]
         if entries:
-            _entered_horizons(g, comp, entries, cap, counts, horizon)
+            _entered_horizons(attackers_of, g._targets, comp, entries, cap,
+                              counts, horizon)
         else:
-            horizon.update(dict.fromkeys(comp, (cap, cap)))
-        top = _check_bound(g, (h for m in comp for h in horizon[m]))
+            for m in comp:
+                horizon[m] = (cap, cap)
+        top = _check_bound(attack_count, (h for m in comp for h in horizon[m]))
         rows = {m: [0] * (top + 1) for m in comp}
         inside = []
         for m in comp:
             row = rows[m]
             row[0] = 0 if entries else 1  # unattacked members start rooted walks
             within = []
-            for b in g.attackers_of(m):
+            for b in attackers_of[m]:
                 if b in members:
                     within.append(rows[b])
                     continue
@@ -170,11 +174,11 @@ def _walk_values(
             row = rows[m]
             end = max(h for h in horizon[m] if h is not None)
             counts[m] = {length: row[length] for length in range(1, end + 1) if row[length]}
-            values[m] = _value(counts[m], horizon[m])
+            values[names[m]] = _value(counts[m], horizon[m])
     return values
 
 
-def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):
+def _entered_horizons(attackers, targets, comp, entries, cap, counts, horizon):
     """Horizons of an attacked union's members, from the horizons and
     count rows of the external attackers of each entry member."""
     members = set(comp)
@@ -195,8 +199,9 @@ def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):
                     parity_seeds.append((0, j, 1 - p))
         if truncated:
             distance_seeds.append((min(truncated) + 1, j, 0))
-    reached = g.shortest_walks(parity_seeds, within=members)
-    relayed = g.shortest_walks(distance_seeds, step=(0,), within=members)
+    walks = AttackGraph._shortest_walks
+    reached = walks(parity_seeds, (1, 0), targets, members)
+    relayed = walks(distance_seeds, (0,), targets, members)
     bound = min(smallest) + 1 + cap if smallest else None
     for i in comp:
         h = min(x for x in (bound, relayed.get((i, 0))) if x is not None)
@@ -209,13 +214,13 @@ def _after(horizons) -> int | None:
     return 1 + min(known) if known else None
 
 
-def _check_bound(g: AttackGraph, horizons) -> int:
+def _check_bound(attack_count: int, horizons) -> int:
     """The largest of some horizons (0 when all are exact), once it is
-    known to fit WORK_BOUND."""
+    known to fit WORK_BOUND for a graph of `attack_count` attacks."""
     longest = max((h for h in horizons if h is not None), default=0)
-    if longest * len(g.attacks) > WORK_BOUND:
+    if longest * attack_count > WORK_BOUND:
         raise EvaluationBoundError(
-            f"tuple horizon {longest} over {len(g.attacks)} attacks "
+            f"tuple horizon {longest} over {attack_count} attacks "
             f"exceeds the evaluation bound of {WORK_BOUND}"
         )
     return longest

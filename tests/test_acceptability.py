@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -277,6 +278,27 @@ class TestEnumeration:
                         + list(zip(chain, chain[1:])))
         assert [e.members for e in preferred_extensions(g)] == [()]
         assert stable_extensions(g) == []
+
+    @pytest.mark.parametrize("pairs_first", [True, False])
+    def test_unrelated_components_do_not_multiply(self, pairs_first):
+        # 13 mutual attacks (2**13 preferred extensions) beside a
+        # self-attacker feeding a 2,000-argument chain, in either
+        # declaration order: the chain is searched once, not once per
+        # labelling of the pairs.
+        pairs = disjoint_mutual_attacks(13)
+        chain = [f"c{i}" for i in range(2000)]
+        tail = ["s", *chain]
+        g = AttackGraph(
+            [*pairs.arguments, *tail] if pairs_first else [*tail, *pairs.arguments],
+            [*pairs.attacks, ("s", "s"), ("s", "c0"), *zip(chain, chain[1:])])
+        start = time.process_time()
+        preferred = preferred_extensions(g)
+        stable = stable_extensions(g)
+        assert time.process_time() - start < 1.0
+        assert len(preferred) == 2**13
+        assert {frozenset(e.members) for e in preferred} == {
+            frozenset(e.members) for e in preferred_extensions(pairs)}
+        assert stable == []
 
     def test_extension_cap(self):
         # 2**13 extensions stay under the cap, 2**14 pass it

@@ -169,6 +169,61 @@ class TestParsing:
             AttackGraph(("a",), (("a", "b"),))
 
 
+def _assert_same_graph(g, rebuilt):
+    assert g == rebuilt and rebuilt == g
+    assert hash(g) == hash(rebuilt)
+    assert g.arguments == rebuilt.arguments
+    assert g.attacks == rebuilt.attacks
+    for name in g.arguments:
+        assert g.attackers_of(name) == rebuilt.attackers_of(name)
+        assert g.targets_of(name) == rebuilt.targets_of(name)
+    assert g.condensation() == rebuilt.condensation()
+
+
+class TestConstructionPaths:
+    """The parser and the generators build graphs without checking their
+    endpoints a second time; the public constructor checks everything.
+    Both must give the same graph."""
+
+    def test_parsed_corpus(self):
+        parsed = 0
+        for text in _parser_corpus(seed=20261018, count=5000):
+            try:
+                g = parse_framework(text)
+            except ParseError:
+                continue
+            parsed += 1
+            _assert_same_graph(g, AttackGraph(g.arguments, g.attacks))
+        assert parsed > 1000
+
+    def test_duplicate_statements(self):
+        text = ("arg(a). arg(b). arg(a). att(b,a). att(a,a). att(b,a).\n"
+                "att(a,c). arg(c). att(a,a). arg(b). att(c,b).")
+        g = parse_framework(text)
+        assert g.arguments == ("a", "b", "c")
+        assert g.attacks == (("b", "a"), ("a", "a"), ("a", "c"), ("c", "b"))
+        _assert_same_graph(g, AttackGraph(g.arguments, g.attacks))
+        _assert_same_graph(g, AttackGraph(
+            ["a", "b", "a", "c", "b"],
+            [("b", "a"), ("a", "a"), ("b", "a"), ("a", "c"), ("a", "a"), ("c", "b")]))
+
+    def test_generated_graphs(self):
+        graphs = []
+        for seed in range(150):
+            size = 1 + seed % 40
+            density = (0.03, 0.1, 0.3)[seed % 3]
+            graphs.append(random_attack_graph(seed, size, density))
+            graphs.append(random_acyclic_graph(seed, size, density))
+        for size in (1, 2, 5):
+            graphs += [generate_family(kind, size=size) for kind in
+                       ("chain", "unattacked-cycle", "attacked-cycle")]
+        graphs += [generate_family("spider", seed=seed) for seed in range(5)]
+        stream = gradarg.scan_graph_stream(3)
+        graphs += [next(stream) for _ in range(100)]
+        for g in graphs:
+            _assert_same_graph(g, AttackGraph(g.arguments, g.attacks))
+
+
 class TestNeighbourhoods:
     def test_direct_attackers_and_defenders(self):
         g = load_fixture("example2")
