@@ -111,7 +111,6 @@ def _walk_values(
     them against WORK_BOUND, then fills count[x][L], each parity cut at its
     own horizon (None marks an exact parity)."""
     names, attackers_of = g.arguments, g._attackers
-    attack_count = len(g._pairs)
     counts: list = [None] * len(names)  # by declaration index
     horizon: list = [None] * len(names)
     values: dict[str, TupledValue] = {}
@@ -127,7 +126,7 @@ def _walk_values(
                 _after(horizon[b][1] for b in attackers),
                 _after(horizon[b][0] for b in attackers),
             )
-            _check_bound(attack_count, cut)
+            _check_bound(g, cut)
             row: dict[int, int] = {}
             for b in attackers:
                 for length, c in counts[b].items():
@@ -144,12 +143,11 @@ def _walk_values(
         ]
         entries = [(j, outside) for (j, outside) in entries if outside]
         if entries:
-            _entered_horizons(attackers_of, g._targets, comp, entries, cap,
-                              counts, horizon)
+            _entered_horizons(g, comp, entries, cap, counts, horizon)
         else:
             for m in comp:
                 horizon[m] = (cap, cap)
-        top = _check_bound(attack_count, (h for m in comp for h in horizon[m]))
+        top = _check_bound(g, (h for m in comp for h in horizon[m]))
         rows = {m: [0] * (top + 1) for m in comp}
         inside = []
         for m in comp:
@@ -178,7 +176,7 @@ def _walk_values(
     return values
 
 
-def _entered_horizons(attackers, targets, comp, entries, cap, counts, horizon):
+def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):
     """Horizons of an attacked union's members, from the horizons and
     count rows of the external attackers of each entry member."""
     members = set(comp)
@@ -199,9 +197,8 @@ def _entered_horizons(attackers, targets, comp, entries, cap, counts, horizon):
                     parity_seeds.append((0, j, 1 - p))
         if truncated:
             distance_seeds.append((min(truncated) + 1, j, 0))
-    walks = AttackGraph._shortest_walks
-    reached = walks(parity_seeds, (1, 0), targets, members)
-    relayed = walks(distance_seeds, (0,), targets, members)
+    reached = g._shortest_walks(parity_seeds, (1, 0), g._targets, members)
+    relayed = g._shortest_walks(distance_seeds, (0,), g._targets, members)
     bound = min(smallest) + 1 + cap if smallest else None
     for i in comp:
         h = min(x for x in (bound, relayed.get((i, 0))) if x is not None)
@@ -214,13 +211,13 @@ def _after(horizons) -> int | None:
     return 1 + min(known) if known else None
 
 
-def _check_bound(attack_count: int, horizons) -> int:
+def _check_bound(g: AttackGraph, horizons) -> int:
     """The largest of some horizons (0 when all are exact), once it is
-    known to fit WORK_BOUND for a graph of `attack_count` attacks."""
+    known to fit WORK_BOUND."""
     longest = max((h for h in horizons if h is not None), default=0)
-    if longest * attack_count > WORK_BOUND:
+    if longest * len(g._pairs) > WORK_BOUND:
         raise EvaluationBoundError(
-            f"tuple horizon {longest} over {attack_count} attacks "
+            f"tuple horizon {longest} over {len(g._pairs)} attacks "
             f"exceeds the evaluation bound of {WORK_BOUND}"
         )
     return longest
