@@ -1,17 +1,19 @@
 """Extension semantics, graded acceptance, well-defendedness.
 
-Preferred and stable extensions are enumerated exactly.  The grounded
-labelling is computed first, in one linear pass; the arguments it leaves
-undecided are then searched one weakly connected part of their subgraph
-at a time, and within a part one strongly connected component at a time,
-in dependency order, over each component's conflict-free sets (bitmask
-encoded).  The parts' answers are combined once at the end.  The cost is
-exponential only in the largest undecided component, which
+Preferred and stable extensions are enumerated exactly.  They start from
+the graph's grounded labelling (`AttackGraph._grounded`, one linear pass,
+the same one the rooted labelling reads on a cyclic graph); the arguments
+it leaves undecided are then searched one weakly connected part of their
+subgraph at a time, and within a part one strongly connected component at
+a time, in dependency order, over each component's conflict-free sets
+(bitmask encoded).  The parts' answers are combined once at the end.  The
+cost is exponential only in the largest undecided component, which
 `ENUMERATION_BOUND` caps, and a fixed cap on the number of extensions
-stops lists that would outgrow memory.  Acceptance levels grade each argument by how the whole extension
-list treats it.  Well-defendedness instead compares an argument against
-its direct attackers in a valuation's preorder, and a seeded scan hunts
-for graphs where the two notions come apart.
+stops lists that would outgrow memory.  Acceptance levels grade each
+argument by how the whole extension list treats it.  Well-defendedness
+instead compares an argument against its direct attackers in a
+valuation's preorder, and a seeded scan hunts for graphs where the two
+notions come apart.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 from .framework import (
+    _IN,
     AttackGraph,
     _condense,
     _generated,
@@ -115,29 +118,6 @@ def defends(g: AttackGraph, members, name: str) -> bool:
     return all(g.direct_attackers(b) & chosen for b in g.attackers_of(name))
 
 
-_IN, _OUT = 1, 2  # grounded labels; 0 is undecided
-
-
-def _grounded_labels(attackers, targets) -> list[int]:
-    """The grounded labelling in one queue pass: IN once every attacker is
-    OUT, OUT once some attacker is IN, undecided for the rest."""
-    live = [len(a) for a in attackers]  # attackers not yet OUT
-    label = [0 if k else _IN for k in live]
-    queue = [i for i, k in enumerate(live) if not k]
-    for i in queue:  # the queue grows while it is read
-        for t in targets[i]:
-            if label[i] == _IN:
-                if not label[t]:
-                    label[t] = _OUT
-                    queue.append(t)
-            else:
-                live[t] -= 1
-                if not live[t] and not label[t]:
-                    label[t] = _IN
-                    queue.append(t)
-    return label
-
-
 def _undecided_components(g: AttackGraph, label) -> list[tuple[int, ...]]:
     """Strongly connected components of the subgraph that the undecided
     arguments induce, in dependency order: each component of the graph's
@@ -229,7 +209,7 @@ def _extension_masks(g: AttackGraph, stable: bool) -> list[int]:
     every combination of one labelling per part.
     """
     attackers = g._attackers
-    label = _grounded_labels(attackers, g._targets)
+    label = g._grounded()
     components = _undecided_components(g, label)
     largest = max(map(len, components), default=0)
     if largest > ENUMERATION_BOUND:

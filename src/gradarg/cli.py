@@ -196,7 +196,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_classify(args) -> int:
     g = _read_graph(args.path)
-    models = args.models or list(MODELS)
+    models = list(dict.fromkeys(args.models or MODELS))  # repeats dropped
     valuations = {m: _model_values(g, m, args.depth) for m in models}
     report = classification_report(g, args.semantics, valuations)
     lines = []

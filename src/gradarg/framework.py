@@ -42,6 +42,8 @@ __all__ = [
     "random_attack_graph",
 ]
 
+_IN, _OUT = 1, 2  # grounded labels; 0 is undecided
+
 
 class FrameworkError(Exception):
     """Base class for graph construction, parsing and edit errors."""
@@ -302,6 +304,26 @@ class AttackGraph:
         if self._condensation is None:
             self._condensation = _condense(self._targets)
         return self._condensation
+
+    def _grounded(self) -> list[int]:
+        """The grounded labelling by declaration index, in one queue pass:
+        IN once every attacker is OUT, OUT once some attacker is IN,
+        undecided (0) for the rest."""
+        live = [len(a) for a in self._attackers]  # attackers not yet OUT
+        label = [0 if k else _IN for k in live]
+        queue = [i for i, k in enumerate(live) if not k]
+        for i in queue:  # the queue grows while it is read
+            for t in self._targets[i]:
+                if label[i] == _IN:
+                    if not label[t]:
+                        label[t] = _OUT
+                        queue.append(t)
+                else:
+                    live[t] -= 1
+                    if not live[t] and not label[t]:
+                        label[t] = _IN
+                        queue.append(t)
+        return label
 
     def _is_cyclic(self, component: tuple[int, ...]) -> bool:
         return len(component) > 1 or component[0] in self._attackers[component[0]]

@@ -8,23 +8,24 @@ value; everything else follows v(A) = g(h(values of direct attackers)).
 
 Evaluation is one pass along the graph's condensation, its strongly
 connected components in dependency order, with one step rule for every
-argument outside a cycle union and one solver per cycle union.  Acyclic
-graphs are evaluated exactly (rational arithmetic for rational instances).
-On graphs with cycles, numeric instances run a simultaneous fixpoint
-iteration over each union in floats, and the rooted three-label instance
-propagates forced labels and settles unresolved members at the middle
-label.
+argument outside a cycle union and a simultaneous fixpoint iteration, in
+floats, over each cycle union.  Acyclic graphs are evaluated exactly
+(rational arithmetic for rational instances).  On a graph with cycles the
+rooted three-label instance is Dung's grounded labelling, read from the
+graph's one queue pass (`AttackGraph._grounded`) that extension
+enumeration also starts from: + for IN, - for OUT, ? for undecided.
+Every value map lists the arguments in condensation order, members of a
+component in declaration order.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .framework import AttackGraph
+from .framework import _IN, _OUT, AttackGraph
 
 __all__ = [
     "ConditionStarOutcome",
@@ -48,6 +49,7 @@ __all__ = [
 
 LABELS = ("-", "?", "+")
 _LABEL_RANK = {"-": 0, "?": 1, "+": 2}
+_ROOTED_LABEL = {0: "?", _IN: "+", _OUT: "-"}  # by grounded label
 
 
 class ConvergenceError(ArithmeticError):
@@ -159,18 +161,20 @@ class FixpointConfig:
 def evaluate_local(
     g: AttackGraph, instance: LocalInstance, config: FixpointConfig | None = None
 ) -> dict[str, object]:
-    """Value of every argument under the instance.
+    """Value of every argument under the instance, listed in condensation
+    order (`g.condensation()`, members in declaration order).
 
     One pass along the condensation: an unattacked argument takes the top
     value, any other argument outside a cycle union takes g(h(values of
-    its attackers)), and each cycle union goes to a solver chosen once per
-    call - fixpoint iteration from the all-top start for numeric
-    instances, forced-label propagation for the rooted label instance.
-    Acyclic graphs evaluate exactly; on a cyclic graph every numeric value
-    is a float.
+    its attackers)), and each cycle union runs a fixpoint iteration from
+    the all-top start.  Acyclic graphs evaluate exactly; on a cyclic graph
+    every numeric value is a float.  On a cyclic graph the rooted label
+    instance is Dung's grounded labelling: + for IN, - for OUT and ? for
+    undecided.
     """
     config = config or FixpointConfig()
     order = g._components()
+    names = g.arguments
     top, combine, drop = instance.v_max, instance.h, instance.g
     if any(map(g._is_cyclic, order)):
         if instance.kind == "label":
@@ -179,12 +183,11 @@ def evaluate_local(
                     f"label instance {instance.name!r} cannot decide cyclic graphs"
                 )
             # _is_rooted_style checks h on short tuples only, so a cyclic
-            # graph is decided with the built-in label functions.
-            top, combine, drop = "+", _label_h, _label_g
-            solve = _propagate_labels
-        else:
-            top, drop = float(top), lambda x: float(instance.g(x))
-            solve = functools.partial(_iterate, top=top, config=config)
+            # graph is decided with the built-in labels.
+            label = g._grounded()
+            return {names[i]: _ROOTED_LABEL[label[i]]
+                    for members in order for i in members}
+        top, drop = float(top), lambda x: float(instance.g(x))
     attackers = g._attackers
     value: list = [None] * len(attackers)  # by declaration index
     read = value.__getitem__
@@ -194,15 +197,12 @@ def evaluate_local(
             return top
         return drop(combine(tuple(map(read, attackers[i]))))
 
-    filled = []  # indices in the order their values are first set
     for members in order:
         if g._is_cyclic(members):
-            filled += solve(members, attackers, value, step)
+            _iterate(members, value, step, top=top, config=config)
         else:
             value[members[0]] = step(members[0])
-            filled.append(members[0])
-    names = g.arguments
-    return {names[i]: value[i] for i in filled}
+    return {names[i]: value[i] for members in order for i in members}
 
 
 def _is_rooted_style(instance: LocalInstance) -> bool:
@@ -222,9 +222,8 @@ def _is_rooted_style(instance: LocalInstance) -> bool:
     return g_ok and h_ok
 
 
-def _iterate(members, attackers, value, step, *, top, config):
-    """Simultaneous fixpoint iteration over one cycle union; returns its
-    members in the order their values were first set."""
+def _iterate(members, value, step, *, top, config):
+    """Simultaneous fixpoint iteration over one cycle union."""
     for m in members:
         value[m] = top
     for _ in range(config.max_iterations):
@@ -233,36 +232,8 @@ def _iterate(members, attackers, value, step, *, top, config):
         for m, v in zip(members, nxt):
             value[m] = v
         if residual < config.tolerance:
-            return members
+            return
     raise ConvergenceError(f"no fixpoint within {config.max_iterations} iterations")
-
-
-def _propagate_labels(members, attackers, value, step):
-    """Forced labels over one cycle union: a + attacker forces -, and
-    all-known attackers force g(h(their labels)).  Whatever stays unforced
-    settles at ?, in declaration order.  Returns the members in the order
-    their labels were set."""
-    settled = []
-    changed = True
-    while changed:
-        changed = False
-        for m in members:
-            if value[m] is not None:
-                continue
-            attacker_labels = [value[b] for b in attackers[m]]
-            if "+" in attacker_labels:
-                value[m] = "-"
-            elif None not in attacker_labels:
-                value[m] = step(m)
-            else:
-                continue
-            settled.append(m)
-            changed = True
-    for m in members:
-        if value[m] is None:
-            value[m] = "?"
-            settled.append(m)
-    return settled
 
 
 # -- ordering and diagnostics --------------------------------------------------

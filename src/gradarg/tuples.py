@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 __all__ = [

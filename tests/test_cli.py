@@ -180,6 +180,15 @@ class TestClassify:
         assert document["levels"]["A"] == "uni"
         assert document["well_defended"] == {"tuples": ["A", "C1", "C2", "C3"]}
 
+    def test_repeated_models_are_listed_once(self, capsys):
+        argv = ["classify", fixture_path("star3"),
+                "--model", "tuples", "--model", "labelling", "--model", "tuples"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "A uni [well-defended:tuples,labelling]"
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert list(json.loads(out)["well_defended"]) == ["tuples", "labelling"]
+
 
 class TestWellDefended:
     def test_lists_members_in_declaration_order(self, capsys):

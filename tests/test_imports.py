@@ -1,0 +1,49 @@
+"""Every import in the package is used.
+
+No linter runs on this project, so this walks each module's syntax tree.
+An imported name counts as used when the module reads it anywhere or
+lists it in `__all__` (a re-export); `from __future__` imports are
+compiler directives and bind nothing.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gradarg"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names if a.name != "*"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_the_check_honours_reexports_and_future_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json\n"
+        "from typing import Callable as C, Mapping\n"
+        "__all__ = ['Mapping']\n"
+        "print(json.dumps(1))\n"
+    )
+    assert unused_imports(source) == ["C", "os"]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

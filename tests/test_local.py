@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import load_fixture
+from test_frozen_tuples import cases
 
 from gradarg import (
     ConditionStarOutcome,
@@ -23,11 +25,35 @@ from gradarg import (
     max_based,
     parse_framework,
     random_acyclic_graph,
+    random_attack_graph,
     rooted_labelling,
+    scan_graph_stream,
     validate_instance,
 )
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+@pytest.fixture(scope="module")
+def scan_graphs():
+    return list(itertools.islice(scan_graph_stream(7), 3000))
+
+
+def grounded_oracle(graph):
+    """Dung's grounded labelling, independent of the package's evaluators:
+    the least fixpoint of the characteristic function, iterated from the
+    empty set in whole rounds.  + for IN, - for attacked by IN, ? for the
+    rest."""
+    attackers = {a: graph.attackers_of(a) for a in graph.arguments}
+    accepted, defeated = set(), set()
+    while True:
+        grown = {a for a, bs in attackers.items() if all(b in defeated for b in bs)}
+        if grown == accepted:
+            break
+        accepted = grown
+        defeated = {a for a, bs in attackers.items() if any(b in accepted for b in bs)}
+    return {a: "+" if a in accepted else "-" if a in defeated else "?"
+            for a in graph.arguments}
 
 
 class TestCategoriserAcyclic:
@@ -144,6 +170,19 @@ class TestRootedLabelling:
         assert values["A"] == "+"
         assert all(values[f"B{i}"] == "-" for i in (1, 2, 3))
         assert all(values[f"C{i}"] == "+" for i in (1, 2, 3))
+
+    def test_scan_graphs_get_the_grounded_labelling(self, scan_graphs):
+        for graph in scan_graphs:
+            assert evaluate_local(graph, rooted_labelling()) == grounded_oracle(graph)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_large_unions_get_the_grounded_labelling(self, seed):
+        # mean out-degree 2 or 3: one union holds most arguments, with
+        # members of every label
+        size = (200, 500, 1000, 2000)[seed % 4]
+        graph = random_attack_graph(seed, size, (2.0, 3.0)[seed // 4] / size)
+        assert max(map(len, graph.condensation())) > size // 2
+        assert evaluate_local(graph, rooted_labelling()) == grounded_oracle(graph)
 
     def test_other_label_schemes_refuse_cycles(self):
         tweaked = LocalInstance(
@@ -322,3 +361,17 @@ class TestMixedGraphEvaluation:
         values = evaluate_local(load_fixture("star3"), categoriser())
         assert values["A"] == Fraction(2, 5)
         assert all(values[f"B{i}"] == Fraction(1, 2) for i in (1, 2, 3))
+
+
+
+class TestValueMapOrder:
+    """Every value map lists arguments in condensation order, members in
+    declaration order."""
+
+    @pytest.mark.parametrize("name", sorted(builtin_instances()))
+    def test_keys_follow_the_condensation(self, name, scan_graphs):
+        instance = builtin_instances()[name]
+        graphs = [parse_framework(text) for text in cases().values()]
+        for graph in graphs + scan_graphs:
+            order = [n for comp in graph.condensation() for n in comp]
+            assert list(evaluate_local(graph, instance)) == order
