@@ -14,7 +14,14 @@ and label-cyclic code paths.  Keys `<case>@order:<instance>` and
 the key order of `evaluate_local`'s value map and the tie groups of
 `induced_preorder(...).ranking()`, which inherits that order; the CLI
 prints in declaration order and cannot see it.  They were recorded from
-the evaluator that looked attackers up by name.
+the evaluator that looked attackers up by name.  Eighteen
+`rooted_labelling` keys were re-recorded when the rooted labelling on a
+cyclic graph became the grounded labelling's one queue pass, listed in
+condensation order instead of the order a sweep over each cycle union
+first set the labels: `@order:` of hand:odd-union-long-tail and of the
+random seeds 6, 7, 9, 23, 25, 27, 28, 37, 45, 101 and 103, and
+`@ranking:` of the random seeds 6, 7, 9, 23, 101 and 103.  The labels
+themselves did not move; every `value:` and `well-defended:` key held.
 
 Regenerate (only when a change of output is intended and announced):
     PYTHONPATH=src python3 tests/test_frozen_tuples.py > tests/frozen_tuple_digests.json
