@@ -105,8 +105,10 @@ class AttackGraph:
     this package exposes (reports, serialization, iteration).  The graph
     stores its adjacency once, on declaration indices: `_attackers[i]` and
     `_targets[i]` are tuples of indices, `_pairs` the attacks as index
-    pairs in input order with duplicates dropped, and `_components()` the
-    condensation, computed once.  Names appear only at the API edge.
+    pairs in input order with duplicates dropped, `_components()` the
+    condensation, computed once, and `_grounded()` the grounded labelling
+    that the rooted labelling and extension enumeration read.  Names
+    appear only at the API edge.
 
     `AttackGraph(arguments, attacks)` checks every name and endpoint.  The
     parser and the seeded generators, which produce valid indices
