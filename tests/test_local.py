@@ -177,8 +177,8 @@ class TestRootedLabelling:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_large_unions_get_the_grounded_labelling(self, seed):
-        # mean out-degree 2 or 3: one union holds most arguments, with
-        # members of every label
+        # mean out-degree 2 or 3: one union holds most arguments, and in
+        # all but one of these graphs it has members of every label
         size = (200, 500, 1000, 2000)[seed % 4]
         graph = random_attack_graph(seed, size, (2.0, 3.0)[seed // 4] / size)
         assert max(map(len, graph.condensation())) > size // 2
@@ -361,7 +361,6 @@ class TestMixedGraphEvaluation:
         values = evaluate_local(load_fixture("star3"), categoriser())
         assert values["A"] == Fraction(2, 5)
         assert all(values[f"B{i}"] == Fraction(1, 2) for i in (1, 2, 3))
-
 
 
 class TestValueMapOrder:
