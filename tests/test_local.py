@@ -374,3 +374,174 @@ class TestValueMapOrder:
         for graph in graphs + scan_graphs:
             order = [n for comp in graph.condensation() for n in comp]
             assert list(evaluate_local(graph, instance)) == order
+
+
+def same(got, want):
+    """Equal in value and in exact type."""
+    return type(got) is type(want) and got == want
+
+
+class TestBuiltinArithmetic:
+    """g and h of the numeric built-ins, pinned in value and exact type:
+    exact inputs (Fractions and ints) give Fractions, and a float makes the
+    result a float."""
+
+    G_CASES = [
+        (Fraction(1, 2), Fraction(2, 3)),
+        (Fraction(0), Fraction(1)),
+        (0, Fraction(1)),
+        (2, Fraction(1, 3)),
+        (0.5, 1 / 1.5),
+        (0.0, 1.0),
+    ]
+    SUM_CASES = [
+        ((), Fraction(0)),
+        ((Fraction(1, 2),), Fraction(1, 2)),
+        ((Fraction(1, 2), Fraction(1, 3)), Fraction(5, 6)),
+        ((2,), Fraction(2)),
+        ((1, 2), Fraction(3)),
+        ((Fraction(1, 2), 1), Fraction(3, 2)),
+        ((0.25,), 0.25),
+        ((0.5, 0.25), 0.75),
+        ((Fraction(1, 2), 0.25), 0.75),
+        ((0.25, Fraction(1, 2)), 0.75),
+        ((1, 0.5), 1.5),
+    ]
+    MAX_CASES = [
+        ((), Fraction(0)),
+        ((Fraction(1, 2), Fraction(1, 3)), Fraction(1, 2)),
+        ((1, 2), 2),
+        ((Fraction(1, 2), 1), 1),
+        ((0.5, 0.25), 0.5),
+        ((Fraction(1, 2), 0.25), Fraction(1, 2)),
+        ((0.75, Fraction(1, 2)), 0.75),
+    ]
+
+    @pytest.mark.parametrize("make", [categoriser, max_based])
+    @pytest.mark.parametrize("x, want", G_CASES)
+    def test_g(self, make, x, want):
+        assert same(make().g(x), want)
+
+    @pytest.mark.parametrize("values, want", SUM_CASES)
+    def test_categoriser_h(self, values, want):
+        assert same(categoriser().h(values), want)
+
+    @pytest.mark.parametrize("values, want", MAX_CASES)
+    def test_max_based_h(self, values, want):
+        assert same(max_based().h(values), want)
+
+    def test_floats_are_added_left_to_right(self):
+        # compensated summation would give 1.0
+        assert categoriser().h((0.1,) * 10) == 0.9999999999999999
+
+    @pytest.mark.parametrize("make", [categoriser, max_based])
+    def test_value_types_follow_the_graph(self, make, scan_graphs):
+        instance = make()
+        for graph in scan_graphs:
+            kind = Fraction if graph.is_well_founded() else float
+            assert {type(v) for v in evaluate_local(graph, instance).values()} == {kind}
+
+
+def jacobi_oracle(graph, instance, tolerance=1e-12):
+    """evaluate_local rebuilt from attackers_of and the instance's g and h.
+
+    A cycle union is the set of arguments that both reach an argument and
+    are reached by it along attacks.  Once every attacker outside a union
+    has its value, the union runs Jacobi rounds from the all-top start,
+    each in three passes: the new values, then the largest move, then the
+    assignment; it stops after the first round in which no value moved by
+    `tolerance` or more.  An argument on no cycle takes g(h(...)) once.
+    Values are floats on a graph with a cycle and exact otherwise."""
+    args = graph.arguments
+    position = {a: i for i, a in enumerate(args)}
+    attackers = {a: graph.attackers_of(a) for a in args}
+    targets = {a: graph.targets_of(a) for a in args}
+
+    def reached(a, step):
+        seen, stack = set(), [a]
+        while stack:
+            for b in step[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        return seen
+
+    unions, placed = [], set()
+    for a in args:
+        if a not in placed:
+            members = (reached(a, attackers) & reached(a, targets)) or {a}
+            unions.append(sorted(members, key=position.get))
+            placed |= members
+    looped = [len(u) > 1 or u[0] in attackers[u[0]] for u in unions]
+    convert = float if any(looped) else (lambda x: x)
+    top = convert(instance.v_max)
+    values = {}
+
+    def new_value(m):
+        xs = tuple(values[b] for b in attackers[m])
+        return convert(instance.g(instance.h(xs))) if xs else top
+
+    while len(values) < len(args):
+        for members, cyclic in zip(unions, looped):
+            inputs = {b for m in members for b in attackers[m]} - set(members)
+            if members[0] in values or not inputs <= values.keys():
+                continue
+            if not cyclic:
+                values[members[0]] = new_value(members[0])
+                continue
+            for m in members:
+                values[m] = top
+            for _ in range(100_000):
+                new = [new_value(m) for m in members]
+                residual = max(abs(v - values[m]) for m, v in zip(members, new))
+                for m, v in zip(members, new):
+                    values[m] = v
+                if residual < tolerance:
+                    break
+            else:
+                raise AssertionError("the oracle found no fixpoint")
+    return values
+
+
+def exact_reprs(values):
+    """Name -> repr: equal only for values of one type and, for floats,
+    the same bits."""
+    return {name: repr(v) for name, v in values.items()}
+
+
+class TestJacobiOracle:
+    @pytest.mark.parametrize("make", [categoriser, max_based])
+    def test_scan_graphs(self, make, scan_graphs):
+        instance = make()
+        for graph in scan_graphs:
+            assert exact_reprs(evaluate_local(graph, instance)) == exact_reprs(
+                jacobi_oracle(graph, instance))
+
+    @pytest.mark.parametrize("seed, size, degree", [(12, 2000, 2.0), (5, 1200, 3.0)])
+    def test_large_unions(self, seed, size, degree):
+        graph = random_attack_graph(seed, size, degree / size)
+        assert max(map(len, graph.condensation())) >= 1000
+        for instance in (categoriser(), max_based()):
+            assert exact_reprs(evaluate_local(graph, instance)) == exact_reprs(
+                jacobi_oracle(graph, instance))
+
+
+class TestPreorderValueKinds:
+    def test_bool_is_rejected(self):
+        with pytest.raises(MixedValueKindsError):
+            TotalPreorder({"a": True})
+        with pytest.raises(MixedValueKindsError):
+            TotalPreorder({"a": Fraction(1, 2), "b": False})
+
+    def test_float_subclass_is_a_float(self):
+        class Score(float):
+            pass
+
+        order = TotalPreorder({"a": Score(0.25), "b": 0.5, "c": Score(0.5)})
+        assert order.ranking() == [["b", "c"], ["a"]]
+        with pytest.raises(MixedValueKindsError):
+            TotalPreorder({"a": Score(0.25), "b": Fraction(1, 2)})
+
+    def test_ints_and_fractions_are_one_kind(self):
+        order = TotalPreorder({"a": 1, "b": Fraction(1, 2), "c": Fraction(1)})
+        assert order.ranking() == [["a", "c"], ["b"]]
