@@ -23,6 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
+from operator import add
 from typing import Callable
 
 from .framework import _IN, _OUT, AttackGraph
@@ -81,18 +83,29 @@ class LocalInstance:
 
     def rank(self, value):
         """Numeric stand-in used for ordering comparisons."""
-        if self.kind == "label":
-            return _LABEL_RANK[value]
-        return value
+        return _LABEL_RANK[value] if self.kind == "label" else value
 
     def leq(self, a, b) -> bool:
         return self.rank(a) <= self.rank(b)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _weaken(x):
+    # A float stays in float arithmetic (a Fraction operand would send it
+    # through Fraction's operator fallback); anything else meets the exact one.
+    return 1 / (1 + x) if isinstance(x, float) else _ONE / (1 + x)
+
+
+def _add_up(values):
+    # Left to right: since 3.12, sum() of floats compensates rounding.
+    total = reduce(add, values) if values else _ZERO
+    return Fraction(total) if isinstance(total, int) else total
+
+
 def _label_h(values):
-    if not values:
-        return "-"
-    return max(values, key=_LABEL_RANK.get)
+    return max(values, key=_LABEL_RANK.get, default="-")
 
 
 def _label_g(value):
@@ -103,16 +116,17 @@ def _label_g(value):
 
 
 def categoriser() -> LocalInstance:
-    """Sum-combined instance over [0, 1] with g(x) = 1 / (1 + x)."""
+    """Sum-combined instance over [0, 1] with g(x) = 1 / (1 + x).
+
+    g and h take Fractions, ints and floats: exact inputs give a Fraction,
+    a float among them a float.  h adds left to right on every Python."""
     return LocalInstance(
         name="categoriser",
         kind="rational",
-        v_min=Fraction(0),
-        v_max=Fraction(1),
-        g=lambda x: 1 / (1 + (x if isinstance(x, float) else Fraction(x))),
-        h=lambda values: sum(values, Fraction(0))
-        if not any(isinstance(v, float) for v in values)
-        else float(sum(values)),
+        v_min=_ZERO,
+        v_max=_ONE,
+        g=_weaken,
+        h=_add_up,
     )
 
 
@@ -131,16 +145,15 @@ def rooted_labelling() -> LocalInstance:
 
 def max_based(g: Callable | None = None, name: str = "max_based") -> LocalInstance:
     """Instance family combining attackers with max; only the strongest
-    direct attacker matters."""
-    if g is None:
-        g = lambda x: 1 / (1 + (x if isinstance(x, float) else Fraction(x)))
+    direct attacker matters.  The default g is the categoriser's; h returns
+    the largest value as given, and Fraction(0) for none."""
     return LocalInstance(
         name=name,
         kind="rational",
-        v_min=Fraction(0),
-        v_max=Fraction(1),
-        g=g,
-        h=lambda values: max(values, default=Fraction(0)),
+        v_min=_ZERO,
+        v_max=_ONE,
+        g=_weaken if g is None else g,
+        h=partial(max, default=_ZERO),
     )
 
 
@@ -167,16 +180,19 @@ def evaluate_local(
     One pass along the condensation: an unattacked argument takes the top
     value, any other argument outside a cycle union takes g(h(values of
     its attackers)), and each cycle union runs a fixpoint iteration from
-    the all-top start.  Acyclic graphs evaluate exactly; on a cyclic graph
-    every numeric value is a float.  On a cyclic graph the rooted label
-    instance is Dung's grounded labelling: + for IN, - for OUT and ? for
-    undecided.
+    the all-top start; h gets a tuple in `g.attackers_of` order.  Acyclic
+    graphs evaluate exactly; on a cyclic graph every numeric value is a
+    float (the top value and each result of g are converted).  On a cyclic
+    graph the rooted label instance is Dung's grounded labelling: + for
+    IN, - for OUT and ? for undecided.
     """
     config = config or FixpointConfig()
     order = g._components()
     names = g.arguments
-    top, combine, drop = instance.v_max, instance.h, instance.g
-    if any(map(g._is_cyclic, order)):
+    cyclic = list(map(g._is_cyclic, order))
+    top, combine, weaken = instance.v_max, instance.h, instance.g
+    exact = not any(cyclic)
+    if not exact:
         if instance.kind == "label":
             if not _is_rooted_style(instance):
                 raise UndecidableError(
@@ -187,31 +203,25 @@ def evaluate_local(
             label = g._grounded()
             return {names[i]: _ROOTED_LABEL[label[i]]
                     for members in order for i in members}
-        top, drop = float(top), lambda x: float(instance.g(x))
+        top = float(top)
     attackers = g._attackers
-    value: list = [None] * len(attackers)  # by declaration index
+    value: list = [top] * len(attackers)  # by declaration index
     read = value.__getitem__
-
-    def step(i):
-        if not attackers[i]:
-            return top
-        return drop(combine(tuple(map(read, attackers[i]))))
-
-    for members in order:
-        if g._is_cyclic(members):
-            _iterate(members, value, step, top=top, config=config)
-        else:
-            value[members[0]] = step(members[0])
+    if exact:
+        step = lambda row: weaken(combine(tuple(map(read, row))))
+    else:
+        step = lambda row: float(weaken(combine(tuple(map(read, row)))))
+    for members, looped in zip(order, cyclic):
+        if looped:
+            _iterate(members, attackers, value, step, config)
+        elif attackers[members[0]]:
+            value[members[0]] = step(attackers[members[0]])
     return {names[i]: value[i] for members in order for i in members}
 
 
 def _is_rooted_style(instance: LocalInstance) -> bool:
     try:
-        g_ok = (
-            instance.g("-") == "+"
-            and instance.g("?") == "?"
-            and instance.g("+") == "-"
-        )
+        g_ok = [instance.g(v) for v in LABELS] == ["+", "?", "-"]
         h_ok = all(
             instance.h(t) == _label_h(t)
             for r in range(3)
@@ -222,16 +232,22 @@ def _is_rooted_style(instance: LocalInstance) -> bool:
     return g_ok and h_ok
 
 
-def _iterate(members, value, step, *, top, config):
-    """Simultaneous fixpoint iteration over one cycle union."""
-    for m in members:
-        value[m] = top
+def _iterate(members, attackers, value, step, config):
+    """Jacobi iteration over one cycle union from the all-top start that
+    `value` holds for its members, until a round moves none of them by
+    `config.tolerance` or more."""
+    rows = [(m, attackers[m]) for m in members]
+    tolerance = config.tolerance
     for _ in range(config.max_iterations):
-        nxt = [step(m) for m in members]
-        residual = max(abs(v - value[m]) for m, v in zip(members, nxt))
+        settled = True
+        nxt = []
+        for m, row in rows:
+            v = step(row)
+            settled = settled and abs(v - value[m]) < tolerance
+            nxt.append(v)
         for m, v in zip(members, nxt):
             value[m] = v
-        if residual < config.tolerance:
+        if settled:
             return
     raise ConvergenceError(f"no fixpoint within {config.max_iterations} iterations")
 
@@ -252,7 +268,9 @@ class TotalPreorder:
     """Complete preorder induced by a value map (higher value, better)."""
 
     def __init__(self, values: dict[str, object]):
-        kinds = {_value_kind(v) for v in values.values()}
+        # The kind of a value is the kind of its type: check one per type.
+        sample = dict(zip(map(type, values.values()), values.values()))
+        kinds = set(map(_value_kind, sample.values()))
         if len(kinds) > 1:
             raise MixedValueKindsError(f"mixed value kinds: {sorted(kinds)}")
         self._values = dict(values)
@@ -309,16 +327,10 @@ def _default_samples(instance: LocalInstance):
             (instance.v_min + instance.v_max) / 2,
             (instance.v_min + 3 * instance.v_max) / 4,
         )
-    samples = [()]
-    samples += [(x,) for x in pool]
-    samples += [t for t in itertools.product(pool, repeat=2)]
-    samples += [t for t in itertools.product(pool, repeat=3)]
-    return samples
+    return [t for r in range(4) for t in itertools.product(pool, repeat=r)]
 
 
-def validate_instance(
-    instance: LocalInstance, samples=None
-) -> ValidationReport:
+def validate_instance(instance: LocalInstance, samples=None) -> ValidationReport:
     """Check the instance axioms on sample tuples and report violations.
 
     Covered: h on singletons and the empty tuple, permutation invariance,
@@ -333,10 +345,8 @@ def validate_instance(
         if not condition:
             violations.append(Violation(axiom, witness))
 
-    universe = sorted(
-        {x for t in samples for x in t} | {instance.v_min, instance.v_max},
-        key=instance.rank,
-    )
+    universe = sorted({x for t in samples for x in t} | {instance.v_min, instance.v_max},
+                      key=instance.rank)
     for t in samples:
         if len(t) == 1:
             check("h(x) = x", instance.h(t) == t[0], t)
@@ -350,28 +360,17 @@ def validate_instance(
             for replacement in universe:
                 if leq(t[i], replacement):
                     bumped = t[:i] + (replacement,) + t[i + 1 :]
-                    check(
-                        "h is monotone",
-                        leq(instance.h(t), instance.h(bumped)),
-                        (t, bumped),
-                    )
+                    check("h is monotone", leq(instance.h(t), instance.h(bumped)),
+                          (t, bumped))
         for extra in universe:
-            check(
-                "h grows when a value is appended",
-                leq(instance.h(t), instance.h(t + (extra,))),
-                (t, extra),
-            )
+            check("h grows when a value is appended",
+                  leq(instance.h(t), instance.h(t + (extra,))), (t, extra))
     check("h() is the bottom value", instance.h(()) == instance.v_min, ())
     check("g(bottom) is the top value", instance.g(instance.v_min) == instance.v_max, ())
     top_image = instance.g(instance.v_max)
-    check(
-        "g(top) is below the top value",
-        leq(top_image, instance.v_max) and top_image != instance.v_max,
-        top_image,
-    )
-    h_universe = sorted(
-        set(universe) | {instance.h(t) for t in samples}, key=instance.rank
-    )
+    check("g(top) is below the top value",
+          leq(top_image, instance.v_max) and top_image != instance.v_max, top_image)
+    h_universe = sorted(set(universe) | set(map(instance.h, samples)), key=instance.rank)
     for x, y in itertools.combinations(h_universe, 2):
         check("g is non-increasing", leq(instance.g(y), instance.g(x)), (x, y))
     iterates = [instance.v_max]
@@ -405,7 +404,5 @@ def check_condition_star(instance: LocalInstance, samples) -> list[ConditionStar
             continue
         combined = instance.h(t)
         ok = instance.leq(combined, instance.g(combined))
-        out.append(
-            ConditionStarOutcome(t, "pass" if ok else "fail", combined)
-        )
+        out.append(ConditionStarOutcome(t, "pass" if ok else "fail", combined))
     return out

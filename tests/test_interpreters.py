@@ -1,0 +1,76 @@
+"""The CLI prints the same bytes under every CPython from 3.10 on.
+
+Float values of the local evaluators depend on the order of float
+operations, and `sum()` of floats changed in 3.12 to compensated
+summation.  This check runs `value --model categoriser` on every cyclic
+case of the frozen-digest set under each other CPython 3.10+ that
+`shutil.which` finds (python3.10, python3.11, ...), importing the
+package from src/, and compares the output with the running
+interpreter's.  It skips when no other interpreter starts.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_frozen_tuples import cases
+
+from gradarg import parse_framework
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+RENDER = """
+import sys
+from gradarg.cli import main
+for path in sys.argv[1:]:
+    print(path)
+    main(["value", path, "--model", "categoriser"])
+"""
+
+
+def _run(python, argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([python, *argv], env=env, capture_output=True, timeout=300)
+
+
+def _version(python):
+    """(major, minor) of an interpreter that starts, else None."""
+    try:
+        done = _run(python, ["-c", "import sys; print(*sys.version_info[:2])"])
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if done.returncode != 0:
+        return None
+    return tuple(map(int, done.stdout.split()))
+
+
+@pytest.fixture(scope="module")
+def other_pythons():
+    found = {}
+    for minor in range(10, 20):
+        path = shutil.which(f"python3.{minor}")
+        version = path and _version(path)
+        if version and version >= (3, 10) and version != sys.version_info[:2]:
+            found.setdefault(version, path)
+    return found
+
+
+def test_cyclic_categoriser_values_match_across_interpreters(other_pythons, tmp_path):
+    if not other_pythons:
+        pytest.skip("no other CPython 3.10+ on PATH")
+    paths = []
+    for index, text in enumerate(cases().values()):
+        if not parse_framework(text).is_well_founded():
+            path = tmp_path / f"case{index}.apx"
+            path.write_text(text)
+            paths.append(str(path))
+    assert len(paths) > 40
+    here = _run(sys.executable, ["-c", RENDER, *paths])
+    assert here.returncode == 0, here.stderr
+    for version, python in other_pythons.items():
+        there = _run(python, ["-c", RENDER, *paths])
+        assert there.returncode == 0, (version, there.stderr)
+        assert there.stdout == here.stdout, f"Python {version} ({python}) prints other values"
