@@ -236,13 +236,12 @@ def _iterate(members, attackers, value, step, config):
     """Jacobi iteration over one cycle union from the all-top start that
     `value` holds for its members, until a round moves none of them by
     `config.tolerance` or more."""
-    rows = [(m, attackers[m]) for m in members]
     tolerance = config.tolerance
     for _ in range(config.max_iterations):
         settled = True
         nxt = []
-        for m, row in rows:
-            v = step(row)
+        for m in members:
+            v = step(attackers[m])
             settled = settled and abs(v - value[m]) < tolerance
             nxt.append(v)
         for m, v in zip(members, nxt):
