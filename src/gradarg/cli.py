@@ -168,10 +168,14 @@ def _emit(args, text_lines, document) -> int:
 def _cmd_value(args) -> int:
     g = _read_graph(args.path)
     values = _model_values(g, args.model, args.depth)
-    rendered = {name: _render_value(values[name]) for name in g.arguments}
-    lines = [f"{name} {rendered[name]}" for name in g.arguments]
-    return _emit(args, lines, {"command": "value", "model": args.model,
-                               "values": rendered})
+    # Each value is dropped as it is rendered, so the values and their text
+    # are never both held whole; all are rendered before anything is
+    # printed, so a value that cannot be rendered leaves the output empty.
+    rendered = ((name, _render_value(values.pop(name))) for name in g.arguments)
+    if args.format == "json":
+        return _emit(args, (), {"command": "value", "model": args.model,
+                                "values": dict(rendered)})
+    return _emit(args, [f"{name} {text}" for name, text in rendered], None)
 
 
 def _cmd_compare(args) -> int:

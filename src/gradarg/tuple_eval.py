@@ -29,11 +29,21 @@ connected component from its attackers' horizons and count rows, checks
 them, then fills its counts.  Time and memory grow with horizon * attacks;
 the pass stops at the first such component with a horizon that times the
 number of attacks exceeds WORK_BOUND, before filling its counts.
+
+Each argument's counts are one dense row: a list whose entry i counts the
+walks of length first + i.  In a cycle union first is 0; elsewhere it is
+one more than the smallest first among the attackers, so a long chain
+holds one entry per argument.  A value takes each parity as a slice of
+its row and keeps the non-zero entries, paired with run lengths from one
+list shared by the whole evaluation: each count is held once, by its row
+and then by its value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import add
 
 from .framework import AttackGraph
 from .tuples import LEAF_VALUE, GradTuple, TupledValue
@@ -80,9 +90,10 @@ def evaluate_acyclic(g: AttackGraph) -> dict[str, TupledValue]:
     """Exact tupled values; every component is a finite multiset except the
     all-zero tuple on unattacked arguments."""
     order = g._components()
-    if any(map(g._is_cyclic, order)):
+    cyclic = list(map(g._is_cyclic, order))
+    if any(cyclic):
         raise CyclicGraphError("graph contains a cycle; use evaluate_cyclic")
-    return _walk_values(g, order, PropagationDepth())
+    return _walk_values(g, order, cyclic, PropagationDepth())
 
 
 def evaluate_cyclic(
@@ -98,28 +109,32 @@ def evaluate_cyclic(
     before filling that component's counts.
     """
     order = g._components()
-    if not any(map(g._is_cyclic, order)):
+    cyclic = list(map(g._is_cyclic, order))
+    if not any(cyclic):
         return evaluate_acyclic(g)
-    return _walk_values(g, order, depth)
+    return _walk_values(g, order, cyclic, depth)
 
 
 def _walk_values(
-    g: AttackGraph, order, depth: PropagationDepth
+    g: AttackGraph, order, cyclic, depth: PropagationDepth
 ) -> dict[str, TupledValue]:
     """One pass along the condensation: each strongly connected component
     takes its horizons from its attackers' horizons and count rows, checks
     them against WORK_BOUND, then fills count[x][L], each parity cut at its
-    own horizon (None marks an exact parity)."""
+    own horizon (None marks an exact parity).  `cyclic` flags the cycle
+    unions of `order`."""
     names, attackers_of = g.arguments, g._attackers
-    counts: list = [None] * len(names)  # by declaration index
+    counts: list = [None] * len(names)  # dense rows, by declaration index
+    first = [0] * len(names)  # the walk length that a row's entry 0 counts
     horizon: list = [None] * len(names)
+    lengths: list[int] = []  # every value's run lengths, shared
     values: dict[str, TupledValue] = {}
-    for comp in order:
-        if not g._is_cyclic(comp):
+    for comp, is_cyclic in zip(order, cyclic):
+        if not is_cyclic:
             x = comp[0]
             attackers = attackers_of[x]
             if not attackers:
-                counts[x], horizon[x] = {0: 1}, (None, None)
+                counts[x], horizon[x] = [1], (None, None)
                 values[names[x]] = LEAF_VALUE
                 continue
             cut = horizon[x] = (
@@ -127,14 +142,18 @@ def _walk_values(
                 _after(horizon[b][0] for b in attackers),
             )
             _check_bound(g, cut)
-            row: dict[int, int] = {}
+            start = first[x] = 1 + min(map(first.__getitem__, attackers))
+            end = 1 + max(first[b] + len(counts[b]) for b in attackers)
+            row = counts[x] = [0] * (end - start)
             for b in attackers:
-                for length, c in counts[b].items():
-                    h = cut[(length + 1) % 2]
-                    if h is None or length < h:
-                        row[length + 1] = row.get(length + 1, 0) + c
-            counts[x] = row
-            values[names[x]] = _value(row, cut)
+                i, r = first[b] + 1 - start, counts[b]
+                row[i:i + len(r)] = map(add, row[i:i + len(r)], r)
+            for p, h in enumerate(cut):
+                if h is not None:  # drop this parity's lengths past h
+                    i = max(h + 1 - start, 0)
+                    i += (start + i + p) % 2
+                    row[i::2] = [0] * len(row[i::2])
+            values[names[x]] = _value(row, start, cut, lengths)
             continue
         members = set(comp)
         cap = depth.runs * len(comp)
@@ -143,7 +162,7 @@ def _walk_values(
         ]
         entries = [(j, outside) for (j, outside) in entries if outside]
         if entries:
-            _entered_horizons(g, comp, entries, cap, counts, horizon)
+            _entered_horizons(g, comp, entries, cap, counts, first, horizon)
         else:
             for m in comp:
                 horizon[m] = (cap, cap)
@@ -158,9 +177,8 @@ def _walk_values(
                 if b in members:
                     within.append(rows[b])
                     continue
-                for length, c in counts[b].items():
-                    if length < top:
-                        row[length + 1] += c
+                i, r = first[b] + 1, counts[b]  # lengths past top fall off
+                row[i:i + len(r)] = map(add, row[i:i + len(r)], r)
             inside.append((row, within))
         for length in range(1, top + 1):
             for row, within in inside:
@@ -169,14 +187,14 @@ def _walk_values(
                     total += r[length - 1]
                 row[length] = total
         for m in comp:
-            row = rows[m]
-            end = max(h for h in horizon[m] if h is not None)
-            counts[m] = {length: row[length] for length in range(1, end + 1) if row[length]}
-            values[names[m]] = _value(counts[m], horizon[m])
+            row = counts[m] = rows[m]
+            del row[max(h for h in horizon[m] if h is not None) + 1:]
+            row[0] = 0  # a member's own start is no branch of it
+            values[names[m]] = _value(row, 0, horizon[m], lengths)
     return values
 
 
-def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):
+def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, first, horizon):
     """Horizons of an attacked union's members, from the horizons and
     count rows of the external attackers of each entry member."""
     members = set(comp)
@@ -186,14 +204,16 @@ def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):
     for (j, outside) in entries:
         truncated = []
         for b in outside:
-            if counts[b]:
-                smallest.append(min(counts[b]))
+            row, start = counts[b], first[b]
+            least = next(compress(range(start, start + len(row)), row), None)
+            if least is not None:
+                smallest.append(least)
             for p in (0, 1):
                 h = horizon[b][p]
                 if h is not None:
                     truncated.append(h)
                 # an exact parity's row lists all of its walks
-                if h is not None or any(length % 2 == p for length in counts[b]):
+                if h is not None or any(row[(p - start) % 2::2]):
                     parity_seeds.append((0, j, 1 - p))
         if truncated:
             distance_seeds.append((min(truncated) + 1, j, 0))
@@ -223,12 +243,22 @@ def _check_bound(g: AttackGraph, horizons) -> int:
     return longest
 
 
-def _value(row: dict[int, int], horizons) -> TupledValue:
-    ordered = sorted(row.items())
+def _value(row: list[int], start: int, horizons, lengths: list[int]) -> TupledValue:
+    """The value of a dense count row whose entry i counts the walks of
+    length start + i; run lengths come from `lengths`, grown as needed."""
+    end = start + len(row)
+    if len(lengths) < end:
+        lengths.extend(range(len(lengths), end))
+    i = start % 2  # the entry of the first even length
     even, odd = horizons
     return TupledValue(
-        even=GradTuple(runs=tuple([run for run in ordered if not run[0] % 2]),
+        even=GradTuple(runs=_runs(row[i::2], lengths[start + i:end:2]),
                        infinite=even is not None, horizon=even),
-        odd=GradTuple(runs=tuple([run for run in ordered if run[0] % 2]),
+        odd=GradTuple(runs=_runs(row[1 - i::2], lengths[start + 1 - i:end:2]),
                       infinite=odd is not None, horizon=odd),
     )
+
+
+def _runs(counts: list[int], lengths: list[int]) -> tuple[tuple[int, int], ...]:
+    """The (length, count) runs of the non-zero counts."""
+    return tuple(zip(compress(lengths, counts), filter(None, counts)))

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,14 @@ import pytest
 from conftest import FIXTURES
 
 import gradarg
-from gradarg import generate_family
-from gradarg.cli import main
+from gradarg import generate_family, random_attack_graph
+from gradarg.cli import MODELS, main
 
 CYCLE3 = "arg(a). arg(b). arg(c). att(a,b). att(b,c). att(c,a)."
+
+# 60 arguments, 137 attacks, one 44-member cycle union: its longest tuple
+# values run to a few kilobytes each.
+SEEDED = random_attack_graph(1, 60, 2 / 60)
 
 
 def stdin_of(text):
@@ -89,6 +94,51 @@ class TestValue:
             "model": "categoriser",
             "values": {"A1": "1", "A2": "1/2", "A3": "2/5", "A4": "1"},
         }
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize(
+        "source", sorted(p.stem for p in FIXTURES.glob("*.apx")) + ["seeded"]
+    )
+    def test_json_values_match_the_text_lines(self, capsys, tmp_path, model, source):
+        if source == "seeded":
+            path = tmp_path / "seeded.apx"
+            path.write_text(SEEDED.serialize(), encoding="utf-8")
+            path = str(path)
+        else:
+            path = fixture_path(source)
+        code, text, _ = run_cli(capsys, "value", path, "--model", model)
+        assert code == 0
+        code, document, _ = run_cli(capsys, "value", path, "--model", model,
+                                    "--format", "json")
+        assert code == 0
+        lines = [line.split(" ", 1) for line in text.splitlines()]
+        values = json.loads(document)["values"]
+        assert list(values.items()) == [(name, shown) for name, shown in lines]
+
+    def test_values_and_their_text_are_not_held_whole_at_once(self, tmp_path,
+                                                               monkeypatch):
+        # Evaluating alone, well-defended holds every value at once; value
+        # may add the text of one value, not a copy of all of it.
+        path = tmp_path / "seeded.apx"
+        path.write_text(SEEDED.serialize(), encoding="utf-8")
+        assert max(map(len, SEEDED.condensation())) >= 40
+
+        def traced_peak(command):
+            with open(os.devnull, "w", encoding="utf-8") as sink:
+                monkeypatch.setattr(sys, "stdout", sink)
+                tracemalloc.start()
+                try:
+                    code = main([command, str(path), "--model", "tuples",
+                                 "--depth", "10"])
+                    return code, tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                    monkeypatch.undo()
+
+        value_code, value_peak = traced_peak("value")
+        defended_code, defended_peak = traced_peak("well-defended")
+        assert (value_code, defended_code) == (0, 0)
+        assert value_peak <= 1.25 * defended_peak
 
 
 class TestCompare:

@@ -126,6 +126,15 @@ class TestUnprintableCounts:
         assert done.stderr.startswith("gradarg: ")
         assert len(done.stderr.splitlines()) == 1
 
+    def test_json_value_exits_with_empty_output(self, tmp_path):
+        path = write_graph(tmp_path, "complete", COMPLETE)
+        done = run_cli(["value", path, "--model", "tuples", "--depth", "500",
+                        "--format", "json"])
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.startswith("gradarg: ")
+        assert len(done.stderr.splitlines()) == 1
+
     def test_well_defended_needs_no_printing(self, tmp_path):
         path = write_graph(tmp_path, "complete", COMPLETE)
         done = run_cli(["well-defended", path, "--model", "tuples", "--depth", "500"])

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -235,6 +236,33 @@ class TestCyclicEvaluation:
     def test_fixtures_match_walk_counts(self, name):
         g = load_fixture(name)
         assert_matches_walk_counts(g, evaluate_cyclic(g))
+
+    @pytest.mark.parametrize("chain", [1, 2, 3])
+    def test_two_cycle_entered_by_a_chain_keeps_unreached_parities_exact(self, chain):
+        # The chain's last row starts at length `chain`: only walks of that
+        # parity enter, so each member of the two-cycle has one parity
+        # with no walk at all.
+        names = [f"c{i}" for i in range(chain + 1)] + ["x", "y"]
+        attacks = [(names[i], names[i + 1]) for i in range(chain)]
+        g = AttackGraph(names, attacks + [(names[chain], "x"), ("x", "y"), ("y", "x")])
+        values = evaluate_cyclic(g)
+        assert_matches_walk_counts(g, values)
+        assert (values["x"].even.is_empty, values["x"].odd.is_empty) == \
+            (chain % 2 == 0, chain % 2 == 1)
+
+    def test_a_long_chain_holds_one_count_per_argument(self):
+        # Indexed from length 0, the rows of this chain would hold 12.5
+        # million entries (100 MB); offset to the first length, 5,000.
+        names = [f"c{i}" for i in range(5000)]
+        g = AttackGraph(names, list(zip(names, names[1:])))
+        tracemalloc.start()
+        try:
+            values = evaluate_cyclic(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values["c4999"].odd.runs == ((4999, 1),)
+        assert peak < 20 * 1024 * 1024
 
     def test_random_graphs_match_walk_counts(self):
         for seed in range(60):

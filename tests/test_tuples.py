@@ -437,6 +437,75 @@ class TestRendering:
             GradTuple(runs=((2, 0),))
 
 
+NON_NEGATIVE = "runs need non-negative values, positive counts"
+ASCENDING = "runs must be strictly ascending"
+
+
+class TestValidationMessages:
+    """Each malformed tuple names its fault; where several apply, the
+    first failing run decides, and within a run the sign check comes
+    before the order check."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"constant": 2, "runs": ((2, 1),), "infinite": True},
+         "constant tuples carry no prefix or horizon"),
+        ({"constant": -1, "runs": ((2, 1),), "infinite": True},
+         "constant tuples carry no prefix or horizon"),
+        ({"constant": 2}, "constant tuples carry no prefix or horizon"),
+        ({"constant": 2, "infinite": True, "horizon": 4},
+         "constant tuples carry no prefix or horizon"),
+        ({"constant": -2, "infinite": True}, "tuple elements must be non-negative"),
+        ({"runs": ((-1, 1),)}, NON_NEGATIVE),
+        ({"runs": ((1, 0),)}, NON_NEGATIVE),
+        ({"runs": ((1, -3),)}, NON_NEGATIVE),
+        ({"runs": ((5, 1), (-1, 1))}, NON_NEGATIVE),
+        ({"runs": ((5, 1), (3, 0))}, NON_NEGATIVE),
+        ({"runs": ((5, 1), (3, 1), (-1, 1))}, ASCENDING),
+        ({"runs": ((5, 1), (3, 1), (7, 0))}, ASCENDING),
+        ({"runs": ((2, 1), (2, 1))}, ASCENDING),
+        ({"runs": ((0, 2), (4, 1), (1, 1))}, ASCENDING),
+        ({"runs": ((-1, 1),), "infinite": True}, NON_NEGATIVE),
+        ({"runs": ((2, 1), (1, 1)), "infinite": True}, ASCENDING),
+        ({"runs": ((4, 0),), "infinite": True, "horizon": 2}, NON_NEGATIVE),
+        ({"runs": ((4, 1), (3, 1)), "infinite": True, "horizon": 2}, ASCENDING),
+        ({"runs": ((2, 1), (1, 1)), "horizon": 0}, ASCENDING),
+        ({"infinite": True}, "a truncated infinite tuple needs a horizon"),
+        ({"runs": ((2, 1),), "infinite": True},
+         "a truncated infinite tuple needs a horizon"),
+        ({"runs": ((2, 1), (6, 3)), "infinite": True, "horizon": 5},
+         "prefix elements beyond the certified horizon"),
+        ({"runs": ((2, 1),), "horizon": 5}, "finite tuples carry no horizon"),
+        ({"horizon": 0}, "finite tuples carry no horizon"),
+    ])
+    def test_grad_tuple_messages(self, kwargs, message):
+        with pytest.raises(TupleFormatError) as caught:
+            GradTuple(**kwargs)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("even, odd, message", [
+        (ONE_INF, EMPTY, "constant breaks even parity"),
+        (EMPTY, ZERO_INF, "constant breaks odd parity"),
+        (elems(1), EMPTY, "element 1 breaks even parity"),
+        (elems(2, 3, 5), EMPTY, "element 3 breaks even parity"),
+        (EMPTY, elems(1, 4, 6), "element 4 breaks odd parity"),
+        (elems(2, 2, 4, 7), elems(8), "element 7 breaks even parity"),
+        (elems(3), elems(2), "element 3 breaks even parity"),
+        (ONE_INF, elems(2), "constant breaks even parity"),
+        (elems(3), ZERO_INF, "element 3 breaks even parity"),
+        (GradTuple.truncated({2: 1, 9: 4}, horizon=9), EMPTY,
+         "element 9 breaks even parity"),
+    ])
+    def test_tupled_value_messages(self, even, odd, message):
+        with pytest.raises(TupleFormatError) as caught:
+            TupledValue(even=even, odd=odd)
+        assert str(caught.value) == message
+
+    def test_well_formed_tuples_pass(self):
+        assert GradTuple(runs=((0, 1), (2, 10**40), (301, 1))).runs[-1] == (301, 1)
+        assert GradTuple(runs=((1, 1),), infinite=True, horizon=1).horizon == 1
+        assert TupledValue(elems(0, 2, 302), elems(1, 301)).exact
+
+
 class TestQueries:
     def test_elements_and_min(self):
         assert elems(1, 3, 3).elements() == (1, 3, 3)
