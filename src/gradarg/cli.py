@@ -168,9 +168,8 @@ def _emit(args, text_lines, document) -> int:
 def _cmd_value(args) -> int:
     g = _read_graph(args.path)
     values = _model_values(g, args.model, args.depth)
-    # Each value is dropped as it is rendered, so the values and their text
-    # are never both held whole; all are rendered before anything is
-    # printed, so a value that cannot be rendered leaves the output empty.
+    # Each value is dropped once its text is made; all are rendered before
+    # anything is printed, so a value that cannot be rendered prints nothing.
     rendered = ((name, _render_value(values.pop(name))) for name in g.arguments)
     if args.format == "json":
         return _emit(args, (), {"command": "value", "model": args.model,

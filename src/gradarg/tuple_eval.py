@@ -29,21 +29,15 @@ connected component from its attackers' horizons and count rows, checks
 them, then fills its counts.  Time and memory grow with horizon * attacks;
 the pass stops at the first such component with a horizon that times the
 number of attacks exceeds WORK_BOUND, before filling its counts.
-
-Each argument's counts are one dense row: a list whose entry i counts the
-walks of length first + i.  In a cycle union first is 0; elsewhere it is
-one more than the smallest first among the attackers, so a long chain
-holds one entry per argument.  A value takes each parity as a slice of
-its row and keeps the non-zero entries, paired with run lengths from one
-list shared by the whole evaluation: each count is held once, by its row
-and then by its value.
+An argument's counts are kept as its ascending (length, count) runs, the
+very pairs its value holds; a cycle union fills rows indexed by length,
+from which its members' runs are then taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import add
 
 from .framework import AttackGraph
 from .tuples import LEAF_VALUE, GradTuple, TupledValue
@@ -124,17 +118,15 @@ def _walk_values(
     own horizon (None marks an exact parity).  `cyclic` flags the cycle
     unions of `order`."""
     names, attackers_of = g.arguments, g._attackers
-    counts: list = [None] * len(names)  # dense rows, by declaration index
-    first = [0] * len(names)  # the walk length that a row's entry 0 counts
+    counts: list = [None] * len(names)  # ascending runs, by declaration index
     horizon: list = [None] * len(names)
-    lengths: list[int] = []  # every value's run lengths, shared
     values: dict[str, TupledValue] = {}
     for comp, is_cyclic in zip(order, cyclic):
         if not is_cyclic:
             x = comp[0]
             attackers = attackers_of[x]
             if not attackers:
-                counts[x], horizon[x] = [1], (None, None)
+                counts[x], horizon[x] = [(0, 1)], (None, None)
                 values[names[x]] = LEAF_VALUE
                 continue
             cut = horizon[x] = (
@@ -142,18 +134,14 @@ def _walk_values(
                 _after(horizon[b][0] for b in attackers),
             )
             _check_bound(g, cut)
-            start = first[x] = 1 + min(map(first.__getitem__, attackers))
-            end = 1 + max(first[b] + len(counts[b]) for b in attackers)
-            row = counts[x] = [0] * (end - start)
+            row: dict[int, int] = {}
             for b in attackers:
-                i, r = first[b] + 1 - start, counts[b]
-                row[i:i + len(r)] = map(add, row[i:i + len(r)], r)
-            for p, h in enumerate(cut):
-                if h is not None:  # drop this parity's lengths past h
-                    i = max(h + 1 - start, 0)
-                    i += (start + i + p) % 2
-                    row[i::2] = [0] * len(row[i::2])
-            values[names[x]] = _value(row, start, cut, lengths)
+                for length, c in counts[b]:
+                    h = cut[(length + 1) % 2]
+                    if h is None or length < h:
+                        row[length + 1] = row.get(length + 1, 0) + c
+            counts[x] = sorted(row.items())
+            values[names[x]] = _value(counts[x], cut)
             continue
         members = set(comp)
         cap = depth.runs * len(comp)
@@ -162,7 +150,7 @@ def _walk_values(
         ]
         entries = [(j, outside) for (j, outside) in entries if outside]
         if entries:
-            _entered_horizons(g, comp, entries, cap, counts, first, horizon)
+            _entered_horizons(g, comp, entries, cap, counts, horizon)
         else:
             for m in comp:
                 horizon[m] = (cap, cap)
@@ -177,8 +165,9 @@ def _walk_values(
                 if b in members:
                     within.append(rows[b])
                     continue
-                i, r = first[b] + 1, counts[b]  # lengths past top fall off
-                row[i:i + len(r)] = map(add, row[i:i + len(r)], r)
+                for length, c in counts[b]:
+                    if length < top:
+                        row[length + 1] += c
             inside.append((row, within))
         for length in range(1, top + 1):
             for row, within in inside:
@@ -187,14 +176,14 @@ def _walk_values(
                     total += r[length - 1]
                 row[length] = total
         for m in comp:
-            row = counts[m] = rows[m]
-            del row[max(h for h in horizon[m] if h is not None) + 1:]
-            row[0] = 0  # a member's own start is no branch of it
-            values[names[m]] = _value(row, 0, horizon[m], lengths)
+            row = rows[m]
+            end = max(h for h in horizon[m] if h is not None)
+            counts[m] = list(compress(enumerate(row[1:end + 1], 1), row[1:end + 1]))
+            values[names[m]] = _value(counts[m], horizon[m])
     return values
 
 
-def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, first, horizon):
+def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):
     """Horizons of an attacked union's members, from the horizons and
     count rows of the external attackers of each entry member."""
     members = set(comp)
@@ -204,16 +193,14 @@ def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, first, horizon
     for (j, outside) in entries:
         truncated = []
         for b in outside:
-            row, start = counts[b], first[b]
-            least = next(compress(range(start, start + len(row)), row), None)
-            if least is not None:
-                smallest.append(least)
+            if counts[b]:
+                smallest.append(counts[b][0][0])
             for p in (0, 1):
                 h = horizon[b][p]
                 if h is not None:
                     truncated.append(h)
                 # an exact parity's row lists all of its walks
-                if h is not None or any(row[(p - start) % 2::2]):
+                if h is not None or any(length % 2 == p for length, _ in counts[b]):
                     parity_seeds.append((0, j, 1 - p))
         if truncated:
             distance_seeds.append((min(truncated) + 1, j, 0))
@@ -243,22 +230,12 @@ def _check_bound(g: AttackGraph, horizons) -> int:
     return longest
 
 
-def _value(row: list[int], start: int, horizons, lengths: list[int]) -> TupledValue:
-    """The value of a dense count row whose entry i counts the walks of
-    length start + i; run lengths come from `lengths`, grown as needed."""
-    end = start + len(row)
-    if len(lengths) < end:
-        lengths.extend(range(len(lengths), end))
-    i = start % 2  # the entry of the first even length
+def _value(ordered: list[tuple[int, int]], horizons) -> TupledValue:
+    """The value of ascending (length, count) runs, which it shares."""
     even, odd = horizons
     return TupledValue(
-        even=GradTuple(runs=_runs(row[i::2], lengths[start + i:end:2]),
+        even=GradTuple(runs=tuple([run for run in ordered if not run[0] % 2]),
                        infinite=even is not None, horizon=even),
-        odd=GradTuple(runs=_runs(row[1 - i::2], lengths[start + 1 - i:end:2]),
+        odd=GradTuple(runs=tuple([run for run in ordered if run[0] % 2]),
                       infinite=odd is not None, horizon=odd),
     )
-
-
-def _runs(counts: list[int], lengths: list[int]) -> tuple[tuple[int, int], ...]:
-    """The (length, count) runs of the non-zero counts."""
-    return tuple(zip(compress(lengths, counts), filter(None, counts)))

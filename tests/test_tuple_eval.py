@@ -239,9 +239,8 @@ class TestCyclicEvaluation:
 
     @pytest.mark.parametrize("chain", [1, 2, 3])
     def test_two_cycle_entered_by_a_chain_keeps_unreached_parities_exact(self, chain):
-        # The chain's last row starts at length `chain`: only walks of that
-        # parity enter, so each member of the two-cycle has one parity
-        # with no walk at all.
+        # Only walks of length `chain` enter the two-cycle, so each of its
+        # members has one parity with no walk at all.
         names = [f"c{i}" for i in range(chain + 1)] + ["x", "y"]
         attacks = [(names[i], names[i + 1]) for i in range(chain)]
         g = AttackGraph(names, attacks + [(names[chain], "x"), ("x", "y"), ("y", "x")])
@@ -250,18 +249,35 @@ class TestCyclicEvaluation:
         assert (values["x"].even.is_empty, values["x"].odd.is_empty) == \
             (chain % 2 == 0, chain % 2 == 1)
 
-    def test_a_long_chain_holds_one_count_per_argument(self):
-        # Indexed from length 0, the rows of this chain would hold 12.5
-        # million entries (100 MB); offset to the first length, 5,000.
-        names = [f"c{i}" for i in range(5000)]
-        g = AttackGraph(names, list(zip(names, names[1:])))
+    @staticmethod
+    def traced_peak(g):
         tracemalloc.start()
         try:
             values = evaluate_cyclic(g)
-            peak = tracemalloc.get_traced_memory()[1]
+            return values, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_a_long_chain_holds_one_count_per_argument(self):
+        # Rows indexed from length 0 would hold 12.5 million entries here
+        # (100 MB); the runs hold one per argument.
+        names = [f"c{i}" for i in range(5000)]
+        values, peak = self.traced_peak(AttackGraph(names, list(zip(names, names[1:]))))
         assert values["c4999"].odd.runs == ((4999, 1),)
+        assert peak < 20 * 1024 * 1024
+
+    def test_chains_joined_at_a_node_hold_only_their_walks(self):
+        # c2999 and the leaf both attack j, so j's walks have lengths 1 and
+        # 3000.  Rows spanning every length between a row's shortest and
+        # longest walk would copy that span down the d chain: 9 million
+        # entries (75 MB); the runs hold two per argument.
+        c = [f"c{i}" for i in range(3000)]
+        d = [f"d{i}" for i in range(3000)]
+        attacks = list(zip(c, c[1:])) + [(c[-1], "j"), ("leaf", "j"), ("j", d[0])]
+        g = AttackGraph(c + ["leaf", "j"] + d, attacks + list(zip(d, d[1:])))
+        values, peak = self.traced_peak(g)
+        assert values["d2999"].odd.runs == ((3001, 1),)
+        assert values["d2999"].even.runs == ((6000, 1),)
         assert peak < 20 * 1024 * 1024
 
     def test_random_graphs_match_walk_counts(self):
