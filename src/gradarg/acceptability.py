@@ -136,27 +136,23 @@ def _undecided_components(g: AttackGraph, label) -> list[tuple[int, ...]]:
     return out
 
 
-def _weak_parts(components, attackers, label) -> list[list[tuple[int, ...]]]:
+def _weak_parts(g: AttackGraph, components, label) -> list[list[tuple[int, ...]]]:
     """The components grouped by weakly connected part of the undecided
     subgraph, each part keeping dependency order."""
-    part = list(range(len(components)))  # union-find over component ids
-
-    def find(c):
-        while part[c] != c:
-            part[c] = c = part[part[c]]
-        return c
-
-    owner = {}
-    for cid, comp in enumerate(components):
-        owner.update(dict.fromkeys(comp, cid))
-        for v in comp:
-            for b in attackers[v]:
-                if not label[b]:
-                    part[find(owner[b])] = find(cid)
-    grouped: dict[int, list[tuple[int, ...]]] = {}
-    for cid, comp in enumerate(components):
-        grouped.setdefault(find(cid), []).append(comp)
-    return list(grouped.values())
+    part: dict[int, int] = {}  # undecided argument -> part number
+    grouped: list[list[tuple[int, ...]]] = []
+    for comp in components:
+        if comp[0] not in part:  # a new part: search its undecided neighbours
+            part[comp[0]] = len(grouped)
+            grouped.append([])
+            queue = [comp[0]]
+            for v in queue:
+                for u in (*g._attackers[v], *g._targets[v]):
+                    if not label[u] and u not in part:
+                        part[u] = part[v]
+                        queue.append(u)
+        grouped[part[comp[0]]].append(comp)
+    return grouped
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -219,7 +215,7 @@ def _extension_masks(g: AttackGraph, stable: bool) -> list[int]:
         )
     grounded = sum(1 << i for i, lab in enumerate(label) if lab == _IN)
     searched = []
-    for part in _weak_parts(components, attackers, label):
+    for part in _weak_parts(g, components, label):
         found = _part_masks(part, attackers, label, stable)
         if not found:
             return []

@@ -4,8 +4,9 @@ Subcommands: value (per-argument values under a model), compare (two
 tupled-value literals), solve (extension enumeration), classify
 (acceptance levels plus well-defendedness), well-defended (the set for
 one model), export-dot.  Graphs are read from a file path or standard
-input.  Exit codes: 0 success, 1 usage error, 2 parse error, 3
-computation error.
+input.  Every command prints through one path: a JSON document with
+"command" first, written as it is encoded, or text lines one by one.
+Exit codes: 0 success, 1 usage error, 2 parse error, 3 computation error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import io
 import json
 import signal
 import sys
-from fractions import Fraction
 
 from .acceptability import (
     EnumerationBoundError,
@@ -29,21 +29,17 @@ from .framework import AttackGraph, FrameworkError, ParseError, parse_framework
 from .local import (
     ConvergenceError,
     UndecidableError,
-    builtin_instances,
+    categoriser,
     evaluate_local,
+    rooted_labelling,
 )
-from .tuple_eval import (
-    CyclicGraphError,
-    EvaluationBoundError,
-    PropagationDepth,
-    evaluate_cyclic,
-)
+from .tuple_eval import EvaluationBoundError, PropagationDepth, evaluate_cyclic
 from .tuples import RenderLimitError, TupleFormatError, parse_tuple_literal, compare
 
 __all__ = ["build_parser", "entry", "main"]
 
-MODELS = ("categoriser", "labelling", "tuples")
-_INSTANCE_NAME = {"categoriser": "categoriser", "labelling": "rooted_labelling"}
+# Model name to local instance; tuples are evaluated by evaluate_cyclic.
+MODELS = {"categoriser": categoriser(), "labelling": rooted_labelling(), "tuples": None}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -138,30 +134,21 @@ def _read_graph(path: str) -> AttackGraph:
     return parse_framework(text)
 
 
-def _render_value(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, str):
-        return value
-    return value.render()
-
-
 def _model_values(g: AttackGraph, model: str, depth: int):
-    if model == "tuples":
+    if MODELS[model] is None:
         return evaluate_cyclic(g, PropagationDepth(depth))
-    instance = builtin_instances()[_INSTANCE_NAME[model]]
-    return evaluate_local(g, instance)
+    return evaluate_local(g, MODELS[model])
 
 
-def _emit(args, text_lines, document) -> int:
+def _emit(args, document, lines) -> int:
+    """Print a command's result: its fields as one JSON document, headed by
+    the command name, or its lines.  Neither is joined into one string
+    first: a large tuple output would be held twice more at its peak."""
     if args.format == "json":
-        print(json.dumps(document, indent=2, sort_keys=False))
+        json.dump({"command": args.command, **document}, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     else:
-        # One call, line by line: a joined copy of a large tuple output
-        # would hold it twice more (as text and encoded) at its peak.
-        sys.stdout.writelines(f"{line}\n" for line in text_lines)
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     return EXIT_OK
 
 
@@ -170,11 +157,9 @@ def _cmd_value(args) -> int:
     values = _model_values(g, args.model, args.depth)
     # Each value is dropped once its text is made; all are rendered before
     # anything is printed, so a value that cannot be rendered prints nothing.
-    rendered = ((name, _render_value(values.pop(name))) for name in g.arguments)
-    if args.format == "json":
-        return _emit(args, (), {"command": "value", "model": args.model,
-                                "values": dict(rendered)})
-    return _emit(args, [f"{name} {text}" for name, text in rendered], None)
+    shown = {name: str(values.pop(name)) for name in g.arguments}
+    return _emit(args, {"model": args.model, "values": shown},
+                 (f"{name} {text}" for name, text in shown.items()))
 
 
 def _cmd_compare(args) -> int:
@@ -182,19 +167,17 @@ def _cmd_compare(args) -> int:
     second = parse_tuple_literal(args.second)
     outcome = compare(first, second)
     word = "exact" if outcome.exact else "inexact"
-    line = f"{outcome.verdict.value} ({word})"
-    return _emit(args, [line], {"command": "compare",
-                                "verdict": outcome.verdict.value,
-                                "exact": outcome.exact})
+    return _emit(args, {"verdict": outcome.verdict.value, "exact": outcome.exact},
+                 [f"{outcome.verdict.value} ({word})"])
 
 
 def _cmd_solve(args) -> int:
     g = _read_graph(args.path)
     extensions = (preferred_extensions(g) if args.semantics == "preferred"
                   else stable_extensions(g))
-    lines = [e.render() for e in extensions]
-    return _emit(args, lines, {"command": "solve", "semantics": args.semantics,
-                               "extensions": [list(e.members) for e in extensions]})
+    return _emit(args, {"semantics": args.semantics,
+                        "extensions": [list(e.members) for e in extensions]},
+                 (e.render() for e in extensions))
 
 
 def _cmd_classify(args) -> int:
@@ -202,15 +185,14 @@ def _cmd_classify(args) -> int:
     models = list(dict.fromkeys(args.models or MODELS))  # repeats dropped
     valuations = {m: _model_values(g, m, args.depth) for m in models}
     report = classification_report(g, args.semantics, valuations)
-    lines = []
-    for name in g.arguments:
-        line = f"{name} {report.level[name]}"
-        holders = [m for m in models if name in report.well_defended[m]]
-        if holders:
-            line += f" [well-defended:{','.join(holders)}]"
-        lines.append(line)
+
+    def lines():
+        for name in g.arguments:
+            holders = [m for m in models if name in report.well_defended[m]]
+            tag = f" [well-defended:{','.join(holders)}]" if holders else ""
+            yield f"{name} {report.level[name]}{tag}"
+
     document = {
-        "command": "classify",
         "semantics": args.semantics,
         "extensions": [list(e.members) for e in report.extensions],
         "levels": dict(report.level),
@@ -219,7 +201,7 @@ def _cmd_classify(args) -> int:
             for m in models
         },
     }
-    return _emit(args, lines, document)
+    return _emit(args, document, lines())
 
 
 def _cmd_well_defended(args) -> int:
@@ -227,14 +209,13 @@ def _cmd_well_defended(args) -> int:
     values = _model_values(g, args.model, args.depth)
     defended = well_defended(g, valuation_preference(values))
     names = [n for n in g.arguments if n in defended]
-    return _emit(args, names, {"command": "well-defended", "model": args.model,
-                               "well_defended": names})
+    return _emit(args, {"model": args.model, "well_defended": names}, names)
 
 
 def _cmd_export_dot(args) -> int:
     g = _read_graph(args.path)
     dot = g.to_dot()
-    return _emit(args, [dot.rstrip("\n")], {"command": "export-dot", "dot": dot})
+    return _emit(args, {"dot": dot}, [dot.rstrip("\n")])
 
 
 _COMMANDS = {
@@ -262,8 +243,7 @@ def main(argv=None) -> int:
         print(f"gradarg: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConvergenceError, EnumerationBoundError, EvaluationBoundError,
-            CyclicGraphError, UndecidableError, FrameworkError,
-            RenderLimitError) as exc:
+            UndecidableError, FrameworkError, RenderLimitError) as exc:
         print(f"gradarg: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

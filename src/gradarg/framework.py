@@ -342,11 +342,6 @@ class AttackGraph:
             self._named_condensation = tuple(map(self._names, self._components()))
         return self._named_condensation
 
-    def is_cyclic(self, component: tuple[str, ...]) -> bool:
-        """True for a component that is a cycle union: more than one
-        member, or a single self-attacker."""
-        return len(component) > 1 or component[0] in self.attackers_of(component[0])
-
     def strongly_connected_components(self) -> list[tuple[str, ...]]:
         """Components ordered by their earliest declared member."""
         return sorted(self.condensation(), key=lambda comp: self._index[comp[0]])

@@ -307,6 +307,27 @@ class TestEnumeration:
             with pytest.raises(EnumerationBoundError, match="enumeration bound"):
                 classify(disjoint_mutual_attacks(14), semantics)
 
+    def test_extension_cap_inside_one_part(self, capsys, tmp_path):
+        # 14 mutual attacks a_i <-> b_i joined by the target t of every a_i:
+        # one weakly connected part whose search passes the cap by itself
+        pairs = [(f"a{i}", f"b{i}") for i in range(14)]
+        g = AttackGraph(
+            [*itertools.chain(*pairs), "t"],
+            [*pairs, *((b, a) for a, b in pairs), *((a, "t") for a, _ in pairs)])
+        message = "more than 10000 extensions exceed the enumeration bound"
+        for enumerate_ in (preferred_extensions, stable_extensions):
+            start = time.process_time()
+            with pytest.raises(EnumerationBoundError, match=message):
+                enumerate_(g)
+            assert time.process_time() - start < 1.0
+        path = tmp_path / "joined.apx"
+        path.write_text(g.serialize(), encoding="utf-8")
+        for command in ("solve", "classify"):
+            for semantics in ("preferred", "stable"):
+                assert main([command, str(path), "--semantics", semantics]) == 3
+                out, err = capsys.readouterr()
+                assert out == "" and message in err
+
 
 class TestClassify:
     def test_tiny_cases(self):

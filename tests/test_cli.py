@@ -119,6 +119,15 @@ class TestValue:
                                                                monkeypatch):
         # Evaluating alone, well-defended holds every value at once; value
         # may add the text of one value, not a copy of all of it.
+        self.check_value_peak(tmp_path, monkeypatch, "text")
+
+    def test_values_and_their_json_are_not_held_whole_at_once(self, tmp_path,
+                                                               monkeypatch):
+        # Nor may it encode the whole JSON document as one string.
+        self.check_value_peak(tmp_path, monkeypatch, "json")
+
+    @staticmethod
+    def check_value_peak(tmp_path, monkeypatch, fmt):
         path = tmp_path / "seeded.apx"
         path.write_text(SEEDED.serialize(), encoding="utf-8")
         assert max(map(len, SEEDED.condensation())) >= 40
@@ -129,7 +138,7 @@ class TestValue:
                 tracemalloc.start()
                 try:
                     code = main([command, str(path), "--model", "tuples",
-                                 "--depth", "10"])
+                                 "--depth", "10", "--format", fmt])
                     return code, tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
@@ -366,6 +375,39 @@ class TestErrors:
         code, _, err = run_cli(capsys, "solve", str(path))
         assert code == 3
         assert "enumeration bound" in err
+
+
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.apx"))
+EVERY_COMMAND = [
+    *(["value", "--model", m] for m in MODELS),
+    *(["well-defended", "--model", m] for m in MODELS),
+    *(["solve", "--semantics", s] for s in ("preferred", "stable")),
+    *(["classify", "--semantics", s] for s in ("preferred", "stable")),
+    ["export-dot"],
+]
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", EVERY_COMMAND, ids=" ".join)
+    def test_every_command_on_every_fixture(self, capsys, command, fmt):
+        for name in FIXTURE_NAMES:
+            self.check(capsys, [*command, fixture_path(name)], fmt)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_compare(self, capsys, fmt):
+        self.check(capsys, ["compare", "[(2),(3)]", "[(2),(1)]"], fmt)
+
+    @staticmethod
+    def check(capsys, argv, fmt):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            document = json.loads(out)
+            assert out == json.dumps(document, indent=2) + "\n"
+            assert next(iter(document.items())) == ("command", argv[0])
+        else:
+            assert out == "" or out.endswith("\n")
 
 
 class TestDeterminism:
