@@ -10,15 +10,21 @@ a time, in dependency order, over each component's conflict-free sets
 cost is exponential only in the largest undecided component, which
 `ENUMERATION_BOUND` caps, and a fixed cap on the number of extensions
 stops lists that would outgrow memory.  Acceptance levels grade each
-argument by how the whole extension list treats it.  Well-defendedness
-instead compares an argument against its direct attackers in a
-valuation's preorder, and a seeded scan hunts for graphs where the two
-notions come apart.
+argument by how the whole extension list treats it, read from the IN
+bitmasks of the extensions.  Well-defendedness instead compares an
+argument against its direct attackers in a valuation's preorder, and a
+seeded scan hunts for graphs where the two notions come apart.  Each scan
+trial classifies its graph first and computes the valuation only when a
+missing witness can still occur: an unattacked argument is well-defended
+vacuously, so a clean argument that is not well-defended needs an
+attacker, whatever the valuation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
@@ -302,12 +308,14 @@ def stable_extensions(g: AttackGraph) -> list[Extension]:
     return _sorted_extensions(g, _extension_masks(g, stable=True))
 
 
-def _extensions_for(g: AttackGraph, semantics: str) -> list[Extension]:
-    if semantics == "preferred":
-        return preferred_extensions(g)
-    if semantics == "stable":
-        return stable_extensions(g)
-    raise ValueError(f"unknown semantics {semantics!r}")
+def _check_semantics(semantics: str) -> None:
+    if semantics not in ("preferred", "stable"):
+        raise ValueError(f"unknown semantics {semantics!r}")
+
+
+def _semantics_masks(g: AttackGraph, semantics: str) -> list[int]:
+    _check_semantics(semantics)
+    return _extension_masks(g, stable=semantics == "stable")
 
 
 def classify(g: AttackGraph, semantics: str = "preferred") -> dict[str, str]:
@@ -317,21 +325,21 @@ def classify(g: AttackGraph, semantics: str = "preferred") -> dict[str, str]:
     extension with no direct attacker in any; only-exi: in some extension
     but a direct attacker also appears in one; not-accepted: in none.
     """
-    return _levels(g, _extensions_for(g, semantics))
+    return _levels(g, _semantics_masks(g, semantics))
 
 
-def _levels(g: AttackGraph, extensions) -> dict[str, str]:
-    index = g._index
-    member_sets = [{index[m] for m in e.members} for e in extensions]
-    somewhere = set().union(*member_sets)
-    everywhere = set.intersection(*member_sets) if member_sets else set()
+def _levels(g: AttackGraph, masks: list[int]) -> dict[str, str]:
+    """Levels read from the extensions' IN masks: their AND holds the
+    arguments in every extension, their OR those in some extension."""
+    everywhere = functools.reduce(operator.and_, masks) if masks else 0
+    somewhere = functools.reduce(operator.or_, masks, 0)
     levels = {}
     for i, (name, attackers) in enumerate(zip(g.arguments, g._attackers)):
-        if i in everywhere:
+        if everywhere >> i & 1:
             levels[name] = "uni"
-        elif i not in somewhere:
+        elif not somewhere >> i & 1:
             levels[name] = "not-accepted"
-        elif not somewhere.isdisjoint(attackers):
+        elif any(somewhere >> b & 1 for b in attackers):
             levels[name] = "only-exi"
         else:
             levels[name] = "cleanly"
@@ -383,8 +391,9 @@ def classification_report(
     valuations: Mapping[str, Mapping[str, object]] | None = None,
 ) -> AcceptabilityReport:
     """Bundle extensions, levels, and per-valuation well-defended sets."""
-    extensions = tuple(_extensions_for(g, semantics))
-    level = _levels(g, extensions)
+    masks = _semantics_masks(g, semantics)
+    extensions = tuple(_sorted_extensions(g, masks))
+    level = _levels(g, masks)
     defended = {
         name: well_defended(g, valuation_preference(values))
         for name, values in (valuations or {}).items()
@@ -449,9 +458,16 @@ def scan_graph_stream(
 
     Mixes attack trees, layered acyclic graphs, unrestricted digraphs, and
     odd/even cycle tangles so that structurally different witnesses all
-    have reasonable density in the stream.
+    have reasonable density in the stream.  Each graph draws its size from
+    3 to `size_bound` arguments, but a tangle always has at least 6: an odd
+    3-cycle, an even 2-cycle and at least one argument they attack.
     """
-    rng = random.Random(seed)
+    if size_bound < 3:
+        raise ValueError(f"size_bound must be at least 3, not {size_bound}")
+    return _graphs(random.Random(seed), size_bound, acyclic_only)
+
+
+def _graphs(rng: random.Random, size_bound: int, acyclic_only: bool) -> Iterator[AttackGraph]:
     kinds = ("tree", "acyclic") if acyclic_only else ("tree", "acyclic", "digraph", "tangle")
     while True:
         kind = kinds[rng.randrange(len(kinds))]
@@ -495,19 +511,36 @@ def compatibility_scan(
     """Search seeded random graphs for both directions of disagreement
     between clean acceptance and well-defendedness.
 
+    Each trial classifies its graph first and computes the valuation only
+    when a witness still missing can occur on it: a cleanly-not-defended
+    one needs a clean argument with an attacker (an unattacked argument is
+    well-defended vacuously, whatever the valuation), and a
+    defended-not-cleanly one needs an argument that is not clean.  So a
+    valuation error is raised only on a trial that could still yield a
+    witness; a trial whose valuation does not converge is skipped.
+
     Stops early once a witness of each kind is found; the report records
     how many graphs were inspected and carries the witnesses themselves.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    stream = scan_graph_stream(seed, size_bound=size_bound, acyclic_only=acyclic_only)
+    _check_semantics(semantics)
     name, instance = _resolve_valuation(valuation)
     depth = depth or PropagationDepth()
     found: dict[str, Witness] = {}
     trials_used = 0
-    stream = scan_graph_stream(seed, size_bound=size_bound, acyclic_only=acyclic_only)
     for trial in range(1, trials + 1):
         trials_used = trial
         g = next(stream)
+        levels = classify(g, semantics)
+        clean = [levels[a] in CLEAN_LEVELS for a in g.arguments]
+        if not (
+            ("cleanly-not-defended" not in found
+             and any(c and attackers for c, attackers in zip(clean, g._attackers)))
+            or ("defended-not-cleanly" not in found and not all(clean))
+        ):
+            continue
         try:
             if instance is None:
                 values = evaluate_cyclic(g, depth)
@@ -515,15 +548,13 @@ def compatibility_scan(
                 values = evaluate_local(g, instance, config)
         except ConvergenceError:
             continue
-        levels = classify(g, semantics)
         defended = well_defended(g, valuation_preference(values))
-        for a in g.arguments:
-            clean = levels[a] in CLEAN_LEVELS
-            if clean and a not in defended and "cleanly-not-defended" not in found:
+        for a, is_clean in zip(g.arguments, clean):
+            if is_clean and a not in defended and "cleanly-not-defended" not in found:
                 found["cleanly-not-defended"] = Witness(
                     "cleanly-not-defended", g, a, trial
                 )
-            if a in defended and not clean and "defended-not-cleanly" not in found:
+            if a in defended and not is_clean and "defended-not-cleanly" not in found:
                 found["defended-not-cleanly"] = Witness(
                     "defended-not-cleanly", g, a, trial
                 )

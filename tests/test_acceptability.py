@@ -4,14 +4,18 @@ import time
 
 import pytest
 
-from conftest import fixture_path, load_fixture
+from conftest import FIXTURES, fixture_path, load_fixture
 
 from gradarg import (
     AttackGraph,
+    ConvergenceError,
     EnumerationBoundError,
     Extension,
     LEAF_VALUE,
+    ScanReport,
     Verdict,
+    Witness,
+    builtin_instances,
     categoriser,
     classification_report,
     classify,
@@ -403,6 +407,38 @@ class TestClassify:
             seen += 1
             assert "cleanly" not in classify(g, "preferred").values()
 
+    @pytest.mark.parametrize("semantics", ["preferred", "stable"])
+    def test_levels_follow_the_extension_lists(self, semantics):
+        listed = {"preferred": preferred_extensions, "stable": stable_extensions}
+        graphs = [parse_framework(p.read_text()) for p in sorted(FIXTURES.glob("*.apx"))]
+        graphs += itertools.islice(scan_graph_stream(7), 2000)
+        without_extensions = 0
+        for g in graphs:
+            extensions = listed[semantics](g)
+            without_extensions += not extensions
+            expected = graded_from_lists(g, extensions)
+            assert classify(g, semantics) == expected
+            assert classification_report(g, semantics).level == expected
+        if semantics == "stable":
+            assert without_extensions > 0
+
+
+def graded_from_lists(g, extensions):
+    """Acceptance levels by their definition, from extension name lists."""
+    sets = [set(e.members) for e in extensions]
+    somewhere = set().union(*sets)
+    levels = {}
+    for a in g.arguments:
+        if sets and all(a in s for s in sets):
+            levels[a] = "uni"
+        elif a not in somewhere:
+            levels[a] = "not-accepted"
+        elif somewhere.intersection(g.attackers_of(a)):
+            levels[a] = "only-exi"
+        else:
+            levels[a] = "cleanly"
+    return levels
+
 
 class TestWellDefended:
     def test_chain(self):
@@ -553,6 +589,76 @@ class TestCompatibilityScan:
             compatibility_scan("categoriser", seed=1, trials=0)
         with pytest.raises(ValueError):
             compatibility_scan("nope", seed=1, trials=10)
+
+    @pytest.mark.parametrize("size_bound", [-1, 0, 2])
+    def test_size_bound_is_validated(self, size_bound):
+        with pytest.raises(ValueError, match="size_bound"):
+            compatibility_scan("categoriser", seed=1, trials=10, size_bound=size_bound)
+        with pytest.raises(ValueError, match="size_bound"):
+            scan_graph_stream(1, size_bound=size_bound)
+
+    def test_semantics_is_validated(self):
+        with pytest.raises(ValueError, match="semantics"):
+            compatibility_scan("categoriser", seed=1, trials=10, semantics="grounded")
+
+    def test_tangles_have_at_least_six_arguments(self):
+        sizes = [len(g) for g in itertools.islice(scan_graph_stream(1, size_bound=3), 200)]
+        assert min(sizes) == 3 and max(sizes) == 6
+
+    @pytest.mark.parametrize("valuation", ["categoriser", "max_based", "rooted_labelling", "tuples"])
+    @pytest.mark.parametrize("semantics", ["preferred", "stable"])
+    @pytest.mark.parametrize("acyclic_only", [False, True])
+    def test_matches_the_eager_scan(self, valuation, semantics, acyclic_only):
+        for seed in range(20):
+            options = dict(seed=seed, trials=200, semantics=semantics, acyclic_only=acyclic_only)
+            assert compatibility_scan(valuation, **options) == eager_scan(valuation, **options)
+
+    def test_valuations_only_where_a_witness_can_occur(self, monkeypatch):
+        valuations = []
+        evaluate = acceptability.evaluate_local
+
+        def counted(*args, **kwargs):
+            valuations.append(args[0])
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(acceptability, "evaluate_local", counted)
+        report = compatibility_scan("rooted_labelling", seed=1, trials=2000)
+        assert report.trials_used == 2000
+        assert len(valuations) < 1000
+
+
+def eager_scan(valuation, *, seed, trials, semantics, acyclic_only):
+    """The scan by its definition: every trial values, classifies and
+    checks the defence of its graph, then takes the first witnesses."""
+    stream = scan_graph_stream(seed, acyclic_only=acyclic_only)
+    found = {}
+    for trial in range(1, trials + 1):
+        g = next(stream)
+        try:
+            if valuation == "tuples":
+                values = evaluate_cyclic(g)
+            else:
+                values = evaluate_local(g, builtin_instances()[valuation])
+        except ConvergenceError:
+            continue
+        levels = classify(g, semantics)
+        defended = well_defended(g, valuation_preference(values))
+        for a in g.arguments:
+            clean = levels[a] in CLEAN_LEVELS
+            if clean and a not in defended:
+                found.setdefault("cleanly-not-defended", Witness(
+                    "cleanly-not-defended", g, a, trial))
+            if a in defended and not clean:
+                found.setdefault("defended-not-cleanly", Witness(
+                    "defended-not-cleanly", g, a, trial))
+        if len(found) == 2:
+            break
+    return ScanReport(
+        valuation=valuation,
+        trials_used=trial,
+        cleanly_not_defended=found.get("cleanly-not-defended"),
+        defended_not_cleanly=found.get("defended-not-cleanly"),
+    )
 
 
 class TestReport:
