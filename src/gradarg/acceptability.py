@@ -126,20 +126,12 @@ def defends(g: AttackGraph, members, name: str) -> bool:
 
 def _undecided_components(g: AttackGraph, label) -> list[tuple[int, ...]]:
     """Strongly connected components of the subgraph that the undecided
-    arguments induce, in dependency order: each component of the graph's
-    cached condensation restricted to them, condensed again where the
-    restriction drops some of its members."""
-    out = []
-    for comp in g._components():
-        members = [a for a in comp if not label[a]]
-        if 1 < len(members) < len(comp):
-            pos = {a: j for j, a in enumerate(members)}
-            parts = _condense([[pos[t] for t in g._targets[a] if t in pos]
-                               for a in members])
-            out.extend(tuple(members[j] for j in part) for part in parts)
-        elif members:
-            out.append(tuple(members))
-    return out
+    arguments induce, in dependency order, as declaration indices."""
+    members = [a for a, lab in enumerate(label) if not lab]
+    pos = {a: j for j, a in enumerate(members)}
+    parts = _condense([[pos[t] for t in g._targets[a] if t in pos]
+                       for a in members])
+    return [tuple(members[j] for j in part) for part in parts]
 
 
 def _weak_parts(g: AttackGraph, components, label) -> list[list[tuple[int, ...]]]:

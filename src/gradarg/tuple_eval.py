@@ -29,9 +29,11 @@ connected component from its attackers' horizons and count rows, checks
 them, then fills its counts.  Time and memory grow with horizon * attacks;
 the pass stops at the first such component with a horizon that times the
 number of attacks exceeds WORK_BOUND, before filling its counts.
-An argument's counts are kept as its ascending (length, count) runs, the
-very pairs its value holds; a cycle union fills rows indexed by length,
-from which its members' runs are then taken.
+An argument's counts are kept as the pair (even runs, odd runs) of
+ascending (length, count) runs, the very tuples its value holds.  A
+singleton fills each parity from its attackers' runs of the other parity;
+a cycle union fills rows indexed by length, and each member's runs of a
+parity are a stride-2 slice of its row.
 """
 
 from __future__ import annotations
@@ -115,10 +117,10 @@ def _walk_values(
     """One pass along the condensation: each strongly connected component
     takes its horizons from its attackers' horizons and count rows, checks
     them against WORK_BOUND, then fills count[x][L], each parity cut at its
-    own horizon (None marks an exact parity).  `cyclic` flags the cycle
-    unions of `order`."""
+    own horizon (None marks an exact parity) and kept as its own runs.
+    `cyclic` flags the cycle unions of `order`."""
     names, attackers_of = g.arguments, g._attackers
-    counts: list = [None] * len(names)  # ascending runs, by declaration index
+    counts: list = [None] * len(names)  # (even, odd) runs, by declaration index
     horizon: list = [None] * len(names)
     values: dict[str, TupledValue] = {}
     for comp, is_cyclic in zip(order, cyclic):
@@ -126,7 +128,7 @@ def _walk_values(
             x = comp[0]
             attackers = attackers_of[x]
             if not attackers:
-                counts[x], horizon[x] = [(0, 1)], (None, None)
+                counts[x], horizon[x] = (((0, 1),), ()), (None, None)
                 values[names[x]] = LEAF_VALUE
                 continue
             cut = horizon[x] = (
@@ -134,14 +136,17 @@ def _walk_values(
                 _after(horizon[b][0] for b in attackers),
             )
             _check_bound(g, cut)
-            row: dict[int, int] = {}
-            for b in attackers:
-                for length, c in counts[b]:
-                    h = cut[(length + 1) % 2]
-                    if h is None or length < h:
+            runs = []
+            for p, h in enumerate(cut):
+                row: dict[int, int] = {}
+                for b in attackers:
+                    for length, c in counts[b][1 - p]:
+                        if h is not None and length >= h:
+                            break
                         row[length + 1] = row.get(length + 1, 0) + c
-            counts[x] = sorted(row.items())
-            values[names[x]] = _value(counts[x], cut)
+                runs.append(tuple(sorted(row.items())))
+            counts[x] = tuple(runs)
+            values[names[x]] = _tupled(counts[x], cut)
             continue
         members = set(comp)
         cap = depth.runs * len(comp)
@@ -165,21 +170,26 @@ def _walk_values(
                 if b in members:
                     within.append(rows[b])
                     continue
-                for length, c in counts[b]:
-                    if length < top:
+                for runs in counts[b]:
+                    for length, c in runs:
+                        if length >= top:
+                            break
                         row[length + 1] += c
             inside.append((row, within))
         for length in range(1, top + 1):
+            before = length - 1
             for row, within in inside:
                 total = row[length]
                 for r in within:
-                    total += r[length - 1]
+                    total += r[before]
                 row[length] = total
         for m in comp:
             row = rows[m]
             end = max(h for h in horizon[m] if h is not None)
-            counts[m] = list(compress(enumerate(row[1:end + 1], 1), row[1:end + 1]))
-            values[names[m]] = _value(counts[m], horizon[m])
+            even, odd = row[2:end + 1:2], row[1:end + 1:2]
+            counts[m] = (tuple(compress(zip(range(2, end + 1, 2), even), even)),
+                         tuple(compress(zip(range(1, end + 1, 2), odd), odd)))
+            values[names[m]] = _tupled(counts[m], horizon[m])
     return values
 
 
@@ -193,14 +203,14 @@ def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):
     for (j, outside) in entries:
         truncated = []
         for b in outside:
-            if counts[b]:
-                smallest.append(counts[b][0][0])
             for p in (0, 1):
-                h = horizon[b][p]
+                runs, h = counts[b][p], horizon[b][p]
+                if runs:
+                    smallest.append(runs[0][0])
                 if h is not None:
                     truncated.append(h)
-                # an exact parity's row lists all of its walks
-                if h is not None or any(length % 2 == p for length, _ in counts[b]):
+                # an exact parity's runs list all of its walks
+                if h is not None or runs:
                     parity_seeds.append((0, j, 1 - p))
         if truncated:
             distance_seeds.append((min(truncated) + 1, j, 0))
@@ -230,12 +240,10 @@ def _check_bound(g: AttackGraph, horizons) -> int:
     return longest
 
 
-def _value(ordered: list[tuple[int, int]], horizons) -> TupledValue:
-    """The value of ascending (length, count) runs, which it shares."""
-    even, odd = horizons
+def _tupled(runs, horizons) -> TupledValue:
+    """The value of (even, odd) runs cut at their horizons, which it shares."""
+    (even, odd), (even_cut, odd_cut) = runs, horizons
     return TupledValue(
-        even=GradTuple(runs=tuple([run for run in ordered if not run[0] % 2]),
-                       infinite=even is not None, horizon=even),
-        odd=GradTuple(runs=tuple([run for run in ordered if run[0] % 2]),
-                      infinite=odd is not None, horizon=odd),
+        even=GradTuple(runs=even, infinite=even_cut is not None, horizon=even_cut),
+        odd=GradTuple(runs=odd, infinite=odd_cut is not None, horizon=odd_cut),
     )

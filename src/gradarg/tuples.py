@@ -78,9 +78,9 @@ class GradTuple:
             return
         last = -1
         for value, count in self.runs:
-            if value < 0 or count < 1:
-                raise TupleFormatError("runs need non-negative values, positive counts")
-            if value <= last:
+            if value <= last or count < 1:  # last >= -1, so a negative fails too
+                if value < 0 or count < 1:
+                    raise TupleFormatError("runs need non-negative values, positive counts")
                 raise TupleFormatError("runs must be strictly ascending")
             last = value
         if self.infinite:
@@ -148,17 +148,14 @@ class GradTuple:
                 return "(0,...)"
             body = ",".join(str(self.constant) for _ in range(3))
             return f"({body},...)"
-        parts: list[str] = []
-        for value, count in self.runs:
-            if count > _RENDER_RUN_LIMIT:
-                try:
-                    parts.append(f"{value}^{count}")
-                except ValueError:
-                    raise RenderLimitError(
-                        "a branch count has too many decimal digits to print"
-                    ) from None
-            else:
-                parts.extend(str(value) for _ in range(count))
+        try:
+            parts = [f"{value}^{count}" if count > _RENDER_RUN_LIMIT
+                     else ",".join([str(value)] * count)
+                     for value, count in self.runs]
+        except ValueError:
+            raise RenderLimitError(
+                "a branch count has too many decimal digits to print"
+            ) from None
         if self.infinite:
             parts.append("...")
         return "(" + ",".join(parts) + ")"

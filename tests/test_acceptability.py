@@ -274,6 +274,15 @@ class TestEnumeration:
             ("a1", "a2", "a6", "a8", "a11", "a13", "a20", "a24", "a25", "a26")
         ]
 
+    def test_a_decided_graph_is_not_condensed(self):
+        # the grounded labelling decides every argument of a chain and of
+        # an attacked 3-cycle, so no component is left to search
+        g = AttackGraph(["a", "b", "c", "x", "y", "z"],
+                        [("a", "b"), ("b", "c"), ("a", "x"),
+                         ("x", "y"), ("y", "z"), ("z", "x")])
+        assert classify(g) == classify(g, "stable")
+        assert g._condensation is None
+
     def test_long_undecided_chain(self):
         # a self-attacker leaves every argument of the chain it feeds
         # undecided: 2,001 singleton components, searched without recursion

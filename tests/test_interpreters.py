@@ -2,11 +2,17 @@
 
 Float values of the local evaluators depend on the order of float
 operations, and `sum()` of floats changed in 3.12 to compensated
-summation.  This check runs `value --model categoriser` on every cyclic
-case of the frozen-digest set under each other CPython 3.10+ that
-`shutil.which` finds (python3.10, python3.11, ...), importing the
-package from src/, and compares the output with the running
-interpreter's.  It skips when no other interpreter starts.
+summation; tupled values hold big integer counts.  These checks run
+`value --model categoriser` and `value --model tuples --depth 3` on
+every cyclic case of the frozen-digest set under each other CPython
+3.10+ that `shutil.which` finds (python3.10, python3.11, ...), importing
+the package from src/, and compare the output with the running
+interpreter's.  They skip when no other interpreter starts.
+
+Under pyenv, a `python3.X` shim exits with code 127 unless that version
+is among the active ones, so by default only the active interpreters are
+compared, silently.  To compare every installed version, name them all,
+for example `PYENV_VERSION=3.11.7:3.10.13:3.12.1:3.13.0`.
 """
 
 import os
@@ -25,9 +31,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 RENDER = """
 import sys
 from gradarg.cli import main
-for path in sys.argv[1:]:
+options = sys.argv[1].split()
+for path in sys.argv[2:]:
     print(path)
-    main(["value", path, "--model", "categoriser"])
+    main(["value", path, *options])
 """
 
 
@@ -58,7 +65,7 @@ def other_pythons():
     return found
 
 
-def test_cyclic_categoriser_values_match_across_interpreters(other_pythons, tmp_path):
+def assert_same_output(other_pythons, tmp_path, options):
     if not other_pythons:
         pytest.skip("no other CPython 3.10+ on PATH")
     paths = []
@@ -68,9 +75,17 @@ def test_cyclic_categoriser_values_match_across_interpreters(other_pythons, tmp_
             path.write_text(text)
             paths.append(str(path))
     assert len(paths) > 40
-    here = _run(sys.executable, ["-c", RENDER, *paths])
+    here = _run(sys.executable, ["-c", RENDER, options, *paths])
     assert here.returncode == 0, here.stderr
     for version, python in other_pythons.items():
-        there = _run(python, ["-c", RENDER, *paths])
+        there = _run(python, ["-c", RENDER, options, *paths])
         assert there.returncode == 0, (version, there.stderr)
         assert there.stdout == here.stdout, f"Python {version} ({python}) prints other values"
+
+
+def test_cyclic_categoriser_values_match_across_interpreters(other_pythons, tmp_path):
+    assert_same_output(other_pythons, tmp_path, "--model categoriser")
+
+
+def test_cyclic_tuple_values_match_across_interpreters(other_pythons, tmp_path):
+    assert_same_output(other_pythons, tmp_path, "--model tuples --depth 3")

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -25,6 +26,7 @@ from gradarg import (
     parse_tuple_literal,
     random_acyclic_graph,
     random_attack_graph,
+    scan_graph_stream,
 )
 from gradarg.tuples import GradTuple, TupledValue
 
@@ -285,6 +287,10 @@ class TestCyclicEvaluation:
             g = random_attack_graph(seed=seed, size=3 + seed % 5, density=0.35)
             values = evaluate_cyclic(g, PropagationDepth(8))
             assert_matches_walk_counts(g, values, bound=120)
+        cyclic = (g for g in scan_graph_stream(7) if not g.is_well_founded())
+        for g in itertools.islice(cyclic, 1000):
+            for runs in (1, 3):
+                assert_matches_walk_counts(g, evaluate_cyclic(g, PropagationDepth(runs)))
 
     def test_deeper_propagation_refines_the_same_value(self):
         for name in ("example7", "example8", "mcycles"):
