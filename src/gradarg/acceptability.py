@@ -39,7 +39,6 @@ from .framework import (
 )
 from .local import (
     ConvergenceError,
-    FixpointConfig,
     LocalInstance,
     builtin_instances,
     evaluate_local,
@@ -200,7 +199,8 @@ def _extension_masks(g: AttackGraph, stable: bool) -> list[int]:
     argument's decided attackers are OUT, so only the subgraph of the
     undecided arguments is searched.  Its weakly connected parts do not
     constrain each other: each part is searched alone, and the answer is
-    every combination of one labelling per part.
+    every combination of one labelling per part.  A part with no stable
+    labelling empties the answer even beside a part past the cap.
     """
     attackers = g._attackers
     label = g._grounded()
@@ -214,11 +214,14 @@ def _extension_masks(g: AttackGraph, stable: bool) -> list[int]:
     grounded = sum(1 << i for i, lab in enumerate(label) if lab == _IN)
     searched = []
     for part in _weak_parts(g, components, label):
-        found = _part_masks(part, attackers, label, stable)
-        if not found:
+        try:
+            found = _part_masks(part, attackers, label, stable)
+        except EnumerationBoundError:
+            found = None  # too many: raised below unless a later part has none
+        if found == []:
             return []
         searched.append(found)
-    if math.prod(map(len, searched)) > _EXTENSION_CAP:
+    if None in searched or math.prod(map(len, searched)) > _EXTENSION_CAP:
         raise _cap_error()
     masks = [grounded]
     for found in searched:
@@ -497,8 +500,6 @@ def compatibility_scan(
     size_bound: int = 8,
     semantics: str = "preferred",
     acyclic_only: bool = False,
-    depth: PropagationDepth | None = None,
-    config: FixpointConfig | None = None,
 ) -> ScanReport:
     """Search seeded random graphs for both directions of disagreement
     between clean acceptance and well-defendedness.
@@ -519,7 +520,6 @@ def compatibility_scan(
     stream = scan_graph_stream(seed, size_bound=size_bound, acyclic_only=acyclic_only)
     _check_semantics(semantics)
     name, instance = _resolve_valuation(valuation)
-    depth = depth or PropagationDepth()
     found: dict[str, Witness] = {}
     trials_used = 0
     for trial in range(1, trials + 1):
@@ -535,9 +535,9 @@ def compatibility_scan(
             continue
         try:
             if instance is None:
-                values = evaluate_cyclic(g, depth)
+                values = evaluate_cyclic(g, PropagationDepth())
             else:
-                values = evaluate_local(g, instance, config)
+                values = evaluate_local(g, instance)
         except ConvergenceError:
             continue
         defended = well_defended(g, valuation_preference(values))

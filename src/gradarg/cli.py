@@ -157,7 +157,10 @@ def _cmd_value(args) -> int:
     values = _model_values(g, args.model, args.depth)
     # Each value is dropped once its text is made; all are rendered before
     # anything is printed, so a value that cannot be rendered prints nothing.
-    shown = {name: str(values.pop(name)) for name in g.arguments}
+    try:
+        shown = {name: str(values.pop(name)) for name in g.arguments}
+    except ValueError:  # an integer past the int-to-str digit limit
+        raise RenderLimitError("a value has too many decimal digits to print") from None
     return _emit(args, {"model": args.model, "values": shown},
                  (f"{name} {text}" for name, text in shown.items()))
 

@@ -251,29 +251,18 @@ class AttackGraph:
             counts = nxt
         return counts[target]
 
-    def shortest_walks(self, seeds, step=(1, 0), *, backward=False,
-                       within=None) -> dict[tuple[str, int], int]:
-        """Breadth-first search over (argument, walk-length class) states.
+    @staticmethod
+    def _shortest_walks(seeds, step, adjacency,
+                        within=None) -> dict[tuple[int, int], int]:
+        """Breadth-first search over (declaration index, walk class) states.
 
         `seeds` are (length, argument, class) triples: walks known to exist.
         One more attack edge takes a walk of class c to class step[c], so
         step=(1, 0) tracks parity and step=(0,) plain distance.  Walks follow
-        attacks forward (or backward, into an argument) and stay inside
-        `within` when it is given.  Returns the length of the shortest walk
-        reaching each reachable state.
+        `adjacency` (`_targets` forward, `_attackers` backward, into an
+        argument) and stay inside the index set `within` when it is given.
+        Returns the length of the shortest walk reaching each reachable state.
         """
-        index, args = self._index, self._args
-        if within is not None:
-            within = {index[v] for v in within if v in index}
-        reached = self._shortest_walks(
-            [(length, index[v], c) for (length, v, c) in seeds], step,
-            self._attackers if backward else self._targets, within)
-        return {(args[v], c): length for (v, c), length in reached.items()}
-
-    @staticmethod
-    def _shortest_walks(seeds, step, adjacency,
-                        within=None) -> dict[tuple[int, int], int]:
-        """`shortest_walks` on declaration indices, along `adjacency`."""
         pending = sorted(seeds, key=lambda seed: seed[0])
         shortest: dict[tuple[int, int], int] = {}
         frontier: list[tuple[int, int]] = []
@@ -391,9 +380,9 @@ class AttackGraph:
         lines += [f"att({s},{t})." for (s, t) in sorted(self.attacks)]
         return "\n".join(lines) + "\n"
 
-    def to_dot(self, name: str = "attack_graph") -> str:
+    def to_dot(self) -> str:
         """Graphviz rendering with a stable node and edge order."""
-        lines = [f"digraph {name} {{"]
+        lines = ["digraph attack_graph {"]
         lines += [f'  "{a}";' for a in self._args]
         lines += [f'  "{s}" -> "{t}";' for (s, t) in sorted(self.attacks)]
         lines.append("}")

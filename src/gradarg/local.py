@@ -9,11 +9,12 @@ value; everything else follows v(A) = g(h(values of direct attackers)).
 Evaluation is one pass along the graph's condensation, its strongly
 connected components in dependency order, with one step rule for every
 argument outside a cycle union and a simultaneous fixpoint iteration, in
-floats, over each cycle union.  Acyclic graphs are evaluated exactly
-(rational arithmetic for rational instances).  On a graph with cycles the
-rooted three-label instance is Dung's grounded labelling, read from the
-graph's one queue pass (`AttackGraph._grounded`) that extension
-enumeration also starts from: + for IN, - for OUT, ? for undecided.
+floats, over each cycle union, within the tuple side's WORK_BOUND of
+attack reads.  Acyclic graphs are evaluated exactly (rational arithmetic
+for rational instances).  On a graph with cycles the rooted three-label
+instance is Dung's grounded labelling, read from the graph's one queue
+pass (`AttackGraph._grounded`) that extension enumeration also starts
+from: + for IN, - for OUT, ? for undecided.
 Every value map lists the arguments in condensation order, members of a
 component in declaration order.
 """
@@ -28,11 +29,11 @@ from operator import add
 from typing import Callable
 
 from .framework import _IN, _OUT, AttackGraph
+from .tuple_eval import WORK_BOUND
 
 __all__ = [
     "ConditionStarOutcome",
     "ConvergenceError",
-    "FixpointConfig",
     "LocalInstance",
     "MixedValueKindsError",
     "TotalPreorder",
@@ -55,7 +56,7 @@ _ROOTED_LABEL = {0: "?", _IN: "+", _OUT: "-"}  # by grounded label
 
 
 class ConvergenceError(ArithmeticError):
-    """Fixpoint iteration failed to settle within the iteration budget."""
+    """A cycle union's fixpoint iteration did not settle within WORK_BOUND attack reads."""
 
 
 class UndecidableError(ValueError):
@@ -143,16 +144,16 @@ def rooted_labelling() -> LocalInstance:
     )
 
 
-def max_based(g: Callable | None = None, name: str = "max_based") -> LocalInstance:
-    """Instance family combining attackers with max; only the strongest
-    direct attacker matters.  The default g is the categoriser's; h returns
-    the largest value as given, and Fraction(0) for none."""
+def max_based() -> LocalInstance:
+    """Instance combining attackers with max; only the strongest direct
+    attacker matters.  g is the categoriser's; h returns the largest value
+    as given, and Fraction(0) for none."""
     return LocalInstance(
-        name=name,
+        name="max_based",
         kind="rational",
         v_min=_ZERO,
         v_max=_ONE,
-        g=_weaken if g is None else g,
+        g=_weaken,
         h=partial(max, default=_ZERO),
     )
 
@@ -165,28 +166,23 @@ def builtin_instances() -> dict[str, LocalInstance]:
     }
 
 
-@dataclass(frozen=True)
-class FixpointConfig:
-    tolerance: float = 1e-12
-    max_iterations: int = 1_000_000
+_TOLERANCE = 1e-12  # a round moving no cycle union member this much or more ends it
 
 
-def evaluate_local(
-    g: AttackGraph, instance: LocalInstance, config: FixpointConfig | None = None
-) -> dict[str, object]:
+def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]:
     """Value of every argument under the instance, listed in condensation
     order (`g.condensation()`, members in declaration order).
 
     One pass along the condensation: an unattacked argument takes the top
     value, any other argument outside a cycle union takes g(h(values of
     its attackers)), and each cycle union runs a fixpoint iteration from
-    the all-top start; h gets a tuple in `g.attackers_of` order.  Acyclic
-    graphs evaluate exactly; on a cyclic graph every numeric value is a
-    float (the top value and each result of g are converted).  On a cyclic
-    graph the rooted label instance is Dung's grounded labelling: + for
-    IN, - for OUT and ? for undecided.
+    the all-top start; h gets a tuple in `g.attackers_of` order.  It stops
+    at a round that moves no member by 1e-12 or more, or raises
+    ConvergenceError past WORK_BOUND attack reads.  Acyclic graphs evaluate
+    exactly; on a cyclic graph every numeric value is a float (the top
+    value and each result of g are converted), and the rooted label
+    instance is Dung's grounded labelling: + IN, - OUT, ? undecided.
     """
-    config = config or FixpointConfig()
     order = g._components()
     names = g.arguments
     cyclic = list(map(g._is_cyclic, order))
@@ -213,7 +209,7 @@ def evaluate_local(
         step = lambda row: float(weaken(combine(tuple(map(read, row)))))
     for members, looped in zip(order, cyclic):
         if looped:
-            _iterate(members, attackers, value, step, config)
+            _iterate(members, attackers, value, step)
         elif attackers[members[0]]:
             value[members[0]] = step(attackers[members[0]])
     return {names[i]: value[i] for members in order for i in members}
@@ -232,23 +228,23 @@ def _is_rooted_style(instance: LocalInstance) -> bool:
     return g_ok and h_ok
 
 
-def _iterate(members, attackers, value, step, config):
+def _iterate(members, attackers, value, step):
     """Jacobi iteration over one cycle union from the all-top start that
     `value` holds for its members, until a round moves none of them by
-    `config.tolerance` or more."""
-    tolerance = config.tolerance
-    for _ in range(config.max_iterations):
+    _TOLERANCE or more; ConvergenceError past WORK_BOUND attack reads."""
+    for _ in range(WORK_BOUND // sum(len(attackers[m]) for m in members)):
         settled = True
         nxt = []
         for m in members:
             v = step(attackers[m])
-            settled = settled and abs(v - value[m]) < tolerance
+            settled = settled and abs(v - value[m]) < _TOLERANCE
             nxt.append(v)
         for m, v in zip(members, nxt):
             value[m] = v
         if settled:
             return
-    raise ConvergenceError(f"no fixpoint within {config.max_iterations} iterations")
+    raise ConvergenceError(f"no fixpoint on a cycle union of {len(members)} "
+                           f"arguments within {WORK_BOUND} attack reads")
 
 
 # -- ordering and diagnostics --------------------------------------------------

@@ -50,8 +50,9 @@ class TupleFormatError(ValueError):
 
 
 class RenderLimitError(ValueError):
-    """A branch count has more decimal digits than the interpreter's
-    integer-to-string limit lets it print."""
+    """`gradarg value` met a value with an integer (a branch count, numerator
+    or denominator) past the interpreter's integer-to-string digit limit;
+    `render` and `str` raise that limit's plain ValueError."""
 
 
 @dataclass(frozen=True)
@@ -148,14 +149,9 @@ class GradTuple:
                 return "(0,...)"
             body = ",".join(str(self.constant) for _ in range(3))
             return f"({body},...)"
-        try:
-            parts = [f"{value}^{count}" if count > _RENDER_RUN_LIMIT
-                     else ",".join([str(value)] * count)
-                     for value, count in self.runs]
-        except ValueError:
-            raise RenderLimitError(
-                "a branch count has too many decimal digits to print"
-            ) from None
+        parts = [f"{value}^{count}" if count > _RENDER_RUN_LIMIT
+                 else ",".join([str(value)] * count)
+                 for value, count in self.runs]
         if self.infinite:
             parts.append("...")
         return "(" + ",".join(parts) + ")"

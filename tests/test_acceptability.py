@@ -341,6 +341,27 @@ class TestEnumeration:
                 out, err = capsys.readouterr()
                 assert out == "" and message in err
 
+    @pytest.mark.parametrize("cycle_first", [True, False])
+    def test_a_part_without_stable_labelling_empties_the_answer(
+            self, capsys, tmp_path, cycle_first):
+        # the joined pairs above, whose part passes the cap, beside an
+        # unattacked 3-cycle, which has no stable labelling: no stable
+        # extension whichever part is declared, and so searched, first
+        pairs = [(f"a{i}", f"b{i}") for i in range(14)]
+        joined = [*itertools.chain(*pairs), "t"]
+        cycle = ["c1", "c2", "c3"]
+        g = AttackGraph(
+            [*cycle, *joined] if cycle_first else [*joined, *cycle],
+            [*pairs, *((b, a) for a, b in pairs), *((a, "t") for a, _ in pairs),
+             ("c1", "c2"), ("c2", "c3"), ("c3", "c1")])
+        assert stable_extensions(g) == []
+        with pytest.raises(EnumerationBoundError):
+            preferred_extensions(g)
+        path = tmp_path / "starved.apx"
+        path.write_text(g.serialize(), encoding="utf-8")
+        assert main(["solve", str(path), "--semantics", "stable"]) == 0
+        assert capsys.readouterr() == ("", "")
+
 
 class TestClassify:
     def test_tiny_cases(self):

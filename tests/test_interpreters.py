@@ -5,14 +5,16 @@ operations, and `sum()` of floats changed in 3.12 to compensated
 summation; tupled values hold big integer counts.  These checks run
 `value --model categoriser` and `value --model tuples --depth 3` on
 every cyclic case of the frozen-digest set under each other CPython
-3.10+ that `shutil.which` finds (python3.10, python3.11, ...), importing
-the package from src/, and compare the output with the running
-interpreter's.  They skip when no other interpreter starts.
+3.10+ that starts, importing the package from src/, and compare the
+output with the running interpreter's.  They skip when no other
+interpreter starts.
 
-Under pyenv, a `python3.X` shim exits with code 127 unless that version
-is among the active ones, so by default only the active interpreters are
-compared, silently.  To compare every installed version, name them all,
-for example `PYENV_VERSION=3.11.7:3.10.13:3.12.1:3.13.0`.
+For each minor version the first candidate that starts and reports that
+version is used: `python3.X` on PATH, then every pyenv installation
+`$PYENV_ROOT/versions/3.X.*/bin/python3.X` (PYENV_ROOT defaults to
+~/.pyenv).  A pyenv shim exits with code 127 unless its version is
+active; trying the installations too compares every installed version
+without setting PYENV_VERSION.
 """
 
 import os
@@ -28,6 +30,7 @@ from test_frozen_tuples import cases
 from gradarg import parse_framework
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PYENV_ROOT = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
 RENDER = """
 import sys
 from gradarg.cli import main
@@ -58,10 +61,14 @@ def _version(python):
 def other_pythons():
     found = {}
     for minor in range(10, 20):
-        path = shutil.which(f"python3.{minor}")
-        version = path and _version(path)
-        if version and version >= (3, 10) and version != sys.version_info[:2]:
-            found.setdefault(version, path)
+        if (3, minor) == sys.version_info[:2]:
+            continue
+        candidates = [shutil.which(f"python3.{minor}"),
+                      *sorted(PYENV_ROOT.glob(f"versions/3.{minor}.*/bin/python3.{minor}"))]
+        for path in filter(None, candidates):
+            if _version(path) == (3, minor):
+                found[(3, minor)] = str(path)
+                break
     return found
 
 

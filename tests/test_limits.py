@@ -13,7 +13,7 @@ import pytest
 from conftest import fixture_path
 
 import gradarg
-from gradarg import AttackGraph, random_attack_graph
+from gradarg import AttackGraph, generate_family, random_attack_graph
 
 SRC = str(Path(gradarg.__file__).resolve().parents[1])
 MEMORY_LIMIT = 512 * 1024 * 1024
@@ -140,6 +140,18 @@ class TestUnprintableCounts:
         done = run_cli(["well-defended", path, "--model", "tuples", "--depth", "500"])
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == NAMES
+
+
+class TestUnprintableLocalValues:
+    # The categoriser values a chain by ratios of consecutive Fibonacci
+    # numbers; 25,000 links take them past the digit limit.
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_value_exits_with_a_one_line_message(self, tmp_path, output):
+        path = write_graph(tmp_path, "chain", generate_family("chain", size=25000))
+        done = run_cli(["value", path, "--model", "categoriser", "--format", output])
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == "gradarg: a value has too many decimal digits to print\n"
 
 
 CYCLIC = random_attack_graph(9, 30, 0.08)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from test_frozen_tuples import cases
 from gradarg import (
     ConditionStarOutcome,
     ConvergenceError,
-    FixpointConfig,
     LocalInstance,
     MixedValueKindsError,
     TotalPreorder,
@@ -32,6 +32,16 @@ from gradarg import (
 )
 
 GOLDEN = (math.sqrt(5) - 1) / 2
+
+# g = 1 - x flips an even cycle between 1 and 0 for ever.
+FLIP = LocalInstance(
+    name="flip",
+    kind="float",
+    v_min=0.0,
+    v_max=1.0,
+    g=lambda x: 1.0 - x,
+    h=lambda values: max(values, default=0.0),
+)
 
 
 @pytest.fixture(scope="module")
@@ -137,18 +147,37 @@ class TestCategoriserCyclic:
         assert values["D"] == 1.0
         assert all(0 < values[f"C{i}"] < 1 for i in (1, 2, 3))
 
-    def test_non_convergence_is_reported(self):
-        flip = LocalInstance(
-            name="flip",
-            kind="float",
-            v_min=0.0,
-            v_max=1.0,
-            g=lambda x: 1.0 - x,
-            h=lambda values: max(values, default=0.0),
-        )
+    def test_non_convergence_is_reported(self, monkeypatch):
+        # 50 rounds of the 2-cycle's two attack reads
+        monkeypatch.setattr("gradarg.local.WORK_BOUND", 100)
         graph = generate_family("unattacked-cycle", size=2)
+        with pytest.raises(ConvergenceError, match="cycle union of 2 arguments within 100"):
+            evaluate_local(graph, FLIP)
+
+    def test_non_convergence_is_reported_within_seconds(self):
+        # 10,000 rounds of 200 reads at the default bound
+        graph = generate_family("unattacked-cycle", size=200)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="cycle union of 200 arguments"):
+            evaluate_local(graph, FLIP)
+        assert time.perf_counter() - start < 10.0
+
+    def test_bound_is_exact_at_the_rounds_needed(self, monkeypatch):
+        # g is called once per member and round, and a 3-cycle round reads
+        # 3 attacks: the bound that lets every round run is 3 * rounds
+        calls = []
+        counting = LocalInstance("counting", "rational", Fraction(0), Fraction(1),
+                                 g=lambda x: calls.append(x) or categoriser().g(x),
+                                 h=categoriser().h)
+        graph = generate_family("unattacked-cycle", size=3)
+        values = evaluate_local(graph, counting)
+        reads = len(calls)
+        assert reads % 3 == 0 and reads > 3
+        monkeypatch.setattr("gradarg.local.WORK_BOUND", reads)
+        assert evaluate_local(graph, counting) == values
+        monkeypatch.setattr("gradarg.local.WORK_BOUND", reads - 1)
         with pytest.raises(ConvergenceError):
-            evaluate_local(graph, flip, FixpointConfig(max_iterations=50))
+            evaluate_local(graph, counting)
 
 
 class TestRootedLabelling:
