@@ -216,7 +216,7 @@ def _extension_masks(g: AttackGraph, stable: bool) -> list[int]:
     for part in _weak_parts(g, components, label):
         try:
             found = _part_masks(part, attackers, label, stable)
-        except EnumerationBoundError:
+        except EnumerationBoundError if stable else ():
             found = None  # too many: raised below unless a later part has none
         if found == []:
             return []

@@ -9,12 +9,12 @@ value; everything else follows v(A) = g(h(values of direct attackers)).
 Evaluation is one pass along the graph's condensation, its strongly
 connected components in dependency order, with one step rule for every
 argument outside a cycle union and a simultaneous fixpoint iteration, in
-floats, over each cycle union, within the tuple side's WORK_BOUND of
-attack reads.  Acyclic graphs are evaluated exactly (rational arithmetic
-for rational instances).  On a graph with cycles the rooted three-label
-instance is Dung's grounded labelling, read from the graph's one queue
-pass (`AttackGraph._grounded`) that extension enumeration also starts
-from: + for IN, - for OUT, ? for undecided.
+floats, over each cycle union, for 1,000 rounds or as many as read the
+tuple side's WORK_BOUND of attacks.  Acyclic graphs are evaluated exactly
+(rational arithmetic for rational instances).  On a graph with cycles the
+rooted three-label instance is Dung's grounded labelling, read from the
+graph's one queue pass (`AttackGraph._grounded`) that extension
+enumeration also starts from: + for IN, - for OUT, ? for undecided.
 Every value map lists the arguments in condensation order, members of a
 component in declaration order.
 """
@@ -29,7 +29,7 @@ from operator import add
 from typing import Callable
 
 from .framework import _IN, _OUT, AttackGraph
-from .tuple_eval import WORK_BOUND
+from . import tuple_eval
 
 __all__ = [
     "ConditionStarOutcome",
@@ -56,7 +56,7 @@ _ROOTED_LABEL = {0: "?", _IN: "+", _OUT: "-"}  # by grounded label
 
 
 class ConvergenceError(ArithmeticError):
-    """A cycle union's fixpoint iteration did not settle within WORK_BOUND attack reads."""
+    """A cycle union's fixpoint iteration did not settle within its rounds."""
 
 
 class UndecidableError(ValueError):
@@ -167,6 +167,7 @@ def builtin_instances() -> dict[str, LocalInstance]:
 
 
 _TOLERANCE = 1e-12  # a round moving no cycle union member this much or more ends it
+_MIN_ROUNDS = 1_000  # rounds every cycle union gets, whatever one round reads
 
 
 def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]:
@@ -175,10 +176,10 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
 
     One pass along the condensation: an unattacked argument takes the top
     value, any other argument outside a cycle union takes g(h(values of
-    its attackers)), and each cycle union runs a fixpoint iteration from
-    the all-top start; h gets a tuple in `g.attackers_of` order.  It stops
-    at a round that moves no member by 1e-12 or more, or raises
-    ConvergenceError past WORK_BOUND attack reads.  Acyclic graphs evaluate
+    its attackers)), and each cycle union iterates from the all-top start
+    until a round moves no member by 1e-12 or more, or raises
+    ConvergenceError after max(1,000, WORK_BOUND // its attacks) rounds;
+    h gets a tuple in `g.attackers_of` order.  Acyclic graphs evaluate
     exactly; on a cyclic graph every numeric value is a float (the top
     value and each result of g are converted), and the rooted label
     instance is Dung's grounded labelling: + IN, - OUT, ? undecided.
@@ -229,10 +230,10 @@ def _is_rooted_style(instance: LocalInstance) -> bool:
 
 
 def _iterate(members, attackers, value, step):
-    """Jacobi iteration over one cycle union from the all-top start that
-    `value` holds for its members, until a round moves none of them by
-    _TOLERANCE or more; ConvergenceError past WORK_BOUND attack reads."""
-    for _ in range(WORK_BOUND // sum(len(attackers[m]) for m in members)):
+    """Jacobi rounds over one cycle union, from the all-top start in `value`."""
+    reads = sum(len(attackers[m]) for m in members)  # attacks one round reads
+    rounds = max(_MIN_ROUNDS, tuple_eval.WORK_BOUND // reads)
+    for _ in range(rounds):
         settled = True
         nxt = []
         for m in members:
@@ -244,7 +245,7 @@ def _iterate(members, attackers, value, step):
         if settled:
             return
     raise ConvergenceError(f"no fixpoint on a cycle union of {len(members)} "
-                           f"arguments within {WORK_BOUND} attack reads")
+                           f"arguments within {rounds} rounds of {reads} attack reads")
 
 
 # -- ordering and diagnostics --------------------------------------------------

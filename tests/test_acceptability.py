@@ -341,19 +341,28 @@ class TestEnumeration:
                 out, err = capsys.readouterr()
                 assert out == "" and message in err
 
-    @pytest.mark.parametrize("cycle_first", [True, False])
+    @pytest.mark.parametrize("cycle_first, one_part", [
+        (True, False), (False, False), (True, True),
+        # Inside one part, components that do not depend on each other are
+        # searched in declaration order, and the pairs pass the cap before
+        # the cycle is reached.
+        pytest.param(False, True, marks=pytest.mark.xfail(
+            raises=EnumerationBoundError, strict=True,
+            reason="the cap is met inside one part before the cycle")),
+    ])
     def test_a_part_without_stable_labelling_empties_the_answer(
-            self, capsys, tmp_path, cycle_first):
+            self, capsys, tmp_path, cycle_first, one_part):
         # the joined pairs above, whose part passes the cap, beside an
         # unattacked 3-cycle, which has no stable labelling: no stable
-        # extension whichever part is declared, and so searched, first
+        # extension whichever part is declared, and so searched, first;
+        # with one_part the cycle also attacks t, joining the two parts
         pairs = [(f"a{i}", f"b{i}") for i in range(14)]
         joined = [*itertools.chain(*pairs), "t"]
         cycle = ["c1", "c2", "c3"]
         g = AttackGraph(
             [*cycle, *joined] if cycle_first else [*joined, *cycle],
             [*pairs, *((b, a) for a, b in pairs), *((a, "t") for a, _ in pairs),
-             ("c1", "c2"), ("c2", "c3"), ("c3", "c1")])
+             ("c1", "c2"), ("c2", "c3"), ("c3", "c1"), *[("c1", "t")] * one_part])
         assert stable_extensions(g) == []
         with pytest.raises(EnumerationBoundError):
             preferred_extensions(g)
@@ -361,6 +370,26 @@ class TestEnumeration:
         path.write_text(g.serialize(), encoding="utf-8")
         assert main(["solve", str(path), "--semantics", "stable"]) == 0
         assert capsys.readouterr() == ("", "")
+
+    def test_a_preferred_search_stops_at_the_first_part_past_the_cap(self, monkeypatch):
+        # every part has a preferred labelling, so the 3-cycle declared
+        # after the joined pairs cannot change the answer and is not searched
+        pairs = [(f"a{i}", f"b{i}") for i in range(14)]
+        g = AttackGraph(
+            [*itertools.chain(*pairs), "t", "c1", "c2", "c3"],
+            [*pairs, *((b, a) for a, b in pairs), *((a, "t") for a, _ in pairs),
+             ("c1", "c2"), ("c2", "c3"), ("c3", "c1")])
+        searched = []
+        search = acceptability._part_masks
+
+        def counted(part, *args):
+            searched.append(part)
+            return search(part, *args)
+
+        monkeypatch.setattr(acceptability, "_part_masks", counted)
+        with pytest.raises(EnumerationBoundError):
+            preferred_extensions(g)
+        assert len(searched) == 1
 
 
 class TestClassify:
