@@ -178,7 +178,7 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
     value, any other argument outside a cycle union takes g(h(values of
     its attackers)), and each cycle union iterates from the all-top start
     until a round moves no member by 1e-12 or more, or raises
-    ConvergenceError after max(1,000, WORK_BOUND // its attacks) rounds;
+    ConvergenceError after max(1,000, WORK_BOUND // attacks read a round) rounds;
     h gets a tuple in `g.attackers_of` order.  Acyclic graphs evaluate
     exactly; on a cyclic graph every numeric value is a float (the top
     value and each result of g are converted), and the rooted label
