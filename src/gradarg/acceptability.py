@@ -245,9 +245,7 @@ def _part_masks(components, attackers, label, stable: bool) -> list[int]:
     ones without an undecided member, so the stable search drops any
     component labelling that has one.
     """
-    # (IN, OUT) masks.  OUT holds undecided arguments only: the decided
-    # attackers of an undecided argument are all OUT and need no test.
-    partial = [(0, 0)]
+    tables = []
     for comp in components:
         pos = {v: j for j, v in enumerate(comp)}
         att = [0] * len(comp)
@@ -260,7 +258,32 @@ def _part_masks(components, attackers, label, stable: bool) -> list[int]:
                     tgt[pos[b]] |= 1 << j
                 elif not label[b]:
                     upstream[j] |= 1 << b
-        options: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        tables.append((comp, att, tgt, upstream, {}))
+
+    def labellings(table, forced, eligible):
+        comp, att, tgt, _, options = table
+        if (forced, eligible) not in options:
+            options[forced, eligible] = [
+                (sum(1 << comp[j] for j in _bits(chosen)),
+                 sum(1 << comp[j] for j in _bits(out)))
+                for chosen, out in _component_labellings(
+                    att, tgt, forced, eligible, stable)
+            ]
+        return options[forced, eligible]
+
+    # Under stable semantics a component with no undecided attacker outside
+    # itself has the same labellings whatever precedes it: if it has none,
+    # the answer is empty, found before any product can pass the cap.
+    if stable:
+        for table in tables:
+            comp, _, _, upstream, _ = table
+            if not any(upstream) and not labellings(table, 0, (1 << len(comp)) - 1):
+                return []
+    # (IN, OUT) masks.  OUT holds undecided arguments only: the decided
+    # attackers of an undecided argument are all OUT and need no test.
+    partial = [(0, 0)]
+    for table in tables:
+        upstream = table[3]
         extended = []
         for in_mask, out_mask in partial:
             forced = eligible = 0
@@ -269,16 +292,8 @@ def _part_masks(components, attackers, label, stable: bool) -> list[int]:
                     forced |= 1 << j
                 elif not up & ~out_mask:
                     eligible |= 1 << j
-            key = (forced, eligible)
-            if key not in options:
-                options[key] = [
-                    (sum(1 << comp[j] for j in _bits(chosen)),
-                     sum(1 << comp[j] for j in _bits(out)))
-                    for chosen, out in _component_labellings(
-                        att, tgt, forced, eligible, stable)
-                ]
             extended.extend((in_mask | chosen, out_mask | out)
-                            for chosen, out in options[key])
+                            for chosen, out in labellings(table, forced, eligible))
             if len(extended) > _EXTENSION_CAP:
                 raise _cap_error()
         partial = extended

@@ -28,7 +28,6 @@ from .acceptability import (
 from .framework import AttackGraph, FrameworkError, ParseError, parse_framework
 from .local import (
     ConvergenceError,
-    UndecidableError,
     categoriser,
     evaluate_local,
     rooted_labelling,
@@ -246,7 +245,7 @@ def main(argv=None) -> int:
         print(f"gradarg: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ConvergenceError, EnumerationBoundError, EvaluationBoundError,
-            UndecidableError, FrameworkError, RenderLimitError) as exc:
+            FrameworkError, RenderLimitError) as exc:
         print(f"gradarg: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -11,10 +11,12 @@ connected components in dependency order, with one step rule for every
 argument outside a cycle union and a simultaneous fixpoint iteration, in
 floats, over each cycle union, for 1,000 rounds or as many as read the
 tuple side's WORK_BOUND of attacks.  Acyclic graphs are evaluated exactly
-(rational arithmetic for rational instances).  On a graph with cycles the
-rooted three-label instance is Dung's grounded labelling, read from the
+(rational arithmetic for rational instances).  The built-in rooted
+labelling is Dung's grounded labelling on every graph, read from the
 graph's one queue pass (`AttackGraph._grounded`) that extension
-enumeration also starts from: + for IN, - for OUT, ? for undecided.
+enumeration also starts from: + for IN, - for OUT, ? for undecided.  Any
+other label instance follows the step rule on acyclic graphs and cannot
+decide a graph with cycles.
 Every value map lists the arguments in condensation order, members of a
 component in declaration order.
 """
@@ -110,9 +112,9 @@ def _label_h(values):
 
 
 def _label_g(value):
-    # The top label maps to the bottom one so the recurrence is total; on
-    # acyclic graphs only the two extreme labels ever occur, alternating
-    # along each branch.
+    # The top label maps to the bottom one.  `evaluate_local` never calls
+    # it: the built-in labelling is read from the grounded labelling, on
+    # acyclic graphs the same labels this g and `_label_h` give.
     return {"-": "+", "?": "?", "+": "-"}[value]
 
 
@@ -181,25 +183,24 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
     ConvergenceError after max(1,000, WORK_BOUND // attacks read a round) rounds;
     h gets a tuple in `g.attackers_of` order.  Acyclic graphs evaluate
     exactly; on a cyclic graph every numeric value is a float (the top
-    value and each result of g are converted), and the rooted label
-    instance is Dung's grounded labelling: + IN, - OUT, ? undecided.
+    value and each result of g are converted).  The built-in rooted
+    labelling (kind "label", top "+", the module's own g and h) is Dung's
+    grounded labelling on every graph: + IN, - OUT, ? undecided.  Any other
+    label instance raises UndecidableError on a graph with cycles.
     """
     order = g._components()
     names = g.arguments
+    if (instance.kind, instance.v_max, instance.g, instance.h) == (
+            "label", "+", _label_g, _label_h):
+        label = g._grounded()
+        return {names[i]: _ROOTED_LABEL[label[i]] for members in order for i in members}
     cyclic = list(map(g._is_cyclic, order))
     top, combine, weaken = instance.v_max, instance.h, instance.g
     exact = not any(cyclic)
     if not exact:
         if instance.kind == "label":
-            if not _is_rooted_style(instance):
-                raise UndecidableError(
-                    f"label instance {instance.name!r} cannot decide cyclic graphs"
-                )
-            # _is_rooted_style checks h on short tuples only, so a cyclic
-            # graph is decided with the built-in labels.
-            label = g._grounded()
-            return {names[i]: _ROOTED_LABEL[label[i]]
-                    for members in order for i in members}
+            raise UndecidableError(
+                f"label instance {instance.name!r} cannot decide cyclic graphs")
         top = float(top)
     attackers = g._attackers
     value: list = [top] * len(attackers)  # by declaration index
@@ -214,19 +215,6 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
         elif attackers[members[0]]:
             value[members[0]] = step(attackers[members[0]])
     return {names[i]: value[i] for members in order for i in members}
-
-
-def _is_rooted_style(instance: LocalInstance) -> bool:
-    try:
-        g_ok = [instance.g(v) for v in LABELS] == ["+", "?", "-"]
-        h_ok = all(
-            instance.h(t) == _label_h(t)
-            for r in range(3)
-            for t in itertools.product(LABELS, repeat=r)
-        )
-    except Exception:
-        return False
-    return g_ok and h_ok
 
 
 def _iterate(members, attackers, value, step):

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from conftest import load_fixture
+from conftest import load_fixture, oracle_extensions
 
 from gradarg import (
     BranchEdit,
@@ -172,40 +172,6 @@ def test_criterion_06_cycle_tuples_up_to_the_certified_horizon():
             assert v.even.elements() == tuple(range(2, v.even.horizon + 1, 2))
 
 
-def _oracle_extensions(g):
-    names = g.arguments
-    attacks = set(g.attacks)
-    subsets = [
-        frozenset(sub)
-        for r in range(len(names) + 1)
-        for sub in itertools.combinations(names, r)
-    ]
-
-    def conflict_free(sub):
-        return not any((a, b) in attacks for a in sub for b in sub)
-
-    admissible = [
-        s
-        for s in subsets
-        if conflict_free(s)
-        and all(
-            any((c, b) in attacks for c in s)
-            for a in s
-            for b in names
-            if (b, a) in attacks
-        )
-    ]
-    preferred = [s for s in admissible if not any(s < t for t in admissible)]
-    stable = [
-        s
-        for s in subsets
-        if conflict_free(s)
-        and all(any((a, b) in attacks for a in s) for b in names if b not in s)
-    ]
-    key = lambda s: (len(s), sorted(s))
-    return sorted(preferred, key=key), sorted(stable, key=key)
-
-
 def test_criterion_07_enumeration_matches_the_subset_oracle():
     with check(7, "preferred/stable enumeration equals the all-subsets oracle"):
         stream = scan_graph_stream(7, size_bound=5)
@@ -213,7 +179,7 @@ def test_criterion_07_enumeration_matches_the_subset_oracle():
             g = next(stream)
             preferred = preferred_extensions(g)
             stable = stable_extensions(g)
-            want_preferred, want_stable = _oracle_extensions(g)
+            want_preferred, want_stable = oracle_extensions(g)
             assert [frozenset(e.members) for e in preferred] == want_preferred
             assert [frozenset(e.members) for e in stable] == want_stable
             assert preferred

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -421,3 +423,34 @@ class TestDeterminism:
         )
         assert first == second
         assert first[0] == 0
+
+
+def readme_examples():
+    """(argv, shown output lines) for every `$ gradarg` line in the README's
+    sh blocks; the shown lines run to the next blank or `$` line."""
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        shown = None
+        for line in block.splitlines():
+            if line.startswith("$ gradarg "):
+                shown = []
+                examples.append((shlex.split(line[len("$ gradarg "):], comments=True), shown))
+            elif line and not line.startswith("$") and shown is not None:
+                shown.append(line)
+            else:
+                shown = None
+    return examples
+
+
+def test_readme_examples_print_what_they_show(capsys, monkeypatch):
+    # every shown line but "..." appears in the real output, in order
+    examples = readme_examples()
+    assert len(examples) == 9
+    monkeypatch.chdir(FIXTURES.parent)
+    for argv, shown in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        lines = iter(out.splitlines())
+        for line in shown:
+            assert line == "..." or line in lines, (argv, line, out)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import load_fixture
+from conftest import FLIP, grounded_oracle, load_fixture
 from test_frozen_tuples import cases
 
 from gradarg import (
@@ -31,40 +31,14 @@ from gradarg import (
     scan_graph_stream,
     validate_instance,
 )
+from gradarg.cli import MODELS
 
 GOLDEN = (math.sqrt(5) - 1) / 2
-
-# g = 1 - x flips an even cycle between 1 and 0 for ever.
-FLIP = LocalInstance(
-    name="flip",
-    kind="float",
-    v_min=0.0,
-    v_max=1.0,
-    g=lambda x: 1.0 - x,
-    h=lambda values: max(values, default=0.0),
-)
 
 
 @pytest.fixture(scope="module")
 def scan_graphs():
     return list(itertools.islice(scan_graph_stream(7), 3000))
-
-
-def grounded_oracle(graph):
-    """Dung's grounded labelling, independent of the package's evaluators:
-    the least fixpoint of the characteristic function, iterated from the
-    empty set in whole rounds.  + for IN, - for attacked by IN, ? for the
-    rest."""
-    attackers = {a: graph.attackers_of(a) for a in graph.arguments}
-    accepted, defeated = set(), set()
-    while True:
-        grown = {a for a, bs in attackers.items() if all(b in defeated for b in bs)}
-        if grown == accepted:
-            break
-        accepted = grown
-        defeated = {a for a, bs in attackers.items() if any(b in accepted for b in bs)}
-    return {a: "+" if a in accepted else "-" if a in defeated else "?"
-            for a in graph.arguments}
 
 
 class TestCategoriserAcyclic:
@@ -230,8 +204,12 @@ class TestRootedLabelling:
         assert all(values[f"C{i}"] == "+" for i in (1, 2, 3))
 
     def test_scan_graphs_get_the_grounded_labelling(self, scan_graphs):
+        instances = (rooted_labelling(), builtin_instances()["rooted_labelling"],
+                     MODELS["labelling"])
         for graph in scan_graphs:
-            assert evaluate_local(graph, rooted_labelling()) == grounded_oracle(graph)
+            expected = grounded_oracle(graph)
+            for instance in instances:
+                assert evaluate_local(graph, instance) == expected
 
     @pytest.mark.parametrize("seed", range(8))
     def test_large_unions_get_the_grounded_labelling(self, seed):
@@ -241,6 +219,21 @@ class TestRootedLabelling:
         graph = random_attack_graph(seed, size, (2.0, 3.0)[seed // 4] / size)
         assert max(map(len, graph.condensation())) > size // 2
         assert evaluate_local(graph, rooted_labelling()) == grounded_oracle(graph)
+
+    def test_a_lookalike_keeps_its_own_h_and_refuses_cycles(self):
+        # h agrees with the built-in one on at most two attackers only
+        builtin = rooted_labelling()
+        lookalike = dataclasses.replace(
+            builtin, name="lookalike",
+            h=lambda values: "-" if len(values) >= 3 else builtin.h(values))
+        star = AttackGraph(list("abcd"), [("b", "a"), ("c", "a"), ("d", "a")])
+        assert evaluate_local(star, lookalike)["a"] == "+"
+        assert evaluate_local(star, builtin)["a"] == "-"
+        looped = AttackGraph(list("abcde"), [*star.attacks, ("e", "e"), ("e", "b")])
+        with pytest.raises(UndecidableError, match="lookalike"):
+            evaluate_local(looped, lookalike)
+        assert evaluate_local(looped, builtin) == grounded_oracle(looped)
+        assert evaluate_local(looped, builtin)["a"] == "-"
 
     def test_other_label_schemes_refuse_cycles(self):
         tweaked = LocalInstance(

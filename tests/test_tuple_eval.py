@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import load_fixture
+from conftest import assert_matches_walk_counts, load_fixture
 
 from gradarg import (
     AttackGraph,
@@ -51,66 +51,6 @@ def enumerate_branch_lengths(g, target):
             for nxt in g.targets_of(node):
                 stack.append((nxt, length + 1))
     return sorted(lengths)
-
-
-def rooted_walk_counts(g, bound):
-    """Number of rooted walks of each length <= bound ending at each argument.
-
-    A rooted walk starts at a leaf, or starts inside an unattacked cycle
-    union with its first step staying inside; afterwards it may follow any
-    attack edge, revisiting vertices freely.  Its length profile is exactly
-    the branch-length profile of the infinite cycle-unfolded graph.
-    The evaluator fills the same recurrence, so the frozen digests in
-    test_frozen_tuples are the independent check of its output.
-    """
-    counts = {a: [0] * (bound + 1) for a in g.arguments}
-    leaves = g.leaves()
-    for leaf in leaves:
-        for nxt in g.targets_of(leaf):
-            counts[nxt][1] += 1
-    for mc in g.find_mcycles():
-        if mc.inputs:
-            continue
-        members = set(mc.members)
-        for m in members:
-            for nxt in g.targets_of(m):
-                if nxt in members:
-                    counts[nxt][1] += 1
-    for length in range(1, bound):
-        for node in g.arguments:
-            here = counts[node][length]
-            if not here:
-                continue
-            for nxt in g.targets_of(node):
-                counts[nxt][length + 1] += here
-    return counts
-
-
-def assert_matches_walk_counts(g, values, bound=90):
-    counts = rooted_walk_counts(g, bound)
-    for name in g.arguments:
-        value = values[name]
-        if not g.attackers_of(name):
-            assert value == LEAF_VALUE, name
-            continue
-        for component, parity in ((value.even, 0), (value.odd, 1)):
-            expected = {
-                length: counts[name][length]
-                for length in range(1, bound + 1)
-                if length % 2 == parity and counts[name][length]
-            }
-            got = dict(component.runs)
-            if component.exact:
-                assert got == expected, (name, parity, got, expected)
-            else:
-                horizon = component.horizon
-                assert horizon is not None and horizon <= bound - 2, name
-                certified = {k: v for k, v in expected.items() if k <= horizon}
-                assert got == certified, (name, parity, got, certified)
-                # the infinite tail is real: content exists past the horizon
-                assert any(
-                    length > horizon for length in expected
-                ), (name, parity)
 
 
 # -- acyclic evaluation ----------------------------------------------------
