@@ -112,9 +112,9 @@ def _label_h(values):
 
 
 def _label_g(value):
-    # The top label maps to the bottom one.  `evaluate_local` never calls
-    # it: the built-in labelling is read from the grounded labelling, on
-    # acyclic graphs the same labels this g and `_label_h` give.
+    # The top label maps to the bottom one.  The built-in labelling is read
+    # from `_grounded()`; this g still serves a custom label instance that
+    # keeps it, on acyclic graphs.
     return {"-": "+", "?": "?", "+": "-"}[value]
 
 

@@ -164,3 +164,6 @@ def assert_matches_walk_counts(g, values, bound=90):
                 certified = {k: v for k, v in expected.items() if k <= horizon}
                 assert got == certified, (name, parity, got, certified)
                 # the infinite tail is real: content exists past the horizon
+                assert any(
+                    length > horizon for length in expected
+                ), (name, parity)
