@@ -588,7 +588,9 @@ def _pendant_chain(g: AttackGraph, leaf: str, root: str) -> list[str]:
     """The clean chain leaf -> ... -> root, excluding root.
 
     Every chain node must have out-degree 1; the tip must be unattacked and
-    interior nodes must be attacked only by their predecessor.
+    interior nodes must be attacked only by their predecessor.  So the walk
+    never re-enters the chain: the member it re-entered would have a
+    second attacker.
     """
     g._check(leaf)
     g._check(root)
@@ -605,8 +607,6 @@ def _pendant_chain(g: AttackGraph, leaf: str, root: str) -> list[str]:
             return chain
         if g.attackers_of(nxt) != (current,):
             raise EditError(f"{nxt!r} does not lie on a clean branch")
-        if nxt in chain:
-            raise EditError("branch loops back on itself")
         chain.append(nxt)
         current = nxt
 

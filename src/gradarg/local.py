@@ -11,7 +11,7 @@ connected components in dependency order, with one step rule for every
 argument outside a cycle union and a simultaneous fixpoint iteration, in
 floats, over each cycle union, for 1,000 rounds or as many as read the
 tuple side's WORK_BOUND of attacks.  Acyclic graphs are evaluated exactly
-(rational arithmetic for rational instances).  The built-in rooted
+(Fraction arithmetic where the values are exact).  The built-in rooted
 labelling is Dung's grounded labelling on every graph, read from the
 graph's one queue pass (`AttackGraph._grounded`) that extension
 enumeration also starts from: + for IN, - for OUT, ? for undecided.  Any
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 LABELS = ("-", "?", "+")
-_LABEL_RANK = {"-": 0, "?": 1, "+": 2}
+_LABEL_RANK = {label: i for i, label in enumerate(LABELS)}
 _ROOTED_LABEL = {0: "?", _IN: "+", _OUT: "-"}  # by grounded label
 
 
@@ -69,27 +69,29 @@ class MixedValueKindsError(TypeError):
     """Values of different kinds cannot be ranked together."""
 
 
+def _rank(value):
+    """A value's place on its scale: a label's index in LABELS, any other
+    value itself."""
+    return _LABEL_RANK[value] if isinstance(value, str) else value
+
+
 @dataclass(frozen=True)
 class LocalInstance:
     """One concrete (scale, g, h) choice.
 
-    kind: "rational" (exact arithmetic on acyclic graphs, floats on cyclic
-    ones), "float", or "label" (the three-label scale - < ? < +).
+    The scale runs from v_min up to v_max.  It is numeric (exact on acyclic
+    graphs when the values are, floats on cyclic ones) or the three labels
+    - < ? < +, and a string v_max tells the labels.
     """
 
     name: str
-    kind: str
     v_min: object
     v_max: object
     g: Callable
     h: Callable
 
-    def rank(self, value):
-        """Numeric stand-in used for ordering comparisons."""
-        return _LABEL_RANK[value] if self.kind == "label" else value
-
     def leq(self, a, b) -> bool:
-        return self.rank(a) <= self.rank(b)
+        return _rank(a) <= _rank(b)
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -125,7 +127,6 @@ def categoriser() -> LocalInstance:
     a float among them a float.  h adds left to right on every Python."""
     return LocalInstance(
         name="categoriser",
-        kind="rational",
         v_min=_ZERO,
         v_max=_ONE,
         g=_weaken,
@@ -138,7 +139,6 @@ def rooted_labelling() -> LocalInstance:
     + attacker gets -, and cycle members that nothing settles get ?."""
     return LocalInstance(
         name="rooted_labelling",
-        kind="label",
         v_min="-",
         v_max="+",
         g=_label_g,
@@ -152,7 +152,6 @@ def max_based() -> LocalInstance:
     as given, and Fraction(0) for none."""
     return LocalInstance(
         name="max_based",
-        kind="rational",
         v_min=_ZERO,
         v_max=_ONE,
         g=_weaken,
@@ -184,21 +183,20 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
     h gets a tuple in `g.attackers_of` order.  Acyclic graphs evaluate
     exactly; on a cyclic graph every numeric value is a float (the top
     value and each result of g are converted).  The built-in rooted
-    labelling (kind "label", top "+", the module's own g and h) is Dung's
+    labelling (top "+", the module's own g and h) is Dung's
     grounded labelling on every graph: + IN, - OUT, ? undecided.  Any other
     label instance raises UndecidableError on a graph with cycles.
     """
     order = g._components()
     names = g.arguments
-    if (instance.kind, instance.v_max, instance.g, instance.h) == (
-            "label", "+", _label_g, _label_h):
+    if (instance.v_max, instance.g, instance.h) == ("+", _label_g, _label_h):
         label = g._grounded()
         return {names[i]: _ROOTED_LABEL[label[i]] for members in order for i in members}
     cyclic = list(map(g._is_cyclic, order))
     top, combine, weaken = instance.v_max, instance.h, instance.g
     exact = not any(cyclic)
     if not exact:
-        if instance.kind == "label":
+        if isinstance(top, str):
             raise UndecidableError(
                 f"label instance {instance.name!r} cannot decide cyclic graphs")
         top = float(top)
@@ -257,27 +255,22 @@ class TotalPreorder:
         kinds = set(map(_value_kind, sample.values()))
         if len(kinds) > 1:
             raise MixedValueKindsError(f"mixed value kinds: {sorted(kinds)}")
-        self._values = dict(values)
-        self._label = kinds == {"label"}
-
-    def _rank(self, name):
-        v = self._values[name]
-        return _LABEL_RANK[v] if self._label else v
+        self._ranks = dict(zip(values, map(_rank, values.values())))
 
     def geq(self, a: str, b: str) -> bool:
-        return self._rank(a) >= self._rank(b)
+        return self._ranks[a] >= self._ranks[b]
 
     def strictly_better(self, a: str, b: str) -> bool:
-        return self._rank(a) > self._rank(b)
+        return self._ranks[a] > self._ranks[b]
 
     def equivalent(self, a: str, b: str) -> bool:
-        return self._rank(a) == self._rank(b)
+        return self._ranks[a] == self._ranks[b]
 
     def ranking(self) -> list[list[str]]:
         """Tie groups, best first; names keep their insertion order."""
         groups: dict[object, list[str]] = {}
-        for name in self._values:
-            groups.setdefault(self._rank(name), []).append(name)
+        for name, rank in self._ranks.items():
+            groups.setdefault(rank, []).append(name)
         return [groups[r] for r in sorted(groups, reverse=True)]
 
 
@@ -302,7 +295,7 @@ class ValidationReport:
 
 
 def _default_samples(instance: LocalInstance):
-    if instance.kind == "label":
+    if isinstance(instance.v_max, str):
         pool = LABELS
     else:
         pool = (
@@ -330,7 +323,7 @@ def validate_instance(instance: LocalInstance, samples=None) -> ValidationReport
             violations.append(Violation(axiom, witness))
 
     universe = sorted({x for t in samples for x in t} | {instance.v_min, instance.v_max},
-                      key=instance.rank)
+                      key=_rank)
     for t in samples:
         if len(t) == 1:
             check("h(x) = x", instance.h(t) == t[0], t)
@@ -339,7 +332,7 @@ def validate_instance(instance: LocalInstance, samples=None) -> ValidationReport
             for perm in itertools.permutations(t):
                 check("h is permutation-invariant", instance.h(perm) == base, (t, perm))
         if t:
-            check("h(...) >= max(...)", leq(max(t, key=instance.rank), instance.h(t)), t)
+            check("h(...) >= max(...)", leq(max(t, key=_rank), instance.h(t)), t)
         for i in range(len(t)):
             for replacement in universe:
                 if leq(t[i], replacement):
@@ -354,7 +347,7 @@ def validate_instance(instance: LocalInstance, samples=None) -> ValidationReport
     top_image = instance.g(instance.v_max)
     check("g(top) is below the top value",
           leq(top_image, instance.v_max) and top_image != instance.v_max, top_image)
-    h_universe = sorted(set(universe) | set(map(instance.h, samples)), key=instance.rank)
+    h_universe = sorted(set(universe) | set(map(instance.h, samples)), key=_rank)
     for x, y in itertools.combinations(h_universe, 2):
         check("g is non-increasing", leq(instance.g(y), instance.g(x)), (x, y))
     iterates = [instance.v_max]

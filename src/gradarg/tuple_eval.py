@@ -244,6 +244,6 @@ def _tupled(runs, horizons) -> TupledValue:
     """The value of (even, odd) runs cut at their horizons, which it shares."""
     (even, odd), (even_cut, odd_cut) = runs, horizons
     return TupledValue(
-        even=GradTuple(runs=even, infinite=even_cut is not None, horizon=even_cut),
-        odd=GradTuple(runs=odd, infinite=odd_cut is not None, horizon=odd_cut),
+        even=GradTuple(runs=even, horizon=even_cut),
+        odd=GradTuple(runs=odd, horizon=odd_cut),
     )

@@ -1,9 +1,10 @@
 """Sorted integer multisets with optional infinite tails, and their ordering.
 
-A `GradTuple` is a sorted multiset of non-negative branch lengths.  It is
-either exact (finite, or one of the constant infinite tuples such as the
-all-zero tuple carried by unattacked arguments) or truncated: an infinite
-multiset known exactly up to a certified horizon H, meaning the stored
+A `GradTuple` is a sorted multiset of non-negative branch lengths.  A
+horizon or a constant makes it infinite.  It is exact when it has no
+horizon: finite, or one of the constant infinite tuples such as the
+all-zero tuple carried by unattacked arguments.  With a horizon H it is
+truncated: an infinite multiset known exactly up to H, meaning the stored
 prefix contains every element <= H while infinitely many elements lie
 beyond it.
 
@@ -59,20 +60,20 @@ class RenderLimitError(ValueError):
 class GradTuple:
     """A sorted multiset of non-negative integers, possibly infinite.
 
-    runs: ascending (value, count) pairs.  For a truncated infinite tuple,
-    `horizon` certifies that the runs list every element <= horizon.  A
-    `constant` tuple is the fully-known infinite multiset (c, c, c, ...);
-    the all-zero constant is the value component of unattacked arguments.
+    runs: ascending (value, count) pairs.  A `horizon` makes the tuple a
+    truncated infinite one and certifies that the runs list every element
+    <= horizon.  A `constant` tuple is the fully-known infinite multiset
+    (c, c, c, ...); the all-zero constant is the value component of
+    unattacked arguments.  With neither, the tuple is finite.
     """
 
     runs: tuple[tuple[int, int], ...] = ()
-    infinite: bool = False
     horizon: int | None = None
     constant: int | None = None
 
     def __post_init__(self):
         if self.constant is not None:
-            if self.runs or not self.infinite or self.horizon is not None:
+            if self.runs or self.horizon is not None:
                 raise TupleFormatError("constant tuples carry no prefix or horizon")
             if self.constant < 0:
                 raise TupleFormatError("tuple elements must be non-negative")
@@ -84,13 +85,8 @@ class GradTuple:
                     raise TupleFormatError("runs need non-negative values, positive counts")
                 raise TupleFormatError("runs must be strictly ascending")
             last = value
-        if self.infinite:
-            if self.horizon is None:
-                raise TupleFormatError("a truncated infinite tuple needs a horizon")
-            if last > self.horizon:
-                raise TupleFormatError("prefix elements beyond the certified horizon")
-        elif self.horizon is not None:
-            raise TupleFormatError("finite tuples carry no horizon")
+        if self.horizon is not None and last > self.horizon:
+            raise TupleFormatError("prefix elements beyond the certified horizon")
 
     # -- constructors ---------------------------------------------------
 
@@ -109,18 +105,22 @@ class GradTuple:
         runs = tuple(
             (v, c) for (v, c) in sorted(counts.items()) if c > 0 and v <= horizon
         )
-        return GradTuple(runs=runs, infinite=True, horizon=horizon)
+        return GradTuple(runs=runs, horizon=horizon)
 
     # -- basic views ----------------------------------------------------
 
     @property
+    def infinite(self) -> bool:
+        return self.horizon is not None or self.constant is not None
+
+    @property
     def exact(self) -> bool:
         """True when every element (up to infinity) is known."""
-        return self.constant is not None or not self.infinite
+        return self.horizon is None
 
     @property
     def is_empty(self) -> bool:
-        return self.constant is None and not self.infinite and not self.runs
+        return not self.infinite and not self.runs
 
     def min_element(self) -> int | None:
         if self.constant is not None:
@@ -161,14 +161,14 @@ class GradTuple:
 
 
 EMPTY = GradTuple()
-ZERO_INF = GradTuple(infinite=True, constant=0)
-ONE_INF = GradTuple(infinite=True, constant=1)
+ZERO_INF = GradTuple(constant=0)
+ONE_INF = GradTuple(constant=1)
 
 
 def cardinality(t: GradTuple) -> int | float:
     """Number of elements: an exact int for a finite tuple, math.inf for
-    any infinite one.  Exact even for truncated tuples, since the tail flag
-    is certain; Python compares the int with math.inf exactly."""
+    any infinite one.  Exact even for truncated tuples, since a horizon
+    certifies the tail; Python compares the int with math.inf exactly."""
     if t.infinite:
         return math.inf
     return sum(count for _, count in t.runs)
@@ -193,12 +193,10 @@ def concat(a: GradTuple, b: GradTuple) -> GradTuple:
         counts[value] = counts.get(value, 0) + count
     for value, count in b.runs:
         counts[value] = counts.get(value, 0) + count
-    infinite = a.infinite or b.infinite
-    if not infinite:
-        return GradTuple(runs=tuple(sorted(counts.items())))
     horizons = [t.horizon for t in (a, b) if t.horizon is not None]
-    horizon = min(horizons)
-    return GradTuple.truncated(counts, horizon)
+    if not horizons:
+        return GradTuple(runs=tuple(sorted(counts.items())))
+    return GradTuple.truncated(counts, min(horizons))
 
 
 def concat_all(tuples) -> GradTuple:
@@ -214,12 +212,12 @@ def shift(t: GradTuple, k: int) -> GradTuple:
     if t.constant == 0:
         return GradTuple.from_elements([k])
     if t.constant is not None:
-        return GradTuple(infinite=True, constant=t.constant + k)
+        return GradTuple(constant=t.constant + k)
     if t.is_empty:
         return EMPTY
     runs = tuple((value + k, count) for value, count in t.runs)
     horizon = t.horizon + k if t.horizon is not None else None
-    return GradTuple(runs=runs, infinite=t.infinite, horizon=horizon)
+    return GradTuple(runs=runs, horizon=horizon)
 
 
 class LexOutcome(enum.Enum):
@@ -351,8 +349,6 @@ def compare(v: TupledValue, w: TupledValue) -> ComparisonOutcome:
             LexOutcome.GREATER,
             LexOutcome.EQUAL,
         ):
-            if even_cmp is LexOutcome.EQUAL and odd_cmp is LexOutcome.EQUAL:
-                return ComparisonOutcome(Verdict.EQUIVALENT, exact=True)
             return ComparisonOutcome(Verdict.FIRST_BETTER, exact=True)
         if even_cmp in (LexOutcome.GREATER, LexOutcome.EQUAL) and odd_cmp in (
             LexOutcome.LESS,
@@ -369,6 +365,15 @@ def compare(v: TupledValue, w: TupledValue) -> ComparisonOutcome:
 
 
 # -- literals -----------------------------------------------------------------
+
+def _natural(text: str) -> int:
+    """The ASCII digits `text` holds, blanks around them aside, as an int;
+    ValueError for anything else, signs and underscores included."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a natural number: {text!r}")
+    return int(digits)
+
 
 def _parse_component(text: str, what: str) -> GradTuple:
     body = text.strip()
@@ -389,21 +394,13 @@ def _parse_component(text: str, what: str) -> GradTuple:
     for p in parts:
         if not p:
             raise TupleFormatError(f"{what}: empty element in {text!r}")
-        if "^" in p:
-            value_text, _, count_text = p.partition("^")
-            try:
-                value, count = int(value_text), int(count_text)
-            except ValueError:
-                raise TupleFormatError(f"{what}: bad element {p!r}") from None
-            if count < 1:
-                raise TupleFormatError(f"{what}: bad repeat count in {p!r}")
-        else:
-            try:
-                value, count = int(p), 1
-            except ValueError:
-                raise TupleFormatError(f"{what}: bad element {p!r}") from None
-        if value < 0:
-            raise TupleFormatError(f"{what}: negative element in {text!r}")
+        value_text, caret, count_text = p.partition("^")
+        try:
+            value, count = _natural(value_text), _natural(count_text) if caret else 1
+        except ValueError:
+            raise TupleFormatError(f"{what}: bad element {p!r}") from None
+        if count < 1:
+            raise TupleFormatError(f"{what}: bad repeat count in {p!r}")
         counts[value] = counts.get(value, 0) + count
         values.extend([value] * min(count, 2))
     if values != sorted(values):

@@ -13,7 +13,6 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # g = 1 - x flips an even cycle between 1 and 0 for ever.
 FLIP = LocalInstance(
     name="flip",
-    kind="float",
     v_min=0.0,
     v_max=1.0,
     g=lambda x: 1.0 - x,

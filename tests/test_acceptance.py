@@ -308,7 +308,7 @@ def _random_run_tuple(rng):
     if shape == 4:
         return ZERO_INF
     if shape == 5:
-        return GradTuple(infinite=True, constant=1)
+        return GradTuple(constant=1)
     values = [rng.randrange(7) for _ in range(rng.randrange(4))]
     if shape == 3 and values:
         counts = {}

@@ -362,6 +362,16 @@ class TestErrors:
         assert code == 2
         assert "parity" in err
 
+    @pytest.mark.parametrize("literal, read_as", [
+        ("[(2_0),()]", "[(20),()]"), ("[(+2),()]", "[(2),()]"),
+        ("[(\u0662),()]", "[(2),()]"), ("[(-0),()]", "[(0),()]"),
+        ("[(2^+3),()]", "[(2,2,2),()]"),
+    ])
+    def test_tuple_elements_are_ascii_digits(self, capsys, literal, read_as):
+        code, out, err = run_cli(capsys, "compare", literal, read_as)
+        assert (code, out) == (2, "")
+        assert "bad element" in err
+
     def test_depth_must_be_positive(self, capsys):
         code, _, err = run_cli(
             capsys, "value", fixture_path("example1"),

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,12 @@ class TestParsing:
         g = parse_framework("arg(a). arg(b). att(a,b). att(a,b).")
         assert g.attacks == (("a", "b"),)
 
+    @pytest.mark.parametrize("name", ["", 7, None])
+    def test_construction_rejects_invalid_ids(self, name):
+        with pytest.raises(FrameworkError) as caught:
+            AttackGraph(["a", name])
+        assert str(caught.value) == f"invalid argument id: {name!r}"
+
     def test_construction_rejects_unknown_endpoints(self):
         with pytest.raises(UnknownArgumentError):
             AttackGraph(("a",), (("a", "b"),))
@@ -250,6 +257,11 @@ class TestNeighbourhoods:
         assert g.walk_count(PathQuery("A1", "A1", 3)) == 2
         assert g.walk_count(PathQuery("E1", "A", 4)) == 1
         assert g.walk_count(PathQuery("E1", "A", 3)) == 0
+
+    def test_walk_length_must_be_non_negative(self):
+        g = load_fixture("example2")
+        with pytest.raises(FrameworkError, match="^walk length must be non-negative$"):
+            g.walk_count(PathQuery("A", "A", -1))
 
     def test_indirect_queries_use_cycle_pumping(self):
         # D -> C1 -> C2 -> C3 -> C1: the only odd walks from D into C1 are
@@ -490,6 +502,54 @@ class TestEdits:
         with pytest.raises(EditError):
             edit_graph(g, BranchEdit("remove", "r", leaf="b"))
 
+    @pytest.mark.parametrize("text", [
+        # b has a second attacker d
+        "arg(r). arg(b). arg(c). arg(d). att(b,r). att(c,b). att(d,b).",
+        # b attacks both r and s
+        "arg(r). arg(s). arg(b). arg(c). att(b,r). att(b,s). att(c,b).",
+    ])
+    def test_remove_rejects_an_unclean_interior(self, text):
+        with pytest.raises(EditError, match="^'b' does not lie on a clean branch$"):
+            edit_graph(parse_framework(text), BranchEdit("remove", "r", leaf="c"))
+
+    @pytest.mark.parametrize("edit, message", [
+        (BranchEdit("add", "r"), "add requires a branch length of at least 1"),
+        (BranchEdit("add", "r", length=0), "add requires a branch length of at least 1"),
+        (BranchEdit("remove", "r"), "remove requires the branch tip"),
+        (BranchEdit("lengthen", "r", leaf="d"),
+         "lengthen requires the branch tip and a new length"),
+        (BranchEdit("shorten", "r", length=1),
+         "shorten requires the branch tip and a new length"),
+        (BranchEdit("shorten", "r", leaf="d", length=-1),
+         "branch length must stay at least 1"),
+        (BranchEdit("lengthen", "r", leaf="d", length=1),
+         "lengthen requires a strictly larger length"),
+        (BranchEdit("lengthen", "r", leaf="d", length=3),
+         "lengthen requires a strictly larger length"),
+        (BranchEdit("shorten", "r", leaf="d", length=5),
+         "shorten requires a strictly smaller length"),
+        (BranchEdit("shorten", "r", leaf="d", length=3),
+         "shorten requires a strictly smaller length"),
+        (BranchEdit("graft", "r"), "unknown edit kind 'graft'"),
+    ])
+    def test_edit_argument_errors(self, edit, message):
+        g = parse_framework("arg(r). arg(b). arg(c). arg(d). "
+                            "att(b,r). att(c,b). att(d,c).")
+        with pytest.raises(EditError) as caught:
+            edit_graph(g, edit)
+        assert str(caught.value) == message
+
+    def test_long_branch_edits_take_linear_time(self):
+        chain = [f"c{i}" for i in range(20_000)]
+        g = AttackGraph(["r", *chain], [("c0", "r"), *zip(chain[1:], chain)])
+        start = time.process_time()
+        removed = edit_graph(g, BranchEdit("remove", "r", leaf=chain[-1]))
+        lengthened = edit_graph(
+            g, BranchEdit("lengthen", "r", leaf=chain[-1], length=20_002))
+        assert time.process_time() - start < 1.0
+        assert removed.arguments == ("r",)
+        assert len(lengthened) == 20_003 and lengthened.is_well_founded()
+
     def test_lengthen_preserves_parity(self):
         g = parse_framework("arg(r). arg(b). att(b,r).")
         edited = edit_graph(g, BranchEdit("lengthen", "r", leaf="b", length=3))
@@ -545,6 +605,27 @@ class TestFamilies:
     def test_random_acyclic_is_acyclic(self):
         for seed in range(25):
             assert random_acyclic_graph(seed, 9, 0.5).is_well_founded()
+
+    @pytest.mark.parametrize("kind", ["chain", "unattacked-cycle", "attacked-cycle"])
+    @pytest.mark.parametrize("size", [None, 0, -2])
+    def test_sized_families_need_a_positive_size(self, kind, size):
+        with pytest.raises(FrameworkError) as caught:
+            generate_family(kind, size=size)
+        assert str(caught.value) == f"{kind} requires size >= 1"
+
+    def test_random_family(self):
+        assert generate_family("random", size=6, density=0.3, seed=5) == (
+            random_attack_graph(seed=5, size=6, density=0.3))
+        assert generate_family("random", size=6, density=0.3) == (
+            random_attack_graph(seed=0, size=6, density=0.3))
+        g = generate_family("random", size=4, density=1.0)
+        assert g.arguments == ("a1", "a2", "a3", "a4") and len(g.attacks) == 16
+        assert generate_family("random", size=4, density=0.0).attacks == ()
+
+    @pytest.mark.parametrize("options", [{}, {"size": 5}, {"density": 0.5}])
+    def test_random_family_needs_size_and_density(self, options):
+        with pytest.raises(FrameworkError, match="^random requires size and density$"):
+            generate_family("random", **options)
 
     def test_unknown_family(self):
         with pytest.raises(FrameworkError):

@@ -1,4 +1,5 @@
-"""Every import in the package is used.
+"""Every import in the package is used, and the package exports what its
+modules export.
 
 No linter runs on this project, so this walks each module's syntax tree.
 An imported name counts as used when the module reads it anywhere or
@@ -7,9 +8,12 @@ compiler directives and bind nothing.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import gradarg
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gradarg"
 
@@ -47,3 +51,20 @@ def test_the_check_honours_reexports_and_future_imports():
     "path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+MODULES = ("acceptability", "framework", "local", "tuple_eval", "tuples")
+# Module constants, public in their modules but not re-exported.
+NOT_REEXPORTED = {"ENUMERATION_BOUND", "LEVELS", "WORK_BOUND"}
+
+
+def test_the_package_exports_exactly_its_modules_exports():
+    exported = {}
+    for name in MODULES:
+        module = importlib.import_module(f"gradarg.{name}")
+        exported.update((n, getattr(module, n)) for n in module.__all__)
+    expected = set(exported) - NOT_REEXPORTED
+    assert len(gradarg.__all__) == len(set(gradarg.__all__))
+    assert set(gradarg.__all__) == expected
+    for name in expected:
+        assert getattr(gradarg, name) is exported[name], name

@@ -158,7 +158,7 @@ class TestCategoriserCyclic:
 
     def test_round_floor_is_exact_at_the_rounds_needed(self, monkeypatch):
         calls = []
-        counting = LocalInstance("counting", "rational", Fraction(0), Fraction(1),
+        counting = LocalInstance("counting", Fraction(0), Fraction(1),
                                  g=lambda x: calls.append(x) or categoriser().g(x),
                                  h=categoriser().h)
         graph = generate_family("unattacked-cycle", size=3)
@@ -238,7 +238,6 @@ class TestRootedLabelling:
     def test_other_label_schemes_refuse_cycles(self):
         tweaked = LocalInstance(
             name="tweaked",
-            kind="label",
             v_min="-",
             v_max="+",
             g=lambda v: "+",
@@ -258,7 +257,6 @@ class TestValidation:
     def test_broken_g_is_reported(self):
         broken = LocalInstance(
             name="broken",
-            kind="rational",
             v_min=Fraction(0),
             v_max=Fraction(1),
             g=lambda x: Fraction(1, 2),  # ignores the bottom-maps-to-top rule
@@ -271,7 +269,6 @@ class TestValidation:
     def test_non_monotone_h_is_reported(self):
         weird = LocalInstance(
             name="weird",
-            kind="rational",
             v_min=Fraction(0),
             v_max=Fraction(1),
             g=lambda x: 1 / (1 + x),

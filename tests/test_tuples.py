@@ -39,7 +39,7 @@ class TestAlgebra:
         assert shift(elems(1, 3), 1) == elems(2, 4)
         assert shift(GradTuple.truncated({1: 1, 3: 1}, horizon=5), 2) == \
             GradTuple.truncated({3: 1, 5: 1}, horizon=7)
-        assert shift(ONE_INF, 2) == GradTuple(infinite=True, constant=3)
+        assert shift(ONE_INF, 2) == GradTuple(constant=3)
 
     def test_concat_rules(self):
         assert concat(ZERO_INF, elems(1, 3)) == elems(1, 3)
@@ -214,11 +214,11 @@ def _small_tuple_descriptions():
 
 def _build_described(d):
     if d[0] == "constant":
-        return GradTuple(infinite=True, constant=d[1])
+        return GradTuple(constant=d[1])
     runs = tuple((v, d[1].count(v)) for v in sorted(set(d[1])))
     if d[0] == "finite":
         return GradTuple(runs=runs)
-    return GradTuple(runs=runs, infinite=True, horizon=d[2])
+    return GradTuple(runs=runs, horizon=d[2])
 
 
 def _position(d, k):
@@ -423,6 +423,29 @@ class TestRendering:
             with pytest.raises(TupleFormatError):
                 parse_tuple_literal(bad)
 
+    @pytest.mark.parametrize("literal, message", [
+        # elements and repeat counts are ASCII digits alone
+        ("[(2_0),()]", "defence component: bad element '2_0'"),
+        ("[(+2),()]", "defence component: bad element '+2'"),
+        ("[(\u0662),()]", "defence component: bad element '\u0662'"),
+        ("[(-0),()]", "defence component: bad element '-0'"),
+        ("[(-1),()]", "defence component: bad element '-1'"),
+        ("[(2^+3),()]", "defence component: bad element '2^+3'"),
+        ("[2,()]", "defence component: expected a parenthesized tuple, got '2'"),
+        ("[(),(...)]", "attack component: an infinite tuple needs a shown prefix"),
+        ("[(2,,4),()]", "defence component: empty element in '(2,,4)'"),
+        ("[(),(1^x)]", "attack component: bad element '1^x'"),
+        ("[(),(1^0)]", "attack component: bad repeat count in '1^0'"),
+        ("[(4,2),()]", "defence component: elements must be ascending in '(4,2)'"),
+    ])
+    def test_parse_error_messages(self, literal, message):
+        with pytest.raises(TupleFormatError) as caught:
+            parse_tuple_literal(literal)
+        assert str(caught.value) == message
+
+    def test_blanks_may_stand_around_elements_and_counts(self):
+        assert parse_tuple_literal("[( 2 ^ 3 , 4 ),()]") == value([2, 2, 2, 4], [])
+
     def test_component_parity_is_enforced(self):
         with pytest.raises(TupleFormatError):
             TupledValue(elems(1), EMPTY)
@@ -441,42 +464,40 @@ NON_NEGATIVE = "runs need non-negative values, positive counts"
 ASCENDING = "runs must be strictly ascending"
 
 
+# (number, kwargs, message).  A case keeps its number, and so its test id,
+# when others are added or dropped; a dropped case's number is not reused.
+GRAD_TUPLE_CASES = [
+    (0, {"constant": 2, "runs": ((2, 1),)}, "constant tuples carry no prefix or horizon"),
+    (1, {"constant": -1, "runs": ((2, 1),)}, "constant tuples carry no prefix or horizon"),
+    (3, {"constant": 2, "horizon": 4}, "constant tuples carry no prefix or horizon"),
+    (4, {"constant": -2}, "tuple elements must be non-negative"),
+    (5, {"runs": ((-1, 1),)}, NON_NEGATIVE),
+    (6, {"runs": ((1, 0),)}, NON_NEGATIVE),
+    (7, {"runs": ((1, -3),)}, NON_NEGATIVE),
+    (8, {"runs": ((5, 1), (-1, 1))}, NON_NEGATIVE),
+    (9, {"runs": ((5, 1), (3, 0))}, NON_NEGATIVE),
+    (10, {"runs": ((5, 1), (3, 1), (-1, 1))}, ASCENDING),
+    (11, {"runs": ((5, 1), (3, 1), (7, 0))}, ASCENDING),
+    (12, {"runs": ((2, 1), (2, 1))}, ASCENDING),
+    (13, {"runs": ((0, 2), (4, 1), (1, 1))}, ASCENDING),
+    (14, {"runs": ((-1, 1),), "horizon": 3}, NON_NEGATIVE),
+    (15, {"runs": ((2, 1), (1, 1)), "horizon": 3}, ASCENDING),
+    (16, {"runs": ((4, 0),), "horizon": 2}, NON_NEGATIVE),
+    (17, {"runs": ((4, 1), (3, 1)), "horizon": 2}, ASCENDING),
+    (18, {"runs": ((2, 1), (1, 1)), "horizon": 0}, ASCENDING),
+    (21, {"runs": ((2, 1), (6, 3)), "horizon": 5},
+     "prefix elements beyond the certified horizon"),
+]
+
+
 class TestValidationMessages:
     """Each malformed tuple names its fault; where several apply, the
     first failing run decides, and within a run the sign check comes
     before the order check."""
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"constant": 2, "runs": ((2, 1),), "infinite": True},
-         "constant tuples carry no prefix or horizon"),
-        ({"constant": -1, "runs": ((2, 1),), "infinite": True},
-         "constant tuples carry no prefix or horizon"),
-        ({"constant": 2}, "constant tuples carry no prefix or horizon"),
-        ({"constant": 2, "infinite": True, "horizon": 4},
-         "constant tuples carry no prefix or horizon"),
-        ({"constant": -2, "infinite": True}, "tuple elements must be non-negative"),
-        ({"runs": ((-1, 1),)}, NON_NEGATIVE),
-        ({"runs": ((1, 0),)}, NON_NEGATIVE),
-        ({"runs": ((1, -3),)}, NON_NEGATIVE),
-        ({"runs": ((5, 1), (-1, 1))}, NON_NEGATIVE),
-        ({"runs": ((5, 1), (3, 0))}, NON_NEGATIVE),
-        ({"runs": ((5, 1), (3, 1), (-1, 1))}, ASCENDING),
-        ({"runs": ((5, 1), (3, 1), (7, 0))}, ASCENDING),
-        ({"runs": ((2, 1), (2, 1))}, ASCENDING),
-        ({"runs": ((0, 2), (4, 1), (1, 1))}, ASCENDING),
-        ({"runs": ((-1, 1),), "infinite": True}, NON_NEGATIVE),
-        ({"runs": ((2, 1), (1, 1)), "infinite": True}, ASCENDING),
-        ({"runs": ((4, 0),), "infinite": True, "horizon": 2}, NON_NEGATIVE),
-        ({"runs": ((4, 1), (3, 1)), "infinite": True, "horizon": 2}, ASCENDING),
-        ({"runs": ((2, 1), (1, 1)), "horizon": 0}, ASCENDING),
-        ({"infinite": True}, "a truncated infinite tuple needs a horizon"),
-        ({"runs": ((2, 1),), "infinite": True},
-         "a truncated infinite tuple needs a horizon"),
-        ({"runs": ((2, 1), (6, 3)), "infinite": True, "horizon": 5},
-         "prefix elements beyond the certified horizon"),
-        ({"runs": ((2, 1),), "horizon": 5}, "finite tuples carry no horizon"),
-        ({"horizon": 0}, "finite tuples carry no horizon"),
-    ])
+        pytest.param(kwargs, message, id=f"kwargs{number}-{message}")
+        for number, kwargs, message in GRAD_TUPLE_CASES])
     def test_grad_tuple_messages(self, kwargs, message):
         with pytest.raises(TupleFormatError) as caught:
             GradTuple(**kwargs)
@@ -500,9 +521,17 @@ class TestValidationMessages:
             TupledValue(even=even, odd=odd)
         assert str(caught.value) == message
 
+    def test_a_horizon_or_a_constant_makes_a_tuple_infinite(self):
+        finite, constant = GradTuple(runs=((2, 1),)), GradTuple(constant=2)
+        assert not finite.infinite and finite.exact
+        assert constant.infinite and constant.exact
+        for truncated in (GradTuple(runs=((2, 1),), horizon=5), GradTuple(horizon=0)):
+            assert truncated.infinite and not truncated.exact
+        assert GradTuple(runs=((2, 1),), horizon=5) == GradTuple.truncated({2: 1}, 5)
+
     def test_well_formed_tuples_pass(self):
         assert GradTuple(runs=((0, 1), (2, 10**40), (301, 1))).runs[-1] == (301, 1)
-        assert GradTuple(runs=((1, 1),), infinite=True, horizon=1).horizon == 1
+        assert GradTuple(runs=((1, 1),), horizon=1).horizon == 1
         assert TupledValue(elems(0, 2, 302), elems(1, 301)).exact
 
 
