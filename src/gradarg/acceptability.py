@@ -40,9 +40,9 @@ from .framework import (
 from .local import (
     ConvergenceError,
     LocalInstance,
+    TotalPreorder,
     builtin_instances,
     evaluate_local,
-    induced_preorder,
 )
 from .tuple_eval import PropagationDepth, evaluate_cyclic
 from .tuples import TupledValue, Verdict, compare
@@ -356,14 +356,15 @@ def _levels(g: AttackGraph, masks: list[int]) -> dict[str, str]:
     return levels
 
 
-def well_defended(
-    g: AttackGraph, strictly_better: Callable[[str, str], bool]
-) -> frozenset[str]:
-    """Arguments no direct attacker of which is strictly preferred.
+def well_defended(g: AttackGraph, values: Mapping[str, object]) -> frozenset[str]:
+    """Arguments no direct attacker of which is strictly preferred under
+    the value map `values`.
 
+    Tupled values compare by `compare`, numbers and labels by their order.
     Ties and incomparability both count in the argument's favour;
     unattacked arguments qualify vacuously.
     """
+    strictly_better = valuation_preference(values)
     names = g.arguments
     return frozenset(
         a
@@ -383,8 +384,7 @@ def valuation_preference(values: Mapping[str, object]) -> Callable[[str, str], b
             lambda a, b: compare(values[a], values[b]).verdict
             is Verdict.FIRST_BETTER
         )
-    order = induced_preorder(dict(values))
-    return order.strictly_better
+    return TotalPreorder(values).strictly_better
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,7 @@ def classification_report(
     extensions = tuple(_sorted_extensions(g, masks))
     level = _levels(g, masks)
     defended = {
-        name: well_defended(g, valuation_preference(values))
+        name: well_defended(g, values)
         for name, values in (valuations or {}).items()
     }
     return AcceptabilityReport(
@@ -555,7 +555,7 @@ def compatibility_scan(
                 values = evaluate_local(g, instance)
         except ConvergenceError:
             continue
-        defended = well_defended(g, valuation_preference(values))
+        defended = well_defended(g, values)
         for a, is_clean in zip(g.arguments, clean):
             if is_clean and a not in defended and "cleanly-not-defended" not in found:
                 found["cleanly-not-defended"] = Witness(

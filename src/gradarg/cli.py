@@ -22,7 +22,6 @@ from .acceptability import (
     classification_report,
     preferred_extensions,
     stable_extensions,
-    valuation_preference,
     well_defended,
 )
 from .framework import AttackGraph, FrameworkError, ParseError, parse_framework
@@ -81,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(value)
 
     cmp_p = sub.add_parser("compare", help="compare two tupled-value literals")
-    cmp_p.add_argument("--model", choices=("tuples",), default="tuples")
     cmp_p.add_argument("first", help="tupled value, e.g. '[(2),(3)]'")
     cmp_p.add_argument("second")
     _add_format(cmp_p)
@@ -209,7 +207,7 @@ def _cmd_classify(args) -> int:
 def _cmd_well_defended(args) -> int:
     g = _read_graph(args.path)
     values = _model_values(g, args.model, args.depth)
-    defended = well_defended(g, valuation_preference(values))
+    defended = well_defended(g, values)
     names = [n for n in g.arguments if n in defended]
     return _emit(args, {"model": args.model, "well_defended": names}, names)
 

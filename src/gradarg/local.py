@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from operator import add
-from typing import Callable
+from typing import Callable, Mapping
 
 from .framework import _IN, _OUT, AttackGraph
 from . import tuple_eval
@@ -46,7 +46,6 @@ __all__ = [
     "categoriser",
     "check_condition_star",
     "evaluate_local",
-    "induced_preorder",
     "max_based",
     "rooted_labelling",
     "validate_instance",
@@ -72,7 +71,12 @@ class MixedValueKindsError(TypeError):
 def _rank(value):
     """A value's place on its scale: a label's index in LABELS, any other
     value itself."""
-    return _LABEL_RANK[value] if isinstance(value, str) else value
+    if not isinstance(value, str):
+        return value
+    try:
+        return _LABEL_RANK[value]
+    except KeyError:
+        raise MixedValueKindsError(f"unknown label {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -249,7 +253,7 @@ def _value_kind(value) -> str:
 class TotalPreorder:
     """Complete preorder induced by a value map (higher value, better)."""
 
-    def __init__(self, values: dict[str, object]):
+    def __init__(self, values: Mapping[str, object]):
         # The kind of a value is the kind of its type: check one per type.
         sample = dict(zip(map(type, values.values()), values.values()))
         kinds = set(map(_value_kind, sample.values()))
@@ -272,10 +276,6 @@ class TotalPreorder:
         for name, rank in self._ranks.items():
             groups.setdefault(rank, []).append(name)
         return [groups[r] for r in sorted(groups, reverse=True)]
-
-
-def induced_preorder(values: dict[str, object]) -> TotalPreorder:
-    return TotalPreorder(values)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ from gradarg import (
     EnumerationBoundError,
     Extension,
     LEAF_VALUE,
+    MixedValueKindsError,
     ScanReport,
+    TotalPreorder,
     Verdict,
     Witness,
     builtin_instances,
@@ -26,7 +28,6 @@ from gradarg import (
     evaluate_cyclic,
     evaluate_local,
     generate_family,
-    induced_preorder,
     is_conflict_free,
     max_based,
     parse_framework,
@@ -36,7 +37,6 @@ from gradarg import (
     rooted_labelling,
     scan_graph_stream,
     stable_extensions,
-    valuation_preference,
     well_defended,
 )
 from gradarg import acceptability
@@ -453,14 +453,19 @@ class TestWellDefended:
             "arg(B1). arg(C1). arg(D1). att(C1,B1). att(D1,C1)."
         )
         values = evaluate_local(g, categoriser())
-        defended = well_defended(g, valuation_preference(values))
+        defended = well_defended(g, values)
         assert defended == {"D1", "B1"}
+
+    def test_unknown_label_is_rejected(self):
+        g = parse_framework("arg(a). arg(b). att(b,a).")
+        with pytest.raises(MixedValueKindsError, match="unknown label 'x'"):
+            well_defended(g, {"a": "x", "b": "+"})
 
     def test_maximal_attacker_disqualifies(self):
         g = load_fixture("example4")
         values = evaluate_cyclic(g)
         assert values["B4"] == LEAF_VALUE
-        defended = well_defended(g, valuation_preference(values))
+        defended = well_defended(g, values)
         assert "A" not in defended
 
     def test_incomparability_counts_in_favour(self):
@@ -475,7 +480,7 @@ class TestWellDefended:
         for b in h.attackers_of("A"):
             outcome = compare(values[b], values["A"])
             assert outcome.verdict is Verdict.INCOMPARABLE
-        assert "A" in well_defended(h, valuation_preference(values))
+        assert "A" in well_defended(h, values)
 
     def test_mutual_attack_is_a_stand_off(self):
         g = generate_family("unattacked-cycle", size=2)
@@ -484,12 +489,12 @@ class TestWellDefended:
             evaluate_local(g, rooted_labelling()),
             evaluate_cyclic(g),
         ):
-            assert well_defended(g, valuation_preference(values)) == {"C1", "C2"}
+            assert well_defended(g, values) == {"C1", "C2"}
 
     def test_unattacked_always_qualifies(self):
         g = load_fixture("example6")
         values = evaluate_local(g, categoriser())
-        defended = well_defended(g, valuation_preference(values))
+        defended = well_defended(g, values)
         assert g.leaves() <= defended
 
 
@@ -499,7 +504,7 @@ class TestCompatibility:
             g = random_acyclic_graph(seed, 3 + seed % 10, 0.45)
             (extension,) = preferred_extensions(g)
             values = evaluate_local(g, max_based())
-            defended = well_defended(g, valuation_preference(values))
+            defended = well_defended(g, values)
             assert set(extension.members) == set(defended), g.serialize()
 
     def test_single_attacker_orderings(self):
@@ -507,7 +512,7 @@ class TestCompatibility:
             g = random_acyclic_graph(seed, 3 + seed % 10, 0.45)
             (extension,) = preferred_extensions(g)
             accepted = set(extension.members)
-            order = induced_preorder(evaluate_local(g, max_based()))
+            order = TotalPreorder(evaluate_local(g, max_based()))
             for a in g.arguments:
                 attackers = g.attackers_of(a)
                 if len(attackers) != 1:
@@ -525,7 +530,7 @@ class TestCompatibility:
             (extension,) = preferred_extensions(g)
             accepted = set(extension.members)
             values = evaluate_cyclic(g)
-            defended = well_defended(g, valuation_preference(values))
+            defended = well_defended(g, values)
             for b in g.arguments:
                 if b == "A":
                     continue
@@ -541,7 +546,7 @@ class TestCompatibility:
     def test_sum_combination_breaks_the_alignment(self):
         g = load_fixture("star3")
         values = evaluate_local(g, categoriser())
-        defended = well_defended(g, valuation_preference(values))
+        defended = well_defended(g, values)
         assert defended == {"C1", "C2", "C3"}
         (extension,) = preferred_extensions(g)
         assert extension.members == ("A", "C1", "C2", "C3")
@@ -551,8 +556,8 @@ class TestCompatibility:
         g = load_fixture("star3")
         tuple_values = evaluate_cyclic(g)
         label_values = evaluate_local(g, rooted_labelling())
-        assert "A" in well_defended(g, valuation_preference(tuple_values))
-        assert "A" in well_defended(g, valuation_preference(label_values))
+        assert "A" in well_defended(g, tuple_values)
+        assert "A" in well_defended(g, label_values)
 
 
 class TestCompatibilityScan:
@@ -563,7 +568,7 @@ class TestCompatibilityScan:
         for witness in (report.cleanly_not_defended, report.defended_not_cleanly):
             g = witness.graph
             values = evaluate_local(g, categoriser())
-            defended = well_defended(g, valuation_preference(values))
+            defended = well_defended(g, values)
             clean = classify(g)[witness.argument] in CLEAN_LEVELS
             if witness.direction == "cleanly-not-defended":
                 assert clean and witness.argument not in defended
@@ -666,7 +671,7 @@ def eager_scan(valuation, *, seed, trials, semantics, acyclic_only):
         except ConvergenceError:
             continue
         levels = classify(g, semantics)
-        defended = well_defended(g, valuation_preference(values))
+        defended = well_defended(g, values)
         for a in g.arguments:
             clean = levels[a] in CLEAN_LEVELS
             if clean and a not in defended:

@@ -35,7 +35,6 @@ from gradarg import (
     scan_graph_stream,
     shift,
     stable_extensions,
-    valuation_preference,
     well_defended,
 )
 from gradarg.tuples import EMPTY, GradTuple, TupledValue
@@ -228,7 +227,7 @@ def test_criterion_09_acceptance_matches_defence_where_promised():
             g = random_acyclic_graph(seed, 3 + seed % 10, 0.45)
             (extension,) = preferred_extensions(g)
             values = evaluate_local(g, max_instance)
-            defended = well_defended(g, valuation_preference(values))
+            defended = well_defended(g, values)
             assert set(extension.members) == set(defended), g.serialize()
 
         for seed in range(50):
@@ -236,7 +235,7 @@ def test_criterion_09_acceptance_matches_defence_where_promised():
             (extension,) = preferred_extensions(g)
             accepted = set(extension.members)
             values = evaluate_cyclic(g)
-            defended = well_defended(g, valuation_preference(values))
+            defended = well_defended(g, values)
             for b in g.arguments:
                 if b != "A":
                     assert (b in accepted) == (b in defended), (seed, b)
@@ -247,7 +246,7 @@ def test_criterion_09_acceptance_matches_defence_where_promised():
 
         star = load_fixture("star3")
         values = evaluate_local(star, builtin_instances()["categoriser"])
-        defended = well_defended(star, valuation_preference(values))
+        defended = well_defended(star, values)
         assert defended == {"C1", "C2", "C3"}
         (extension,) = preferred_extensions(star)
         assert extension.members == ("A", "C1", "C2", "C3")

@@ -296,6 +296,13 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert "invalid choice" in err
 
+    def test_compare_takes_no_model(self, capsys):
+        code, out, err = run_cli(
+            capsys, "compare", "--model", "tuples", "[(2),(3)]", "[(2),(1)]"
+        )
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --model" in err
+
     def test_missing_command_is_a_usage_error(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1
@@ -464,3 +471,16 @@ def test_readme_examples_print_what_they_show(capsys, monkeypatch):
         lines = iter(out.splitlines())
         for line in shown:
             assert line == "..." or line in lines, (argv, line, out)
+
+
+def test_readme_library_example_shows_what_it_computes():
+    text = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^## Library quick start\n\n```python\n(.*?)^```",
+                         text, re.M | re.S)
+    namespace = {}
+    exec(block, namespace)
+    [shown] = re.findall(r"^values = .*\n# (.*)$", block, re.M)
+    assert repr(namespace["values"]) == shown
+    assert namespace["ext"].render() == "{a,c}"
+    assert namespace["levels"]["a"] == "uni"
+    assert namespace["defended"] == {"a", "c"}

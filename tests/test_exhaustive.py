@@ -18,15 +18,16 @@ from conftest import (
 from gradarg import (
     AttackGraph,
     PropagationDepth,
+    Verdict,
     builtin_instances,
     categoriser,
     classify,
+    compare,
     evaluate_cyclic,
     evaluate_local,
     preferred_extensions,
     rooted_labelling,
     stable_extensions,
-    valuation_preference,
     well_defended,
 )
 from gradarg.cli import MODELS
@@ -123,7 +124,24 @@ def test_acyclic_categoriser_is_exact(graphs):
         values = evaluate_local(g, categoriser())
         exact = exact_categoriser(g)
         assert values == exact, g.attacks
-        assert well_defended(g, valuation_preference(values)) == defended(g, exact)
+        assert well_defended(g, values) == defended(g, exact)
+
+
+def test_well_defended_compares_tuples_and_labels(graphs):
+    # Labels rank by "-?+".index, not as strings: in ASCII, + < - < ?.
+    by_string = 0
+    for g in every(graphs):
+        tuples = evaluate_cyclic(g, PropagationDepth(10))
+        assert well_defended(g, tuples) == {
+            a for a in g.arguments
+            if not any(compare(tuples[b], tuples[a]).verdict is Verdict.FIRST_BETTER
+                       for b in g.attackers_of(a))
+        }, g.attacks
+        labels = grounded_oracle(g)
+        expected = defended(g, {a: "-?+".index(v) for a, v in labels.items()})
+        assert well_defended(g, labels) == expected, g.attacks
+        by_string += defended(g, labels) != expected
+    assert by_string > 0
 
 
 def test_rounding_moves_cyclic_well_defended_sets(graphs):
@@ -137,7 +155,7 @@ def test_rounding_moves_cyclic_well_defended_sets(graphs):
             if is_acyclic(g):
                 continue
             values = evaluate_local(g, categoriser())
-            raw = well_defended(g, valuation_preference(values))
+            raw = well_defended(g, values)
             assert raw == defended(g, values), g.attacks
             rounded = defended(g, {a: round(v, 9) for a, v in values.items()})
             moved[n] += raw != rounded

@@ -12,7 +12,7 @@ recorded from the local evaluator that kept separate acyclic, float-cyclic
 and label-cyclic code paths.  Keys `<case>@order:<instance>` and
 `<case>@ranking:<instance>` freeze, for every built-in local instance,
 the key order of `evaluate_local`'s value map and the tie groups of
-`induced_preorder(...).ranking()`, which inherits that order; the CLI
+`TotalPreorder(...).ranking()`, which inherits that order; the CLI
 prints in declaration order and cannot see it.  They were recorded from
 the evaluator that looked attackers up by name.  Eighteen
 `rooted_labelling` keys were re-recorded when the rooted labelling on a
@@ -45,7 +45,7 @@ import pytest  # noqa: E402
 from gradarg import AttackGraph, parse_framework, random_attack_graph  # noqa: E402
 from gradarg.acceptability import ENUMERATION_BOUND  # noqa: E402
 from gradarg.cli import main  # noqa: E402
-from gradarg.local import builtin_instances, evaluate_local, induced_preorder  # noqa: E402
+from gradarg.local import TotalPreorder, builtin_instances, evaluate_local  # noqa: E402
 
 DIGESTS = HERE / "frozen_tuple_digests.json"
 DEPTHS = range(1, 13)
@@ -155,7 +155,7 @@ def digests(workdir: Path) -> dict[str, str]:
             values = evaluate_local(g, instance)
             out[f"{case}@order:{name}"] = _sha256_json(list(values))
             out[f"{case}@ranking:{name}"] = _sha256_json(
-                induced_preorder(values).ranking())
+                TotalPreorder(values).ranking())
     return out
 
 

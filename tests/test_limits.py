@@ -34,10 +34,10 @@ raise SystemExit(code)
 # within a group follows the key order of the value map.
 LABEL_RANKING = """
 import sys
-from gradarg import evaluate_local, induced_preorder, parse_framework, rooted_labelling
+from gradarg import TotalPreorder, evaluate_local, parse_framework, rooted_labelling
 with open(sys.argv[1], encoding="utf-8") as handle:
     values = evaluate_local(parse_framework(handle.read()), rooted_labelling())
-print(induced_preorder(values).ranking())
+print(TotalPreorder(values).ranking())
 """
 
 

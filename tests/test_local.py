@@ -22,7 +22,6 @@ from gradarg import (
     check_condition_star,
     evaluate_local,
     generate_family,
-    induced_preorder,
     max_based,
     parse_framework,
     random_acyclic_graph,
@@ -71,7 +70,7 @@ class TestCategoriserAcyclic:
 
     def test_ranking_groups(self):
         values = evaluate_local(load_fixture("example4"), categoriser())
-        ranking = induced_preorder(values).ranking()
+        ranking = TotalPreorder(values).ranking()
         assert [set(group) for group in ranking] == [
             {"E1", "D2", "D3", "C4", "B4"},
             {"C1", "B2"},
@@ -82,7 +81,7 @@ class TestCategoriserAcyclic:
 
     def test_chain_preorder(self):
         values = evaluate_local(generate_family("chain", size=3), categoriser())
-        order = induced_preorder(values)
+        order = TotalPreorder(values)
         assert order.strictly_better("A3", "A1")
         assert order.strictly_better("A1", "A2")
         assert order.geq("A3", "A2")
@@ -589,6 +588,21 @@ class TestPreorderValueKinds:
         assert order.ranking() == [["b", "c"], ["a"]]
         with pytest.raises(MixedValueKindsError):
             TotalPreorder({"a": Score(0.25), "b": Fraction(1, 2)})
+
+    def test_unknown_label_is_rejected(self):
+        with pytest.raises(MixedValueKindsError, match="unknown label 'x'"):
+            TotalPreorder({"a": "x"})
+        stray = LocalInstance(
+            name="stray",
+            v_min="-",
+            v_max="+",
+            g=lambda v: "x",
+            h=lambda values: max(values, default="-", key="-?+".index),
+        )
+        with pytest.raises(MixedValueKindsError, match="unknown label 'x'"):
+            stray.leq("x", "+")
+        with pytest.raises(MixedValueKindsError, match="unknown label 'x'"):
+            validate_instance(stray)
 
     def test_ints_and_fractions_are_one_kind(self):
         order = TotalPreorder({"a": 1, "b": Fraction(1, 2), "c": Fraction(1)})
