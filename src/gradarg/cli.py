@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 parse error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import signal
@@ -118,6 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(dot)
 
     return parser
+
+
+# One parser per process, built on first use rather than at import: it holds
+# no per-call state (parse_args makes a fresh namespace, --model appends to a
+# None default, help width and streams are read when a message is printed).
+_parser = functools.cache(build_parser)
 
 
 def _read_graph(path: str) -> AttackGraph:
@@ -229,9 +236,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     if getattr(args, "depth", 1) < 1:

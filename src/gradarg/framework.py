@@ -110,7 +110,8 @@ class AttackGraph:
     that the rooted labelling and extension enumeration read.  Names
     appear only at the API edge.
 
-    `AttackGraph(arguments, attacks)` checks every name and endpoint.  The
+    `AttackGraph(arguments, attacks)` checks every name and endpoint; a
+    name must be an identifier of the framework format.  The
     parser and the seeded generators, which produce valid indices
     themselves, build through the private `_from_indices` instead.
     """
@@ -122,7 +123,7 @@ class AttackGraph:
         args: list[str] = []
         index: dict[str, int] = {}
         for name in arguments:
-            if not isinstance(name, str) or not name:
+            if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
                 raise FrameworkError(f"invalid argument id: {name!r}")
             if name not in index:
                 index[name] = len(args)
@@ -469,6 +470,7 @@ def _condense(successors) -> tuple[tuple[int, ...], ...]:
 _SHAPES = {"arg": "(I).", "att": "(I,I)."}
 
 _IDENT = "[A-Za-z0-9_]+"
+_IDENT_RE = re.compile(_IDENT)  # also the constructor's check of a name
 # Unicode whitespace (`\s` and str.isspace accept the same characters) and
 # % comments running to "\n".  A comment must reach the line end, or a
 # failed statement could backtrack into it and match the text it hides.
@@ -496,7 +498,7 @@ def _error_at(text: str, pos: int, message: str) -> ParseError:
 def _statement_error(text: str, pos: int) -> ParseError:
     """The error in the statement starting at `pos`, which the statement
     pattern rejected: the first of its tokens that breaks the grammar."""
-    head = re.compile(_IDENT).match(text, pos)
+    head = _IDENT_RE.match(text, pos)
     if head is None:
         return _unexpected(text, pos, "identifier")
     if head[0] not in _SHAPES:

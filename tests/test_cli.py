@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -15,7 +16,8 @@ from conftest import FIXTURES
 
 import gradarg
 from gradarg import generate_family, random_attack_graph
-from gradarg.cli import MODELS, main
+from gradarg import cli
+from gradarg.cli import MODELS, build_parser, main
 
 CYCLE3 = "arg(a). arg(b). arg(c). att(a,b). att(b,c). att(c,a)."
 
@@ -440,6 +442,73 @@ class TestDeterminism:
         )
         assert first == second
         assert first[0] == 0
+
+
+class TestParserReuse:
+    """main builds its parser once per process; a reused parser must answer
+    every call as a fresh one would."""
+
+    SEQUENCE = [
+        ["value", fixture_path("example1"), "--bogus"],
+        ["classify", fixture_path("star3"), "--model", "tuples"],
+        ["classify", fixture_path("star3")],
+        ["--help"],
+        ["classify", "--help"],
+        [],
+        ["solve", "--semantics", "stable", "--format", "json"],
+        ["classify", fixture_path("star3")],
+    ]
+
+    @staticmethod
+    def run_sequence(capsys, monkeypatch, sequence):
+        results = []
+        for argv in sequence:
+            monkeypatch.setattr(sys, "stdin", stdin_of(CYCLE3))
+            results.append(run_cli(capsys, *argv))
+        return results
+
+    def test_calls_answer_as_with_a_fresh_parser(self, capsys, monkeypatch):
+        reused = self.run_sequence(capsys, monkeypatch, self.SEQUENCE)
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        fresh = self.run_sequence(capsys, monkeypatch, self.SEQUENCE)
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [1, 0, 0, 0, 0, 1, 0, 0]
+        # --model appends to a None default: no list is shared between calls
+        assert reused[2] == reused[7]
+        assert "well-defended:categoriser,labelling,tuples" in reused[2][1]
+        assert reused[1][1] != reused[2][1]
+
+    def test_help_width_is_read_when_help_is_printed(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = run_cli(capsys, "classify", "--help")
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = run_cli(capsys, "classify", "--help")
+        monkeypatch.setattr(cli, "_parser", build_parser)
+        assert narrow == run_cli(capsys, "classify", "--help")
+        assert narrow != wide
+
+    def test_no_parser_is_built_after_the_first_call(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        run_cli(capsys, "export-dot", fixture_path("example1"))
+        built.clear()
+        path = fixture_path("example4")
+        calls = [
+            ["value", path], ["value", path, "--model", "tuples"],
+            ["compare", "[(2),(3)]", "[(2),(1)]"], ["solve", path],
+            ["solve", path, "--semantics", "stable"], ["classify", path],
+            ["classify", path, "--model", "labelling"], ["well-defended", path],
+            ["well-defended", path, "--model", "tuples"], ["export-dot", path],
+        ]
+        for argv in calls * 2:
+            assert run_cli(capsys, *argv, "--format", "json")[0] == 0
+        assert built == []
 
 
 def readme_examples():

@@ -23,6 +23,7 @@ from gradarg import (
     categoriser,
     classify,
     compare,
+    compatibility_scan,
     evaluate_cyclic,
     evaluate_local,
     preferred_extensions,
@@ -160,3 +161,28 @@ def test_rounding_moves_cyclic_well_defended_sets(graphs):
             rounded = defended(g, {a: round(v, 9) for a, v in values.items()})
             moved[n] += raw != rounded
     assert moved == {1: 0, 2: 0, 3: 2, 4: 46}
+
+
+@pytest.mark.parametrize("semantics", ["preferred", "stable"])
+def test_clean_acceptance_implies_defence_under_grounded_labels(graphs, semantics):
+    # An attacker strictly preferred under the grounded labels is IN, or
+    # UNDEC against an OUT argument; either way the argument is OUT, so a
+    # member of every complete extension attacks it and it is not clean.
+    rank = "-?+".index
+    attacked_clean = 0
+    for g in every(graphs):
+        extensions = oracle_extensions(g)[semantics == "stable"]
+        somewhere = set().union(*extensions)
+        # uni or cleanly: in some extension, and no attacker in any
+        clean = {a for a in somewhere if not somewhere.intersection(g.attackers_of(a))}
+        labels = grounded_oracle(g)
+        for a in clean:
+            assert not any(rank(labels[b]) > rank(labels[a])
+                           for b in g.attackers_of(a)), (g.attacks, a)
+            attacked_clean += bool(g.attackers_of(a))
+    assert attacked_clean > 0
+    # so the scan can never find that witness: it spends every trial
+    report = compatibility_scan("rooted_labelling", seed=7, trials=2000,
+                                semantics=semantics)
+    assert report.cleanly_not_defended is None
+    assert report.trials_used == 2000

@@ -165,7 +165,9 @@ class TestParsing:
         g = parse_framework("arg(a). arg(b). att(a,b). att(a,b).")
         assert g.attacks == (("a", "b"),)
 
-    @pytest.mark.parametrize("name", ["", 7, None])
+    # Each name here is one the framework text cannot hold: serialize() and
+    # to_dot() would write output that does not parse back.
+    @pytest.mark.parametrize("name", ["", 7, None, "a b", 'c"d', "é", "a\n", "a."])
     def test_construction_rejects_invalid_ids(self, name):
         with pytest.raises(FrameworkError) as caught:
             AttackGraph(["a", name])
