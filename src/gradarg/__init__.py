@@ -4,157 +4,17 @@ The package models attack graphs, values their arguments either locally
 (each argument from its direct attackers) or globally (tuples of all
 attack/defence branch lengths), enumerates preferred and stable
 extensions, grades acceptance across extensions, and relates the two
-views through well-defendedness.
+views through well-defendedness.  It exports what its modules export.
 """
 
-from .acceptability import (
-    AcceptabilityReport,
-    EnumerationBoundError,
-    Extension,
-    ScanReport,
-    Witness,
-    classification_report,
-    classify,
-    compatibility_scan,
-    defends,
-    is_conflict_free,
-    preferred_extensions,
-    scan_graph_stream,
-    stable_extensions,
-    valuation_preference,
-    well_defended,
-)
-from .framework import (
-    AttackGraph,
-    BranchEdit,
-    EditError,
-    FrameworkError,
-    Mcycle,
-    ParseError,
-    PathQuery,
-    UnknownArgumentError,
-    edit_graph,
-    generate_family,
-    parse_framework,
-    random_acyclic_graph,
-    random_attack_graph,
-)
-from .local import (
-    ConditionStarOutcome,
-    ConvergenceError,
-    LocalInstance,
-    MixedValueKindsError,
-    TotalPreorder,
-    UndecidableError,
-    ValidationReport,
-    Violation,
-    builtin_instances,
-    categoriser,
-    check_condition_star,
-    evaluate_local,
-    max_based,
-    rooted_labelling,
-    validate_instance,
-)
-from .tuple_eval import (
-    CyclicGraphError,
-    DepthError,
-    EvaluationBoundError,
-    PropagationDepth,
-    evaluate_acyclic,
-    evaluate_cyclic,
-)
-from .tuples import (
-    EMPTY,
-    LEAF_VALUE,
-    MIN_VALUE,
-    ONE_INF,
-    ZERO_INF,
-    ComparisonOutcome,
-    GradTuple,
-    LexOutcome,
-    RenderLimitError,
-    TupleFormatError,
-    TupledValue,
-    Verdict,
-    cardinality,
-    compare,
-    concat,
-    concat_all,
-    lex_compare,
-    parse_tuple_literal,
-    shift,
-)
+from . import acceptability, framework, local, tuple_eval, tuples
+from .acceptability import *
+from .framework import *
+from .local import *
+from .tuple_eval import *
+from .tuples import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcceptabilityReport",
-    "AttackGraph",
-    "BranchEdit",
-    "ComparisonOutcome",
-    "ConditionStarOutcome",
-    "ConvergenceError",
-    "CyclicGraphError",
-    "DepthError",
-    "EMPTY",
-    "EditError",
-    "EnumerationBoundError",
-    "EvaluationBoundError",
-    "Extension",
-    "FrameworkError",
-    "GradTuple",
-    "LEAF_VALUE",
-    "LexOutcome",
-    "LocalInstance",
-    "MIN_VALUE",
-    "Mcycle",
-    "MixedValueKindsError",
-    "ONE_INF",
-    "ParseError",
-    "PathQuery",
-    "PropagationDepth",
-    "RenderLimitError",
-    "ScanReport",
-    "TotalPreorder",
-    "TupleFormatError",
-    "TupledValue",
-    "UndecidableError",
-    "UnknownArgumentError",
-    "ValidationReport",
-    "Verdict",
-    "Violation",
-    "Witness",
-    "ZERO_INF",
-    "builtin_instances",
-    "cardinality",
-    "categoriser",
-    "check_condition_star",
-    "classification_report",
-    "classify",
-    "compare",
-    "compatibility_scan",
-    "concat",
-    "concat_all",
-    "defends",
-    "edit_graph",
-    "evaluate_acyclic",
-    "evaluate_cyclic",
-    "evaluate_local",
-    "generate_family",
-    "is_conflict_free",
-    "lex_compare",
-    "max_based",
-    "parse_framework",
-    "parse_tuple_literal",
-    "preferred_extensions",
-    "random_acyclic_graph",
-    "random_attack_graph",
-    "rooted_labelling",
-    "scan_graph_stream",
-    "shift",
-    "stable_extensions",
-    "valuation_preference",
-    "validate_instance",
-    "well_defended",
-]
+__all__ = [*acceptability.__all__, *framework.__all__, *local.__all__,
+           *tuple_eval.__all__, *tuples.__all__]

@@ -3,11 +3,12 @@
 Preferred and stable extensions are enumerated exactly.  They start from
 the graph's grounded labelling (`AttackGraph._grounded`, one linear pass,
 the same one the rooted labelling reads on a cyclic graph); the arguments
-it leaves undecided are then searched one weakly connected part of their
-subgraph at a time, and within a part one strongly connected component at
-a time, in dependency order, over each component's conflict-free sets
-(bitmask encoded).  The parts' answers are combined once at the end.  The
-cost is exponential only in the largest undecided component, which
+it leaves undecided are numbered once, then searched one weakly connected
+part of their subgraph at a time, and within a part one strongly connected
+component at a time, in dependency order, over each component's
+conflict-free sets (bitmasks over that numbering).  The parts' answers are
+combined once at the end, over declaration indices.  The cost is
+exponential only in the largest undecided component, which
 `ENUMERATION_BOUND` caps, and a fixed cap on the number of extensions
 stops lists that would outgrow memory.  Acceptance levels grade each
 argument by how the whole extension list treats it, read from the IN
@@ -123,17 +124,7 @@ def defends(g: AttackGraph, members, name: str) -> bool:
     return all(g.direct_attackers(b) & chosen for b in g.attackers_of(name))
 
 
-def _undecided_components(g: AttackGraph, label) -> list[tuple[int, ...]]:
-    """Strongly connected components of the subgraph that the undecided
-    arguments induce, in dependency order, as declaration indices."""
-    members = [a for a, lab in enumerate(label) if not lab]
-    pos = {a: j for j, a in enumerate(members)}
-    parts = _condense([[pos[t] for t in g._targets[a] if t in pos]
-                       for a in members])
-    return [tuple(members[j] for j in part) for part in parts]
-
-
-def _weak_parts(g: AttackGraph, components, label) -> list[list[tuple[int, ...]]]:
+def _weak_parts(components, att, tgt) -> list[list[tuple[int, ...]]]:
     """The components grouped by weakly connected part of the undecided
     subgraph, each part keeping dependency order."""
     part: dict[int, int] = {}  # undecided argument -> part number
@@ -144,8 +135,8 @@ def _weak_parts(g: AttackGraph, components, label) -> list[list[tuple[int, ...]]
             grouped.append([])
             queue = [comp[0]]
             for v in queue:
-                for u in (*g._attackers[v], *g._targets[v]):
-                    if not label[u] and u not in part:
+                for u in _bits(att[v] | tgt[v]):
+                    if u not in part:
                         part[u] = part[v]
                         queue.append(u)
         grouped[part[comp[0]]].append(comp)
@@ -159,30 +150,30 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _component_labellings(att, tgt, forced, eligible, stable):
-    """IN-maximal complete labellings of one component, as (IN, OUT) masks
-    over its members, given its upstream labels: `forced` members have an
+def _component_labellings(comp, inside, att, tgt, forced, eligible, stable):
+    """IN-maximal complete labellings of component `comp` (mask `inside`), as
+    (IN, OUT) masks, given its upstream labels: `forced` members have an
     IN attacker upstream, `eligible` ones have every upstream attacker OUT
     and alone may be IN.  A conflict-free IN set gives a complete labelling
     when its members are exactly the eligible ones whose attackers are all
     OUT; a member outside it is OUT when attacked by IN, else undecided."""
-    k = len(att)
-    full = (1 << k) - 1
-    ready_tests = [(1 << j, att[j]) for j in _bits(eligible)]
+    ready_tests = [(1 << v, att[v] & inside) for v in _bits(eligible)]
     found = []
     stack = [(0, 0, forced)]
     while stack:
         j, chosen, out = stack.pop()
-        if j == k:
+        if j == len(comp):
+            out &= inside
             ready = sum(bit for bit, attacked_by in ready_tests
                         if not attacked_by & ~out)
-            if ready == chosen and (not stable or chosen | out == full):
+            if ready == chosen and (not stable or chosen | out == inside):
                 found.append((chosen, out))
             continue
         stack.append((j + 1, chosen, out))
-        bit = 1 << j
-        if eligible & bit and not att[j] & (chosen | bit) and not tgt[j] & chosen:
-            stack.append((j + 1, chosen | bit, out | tgt[j]))
+        v = comp[j]
+        bit = 1 << v
+        if eligible & bit and not att[v] & (chosen | bit) and not tgt[v] & chosen:
+            stack.append((j + 1, chosen | bit, out | tgt[v]))
     found.sort(key=lambda labelling: -labelling[0].bit_count())
     maximal: list[tuple[int, int]] = []
     for chosen, out in found:
@@ -197,25 +188,31 @@ def _extension_masks(g: AttackGraph, stable: bool) -> list[int]:
 
     Every complete labelling extends the grounded one, and each undecided
     argument's decided attackers are OUT, so only the subgraph of the
-    undecided arguments is searched.  Its weakly connected parts do not
-    constrain each other: each part is searched alone, and the answer is
-    every combination of one labelling per part.  A part with no stable
-    labelling empties the answer even beside a part past the cap.
+    undecided arguments is searched, with them numbered once, 0 to u - 1
+    in declaration order: every mask of the search, such as `att[j]` and
+    `tgt[j]` (argument j's undecided attackers and targets), is over that
+    numbering.  Its weakly connected parts do not constrain each other:
+    each part is searched alone, and the answer is every combination of
+    one labelling per part, mapped to declaration indices at the end.  A
+    part with no stable labelling empties the answer even beside a part
+    past the cap.
     """
-    attackers = g._attackers
     label = g._grounded()
-    components = _undecided_components(g, label)
+    undecided = [a for a, lab in enumerate(label) if not lab]
+    pos = {a: j for j, a in enumerate(undecided)}
+    targets = [[pos[t] for t in g._targets[a] if t in pos] for a in undecided]
+    tgt = [sum(1 << t for t in ts) for ts in targets]
+    att = [sum(1 << pos[b] for b in g._attackers[a] if b in pos) for a in undecided]
+    components = _condense(targets)
     largest = max(map(len, components), default=0)
     if largest > ENUMERATION_BOUND:
         raise EnumerationBoundError(
             f"an undecided component of {largest} arguments exceeds the "
-            f"enumeration bound of {ENUMERATION_BOUND}"
-        )
-    grounded = sum(1 << i for i, lab in enumerate(label) if lab == _IN)
+            f"enumeration bound of {ENUMERATION_BOUND}")
     searched = []
-    for part in _weak_parts(g, components, label):
+    for part in _weak_parts(components, att, tgt):
         try:
-            found = _part_masks(part, attackers, label, stable)
+            found = _part_masks(part, att, tgt, stable)
         except EnumerationBoundError if stable else ():
             found = None  # too many: raised below unless a later part has none
         if found == []:
@@ -223,10 +220,11 @@ def _extension_masks(g: AttackGraph, stable: bool) -> list[int]:
         searched.append(found)
     if None in searched or math.prod(map(len, searched)) > _EXTENSION_CAP:
         raise _cap_error()
-    masks = [grounded]
+    masks = [0]
     for found in searched:
         masks = [mask | chosen for mask in masks for chosen in found]
-    return masks
+    grounded = sum(1 << i for i, lab in enumerate(label) if lab == _IN)
+    return [grounded | sum(1 << undecided[j] for j in _bits(mask)) for mask in masks]
 
 
 def _cap_error() -> EnumerationBoundError:
@@ -234,8 +232,8 @@ def _cap_error() -> EnumerationBoundError:
         f"more than {_EXTENSION_CAP} extensions exceed the enumeration bound")
 
 
-def _part_masks(components, attackers, label, stable: bool) -> list[int]:
-    """IN sets, over declaration indices, of the IN-maximal complete (or
+def _part_masks(components, att, tgt, stable: bool) -> list[int]:
+    """IN sets, over the undecided numbering, of the IN-maximal complete (or
     stable) labellings of one weakly connected part of the undecided
     subgraph, given as its components in dependency order.
 
@@ -245,53 +243,35 @@ def _part_masks(components, attackers, label, stable: bool) -> list[int]:
     ones without an undecided member, so the stable search drops any
     component labelling that has one.
     """
+    def labellings(table, *key):  # key: the component's (forced, eligible)
+        comp, inside, _, options = table
+        if key not in options:
+            options[key] = _component_labellings(comp, inside, att, tgt, *key, stable)
+        return options[key]
+
     tables = []
     for comp in components:
-        pos = {v: j for j, v in enumerate(comp)}
-        att = [0] * len(comp)
-        tgt = [0] * len(comp)
-        upstream = [0] * len(comp)
-        for j, v in enumerate(comp):
-            for b in attackers[v]:
-                if b in pos:
-                    att[j] |= 1 << pos[b]
-                    tgt[pos[b]] |= 1 << j
-                elif not label[b]:
-                    upstream[j] |= 1 << b
-        tables.append((comp, att, tgt, upstream, {}))
-
-    def labellings(table, forced, eligible):
-        comp, att, tgt, _, options = table
-        if (forced, eligible) not in options:
-            options[forced, eligible] = [
-                (sum(1 << comp[j] for j in _bits(chosen)),
-                 sum(1 << comp[j] for j in _bits(out)))
-                for chosen, out in _component_labellings(
-                    att, tgt, forced, eligible, stable)
-            ]
-        return options[forced, eligible]
-
-    # Under stable semantics a component with no undecided attacker outside
-    # itself has the same labellings whatever precedes it: if it has none,
-    # the answer is empty, found before any product can pass the cap.
-    if stable:
-        for table in tables:
-            comp, _, _, upstream, _ = table
-            if not any(upstream) and not labellings(table, 0, (1 << len(comp)) - 1):
-                return []
+        inside = sum(1 << v for v in comp)
+        upstream = [(1 << v, att[v] & ~inside) for v in comp]
+        table = (comp, inside, upstream, {})
+        # Under stable semantics a component with no undecided attacker outside
+        # itself has the same labellings whatever precedes it: if it has none,
+        # the answer is empty, found before any product can pass the cap.
+        if stable and not any(up for _, up in upstream) and not labellings(table, 0, inside):
+            return []
+        tables.append(table)
     # (IN, OUT) masks.  OUT holds undecided arguments only: the decided
     # attackers of an undecided argument are all OUT and need no test.
     partial = [(0, 0)]
     for table in tables:
-        upstream = table[3]
         extended = []
         for in_mask, out_mask in partial:
             forced = eligible = 0
-            for j, up in enumerate(upstream):
+            for bit, up in table[2]:
                 if up & in_mask:
-                    forced |= 1 << j
+                    forced |= bit
                 elif not up & ~out_mask:
-                    eligible |= 1 << j
+                    eligible |= bit
             extended.extend((in_mask | chosen, out_mask | out)
                             for chosen, out in labellings(table, forced, eligible))
             if len(extended) > _EXTENSION_CAP:

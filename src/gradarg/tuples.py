@@ -421,17 +421,17 @@ def parse_tuple_literal(text: str) -> TupledValue:
         raise TupleFormatError(f"expected [...], got {text!r}")
     inner = body[1:-1]
     depth = 0
-    split = None
+    commas = []  # the top-level ones, which separate components
     for i, ch in enumerate(inner):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
         elif ch == "," and depth == 0:
-            split = i
-            break
-    if split is None:
+            commas.append(i)
+    if len(commas) != 1:
         raise TupleFormatError(f"expected two components in {text!r}")
+    split = commas[0]
     even = _parse_component(inner[:split], "defence component")
     odd = _parse_component(inner[split + 1 :], "attack component")
     try:

@@ -308,6 +308,29 @@ class TestEnumeration:
                 out, err = capsys.readouterr()
                 assert out == "" and message in err
 
+    def test_one_component_search_per_distinct_upstream_labels(self, monkeypatch):
+        # 13 mutual attacks a_i <-> b_i joined by the target t of every a_i:
+        # each pair is searched once, and t twice, once with an IN attacker
+        # upstream and once with every attacker OUT, not once per labelling
+        # of the pairs
+        pairs = [(f"a{i}", f"b{i}") for i in range(13)]
+        g = AttackGraph(
+            [*itertools.chain(*pairs), "t"],
+            [*pairs, *((b, a) for a, b in pairs), *((a, "t") for a, _ in pairs)])
+        searches = 0
+        search = acceptability._component_labellings
+
+        def counted(*args, **kwargs):
+            nonlocal searches
+            searches += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(acceptability, "_component_labellings", counted)
+        for enumerate_ in (preferred_extensions, stable_extensions):
+            searches = 0
+            assert len(enumerate_(g)) == 2**13
+            assert searches == 15
+
     @pytest.mark.parametrize("cycle_first, one_part", [
         (True, False), (False, False), (True, True),
         # Inside one part the pairs are searched before the cycle when

@@ -371,6 +371,11 @@ class TestErrors:
         assert code == 2
         assert "parity" in err
 
+    def test_a_third_tuple_component_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "compare", "[(2),(1),(3)]", "[(2),(1)]")
+        assert (code, out) == (2, "")
+        assert "expected two components in '[(2),(1),(3)]'" in err
+
     @pytest.mark.parametrize("literal, read_as", [
         ("[(2_0),()]", "[(20),()]"), ("[(+2),()]", "[(2),()]"),
         ("[(\u0662),()]", "[(2),()]"), ("[(-0),()]", "[(0),()]"),

@@ -4,6 +4,7 @@ the test-side oracles of conftest."""
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +27,7 @@ from gradarg import (
     compatibility_scan,
     evaluate_cyclic,
     evaluate_local,
+    max_based,
     preferred_extensions,
     rooted_labelling,
     stable_extensions,
@@ -70,13 +72,14 @@ def is_acyclic(g):
     return not any(a in seen for a, seen in reachable(g).items())
 
 
-def exact_categoriser(g):
-    """v(a) = 1 / (1 + the sum of its attackers' values), by recursion."""
+def exact_local(g, h):
+    """v(a) = 1 / (1 + h(its attackers' values)), by recursion on an
+    acyclic graph: h = sum is the categoriser, h = max the max-based one."""
     values = {}
 
     def value(a):
         if a not in values:
-            values[a] = 1 / (1 + sum(map(value, g.attackers_of(a)), Fraction(0)))
+            values[a] = Fraction(1) / (1 + h([value(b) for b in g.attackers_of(a)]))
         return values[a]
 
     return {a: value(a) for a in g.arguments}
@@ -123,7 +126,7 @@ def test_acyclic_categoriser_is_exact(graphs):
     assert [len(acyclic[n]) for n in range(1, 5)] == [1, 2, 6, 31]  # OEIS A003087
     for g in every(acyclic):
         values = evaluate_local(g, categoriser())
-        exact = exact_categoriser(g)
+        exact = exact_local(g, sum)
         assert values == exact, g.attacks
         assert well_defended(g, values) == defended(g, exact)
 
@@ -186,3 +189,67 @@ def test_clean_acceptance_implies_defence_under_grounded_labels(graphs, semantic
                                 semantics=semantics)
     assert report.cleanly_not_defended is None
     assert report.trials_used == 2000
+
+
+def oracle_values(valuation, g):
+    """Label ranks for the rooted labelling; exact values, on an acyclic
+    graph, for the categoriser and max_based."""
+    if valuation == "rooted_labelling":
+        return {a: "-?+".index(v) for a, v in grounded_oracle(g).items()}
+    h = {"categoriser": sum, "max_based": lambda xs: max(xs, default=0)}
+    return exact_local(g, h[valuation])
+
+
+def oracle_clean(g, semantics, a):
+    extensions = [SimpleNamespace(members=s)
+                  for s in oracle_extensions(g)[semantics == "stable"]]
+    return graded_from_lists(g, extensions)[a] in ("uni", "cleanly")
+
+
+def test_scan_witnesses_hold_by_the_oracles():
+    # ROADMAP item 11: every witness the scan reports is one by the
+    # test-side oracles; the local valuations are exact on acyclic graphs.
+    # max_based finds none there: by induction along the attacks, IN
+    # arguments are worth more than 1/phi and OUT ones less, so the
+    # well-defended arguments are exactly the IN ones.
+    checked = 0
+    for valuation, acyclic_only in (("rooted_labelling", False),
+                                    ("categoriser", True), ("max_based", True)):
+        for semantics in ("preferred", "stable"):
+            for seed in range(1, 6):
+                report = compatibility_scan(valuation, seed=seed, trials=400,
+                                            semantics=semantics,
+                                            acyclic_only=acyclic_only)
+                for w in (report.cleanly_not_defended, report.defended_not_cleanly):
+                    if w is None:
+                        continue
+                    g, a = w.graph, w.argument
+                    clean = oracle_clean(g, semantics, a)
+                    is_defended = a in defended(g, oracle_values(valuation, g))
+                    assert (clean, is_defended) == (
+                        w.direction == "cleanly-not-defended",
+                        w.direction == "defended-not-cleanly",
+                    ), (valuation, semantics, seed, w.trial, g.attacks, a)
+                    checked += 1
+    assert checked == 30
+
+
+def test_float_noise_decides_the_seed_7_max_based_witnesses():
+    # ROADMAP items 1 and 11, counted rather than marked as expected to
+    # fail: both clean arguments tie with their attacker once rounded to 9
+    # decimals, so only the float fixpoint's noise makes them witnesses
+    known = {
+        "preferred": (1347, "X3", 0.6180339887498588, "X1", 0.618033988749989),
+        "stable": (2000, "a1", 0.6180339887498896, "a3", 0.6180339887499086),
+    }
+    found = {}
+    for semantics in known:
+        w = compatibility_scan("max_based", seed=7, trials=2000,
+                               semantics=semantics).cleanly_not_defended
+        g, a = w.graph, w.argument
+        assert oracle_clean(g, semantics, a)
+        values = evaluate_local(g, max_based())
+        [better] = [b for b in g.attackers_of(a) if values[b] > values[a]]
+        assert round(values[better], 9) == round(values[a], 9)
+        found[semantics] = (w.trial, a, values[a], better, values[better])
+    assert found == known

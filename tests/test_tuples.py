@@ -437,6 +437,9 @@ class TestRendering:
         ("[(),(1^x)]", "attack component: bad element '1^x'"),
         ("[(),(1^0)]", "attack component: bad repeat count in '1^0'"),
         ("[(4,2),()]", "defence component: elements must be ascending in '(4,2)'"),
+        # a comma outside the parentheses separates components, and there are two
+        ("[(2),(1),(3)]", "expected two components in '[(2),(1),(3)]'"),
+        ("[(2),(1),]", "expected two components in '[(2),(1),]'"),
     ])
     def test_parse_error_messages(self, literal, message):
         with pytest.raises(TupleFormatError) as caught:
