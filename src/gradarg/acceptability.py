@@ -45,7 +45,7 @@ from .local import (
     builtin_instances,
     evaluate_local,
 )
-from .tuple_eval import PropagationDepth, evaluate_cyclic
+from .tuple_eval import evaluate_cyclic
 from .tuples import TupledValue, Verdict, compare
 
 __all__ = [
@@ -530,7 +530,7 @@ def compatibility_scan(
             continue
         try:
             if instance is None:
-                values = evaluate_cyclic(g, PropagationDepth())
+                values = evaluate_cyclic(g)
             else:
                 values = evaluate_local(g, instance)
         except ConvergenceError:

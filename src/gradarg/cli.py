@@ -32,8 +32,8 @@ from .local import (
     evaluate_local,
     rooted_labelling,
 )
-from .tuple_eval import EvaluationBoundError, PropagationDepth, evaluate_cyclic
-from .tuples import RenderLimitError, TupleFormatError, parse_tuple_literal, compare
+from .tuple_eval import EvaluationBoundError, evaluate_cyclic
+from .tuples import RenderLimitError, TupleFormatError, _natural, compare, parse_tuple_literal
 
 __all__ = ["build_parser", "entry", "main"]
 
@@ -69,6 +69,22 @@ def _add_format(parser):
     )
 
 
+def _depth(text: str) -> int:
+    """A --depth value: ASCII digits, as in tuple literals, naming at least 1."""
+    try:
+        depth = _natural(text)
+    except ValueError:
+        depth = 0
+    if depth < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number of at least 1, got {text!r}")
+    return depth
+
+
+def _add_depth(parser, help_text=None):
+    parser.add_argument("--depth", type=_depth, default=10, metavar="N", help=help_text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gradarg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -76,8 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     value = sub.add_parser("value", help="value of every argument under a model")
     _add_input(value)
     value.add_argument("--model", choices=MODELS, default="categoriser")
-    value.add_argument("--depth", type=int, default=10, metavar="N",
-                       help="cycle unrolling runs for --model tuples (default 10)")
+    _add_depth(value, "cycle unrolling runs for --model tuples (default 10)")
     _add_format(value)
 
     cmp_p = sub.add_parser("compare", help="compare two tupled-value literals")
@@ -105,13 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="valuation(s) for the well-defended column (repeatable; "
              "default: all)",
     )
-    classify_p.add_argument("--depth", type=int, default=10, metavar="N")
+    _add_depth(classify_p)
     _add_format(classify_p)
 
     wd = sub.add_parser("well-defended", help="well-defended set for one model")
     _add_input(wd)
     wd.add_argument("--model", choices=MODELS, default="categoriser")
-    wd.add_argument("--depth", type=int, default=10, metavar="N")
+    _add_depth(wd)
     _add_format(wd)
 
     dot = sub.add_parser("export-dot", help="emit the graph in DOT form")
@@ -140,7 +155,7 @@ def _read_graph(path: str) -> AttackGraph:
 
 def _model_values(g: AttackGraph, model: str, depth: int):
     if MODELS[model] is None:
-        return evaluate_cyclic(g, PropagationDepth(depth))
+        return evaluate_cyclic(g, depth)
     return evaluate_local(g, MODELS[model])
 
 
@@ -240,9 +255,6 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if getattr(args, "depth", 1) < 1:
-        print("gradarg: error: --depth must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
     except (ParseError, TupleFormatError, OSError, UnicodeDecodeError) as exc:

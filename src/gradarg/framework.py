@@ -33,7 +33,6 @@ __all__ = [
     "FrameworkError",
     "Mcycle",
     "ParseError",
-    "PathQuery",
     "UnknownArgumentError",
     "edit_graph",
     "generate_family",
@@ -64,19 +63,6 @@ class UnknownArgumentError(FrameworkError):
 
 class EditError(FrameworkError):
     """A branch edit cannot be realized on the given graph."""
-
-
-@dataclass(frozen=True)
-class PathQuery:
-    """A walk existence/count question: walks of exactly `length` edges.
-
-    Length counts edges, so the trivial walk from an argument to itself
-    has length 0.
-    """
-
-    source: str
-    target: str
-    length: int
 
 
 @dataclass(frozen=True)
@@ -236,21 +222,21 @@ class AttackGraph:
         """Arguments with no attacker at all."""
         return frozenset(a for a, b in zip(self._args, self._attackers) if not b)
 
-    def walk_count(self, query: PathQuery) -> int:
-        """Number of walks of exactly `query.length` edges from source to target."""
-        source = self.index_of(query.source)
-        target = self.index_of(query.target)
-        if query.length < 0:
+    def walk_count(self, source: str, target: str, length: int) -> int:
+        """Number of walks of exactly `length` edges from source to target;
+        the trivial walk from an argument to itself has length 0."""
+        start, end = self.index_of(source), self.index_of(target)
+        if length < 0:
             raise FrameworkError("walk length must be non-negative")
         counts = [0] * len(self._args)
-        counts[source] = 1
-        for _ in range(query.length):
+        counts[start] = 1
+        for _ in range(length):
             nxt = [0] * len(counts)
             for (src, dst) in self._pairs:
                 if counts[src]:
                     nxt[dst] += counts[src]
             counts = nxt
-        return counts[target]
+        return counts[end]
 
     @staticmethod
     def _shortest_walks(seeds, step, adjacency,
@@ -686,6 +672,8 @@ def generate_family(kind: str, *, size: int | None = None, seed: int | None = No
         return _generated(["D"] + [f"C{i}" for i in range(1, size + 1)],
                           [(0, 1)] + [(i, i % size + 1) for i in range(1, size + 1)])
     if kind == "spider":
+        if size is not None and size < 1:
+            raise FrameworkError("spider requires size >= 1")
         rng = random.Random(seed)
         branches = size if size else rng.randint(1, 4)
         args = ["A"]
@@ -700,6 +688,8 @@ def generate_family(kind: str, *, size: int | None = None, seed: int | None = No
     if kind == "random":
         if size is None or density is None:
             raise FrameworkError("random requires size and density")
+        if size < 0:
+            raise FrameworkError("random requires size >= 0")
         return random_attack_graph(seed or 0, size, density)
     raise FrameworkError(f"unknown family {kind!r}")
 

@@ -34,6 +34,7 @@ from .framework import _IN, _OUT, AttackGraph
 from . import tuple_eval
 
 __all__ = [
+    "EXACT_BITS_BOUND",
     "ConditionStarOutcome",
     "ConvergenceError",
     "LocalInstance",
@@ -171,6 +172,11 @@ def builtin_instances() -> dict[str, LocalInstance]:
     }
 
 
+# Largest total size, in bits of numerators and denominators, of the exact
+# values one evaluation makes: about 128 MiB of integers.  A 25,000-chain's
+# categoriser values take 433,902,861 bits.
+EXACT_BITS_BOUND = 2**30
+
 _TOLERANCE = 1e-12  # a round moving no cycle union member this much or more ends it
 _MIN_ROUNDS = 1_000  # rounds every cycle union gets, whatever one round reads
 
@@ -185,11 +191,13 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
     until a round moves no member by 1e-12 or more, or raises
     ConvergenceError after max(1,000, WORK_BOUND // attacks read a round) rounds;
     h gets a tuple in `g.attackers_of` order.  Acyclic graphs evaluate
-    exactly; on a cyclic graph every numeric value is a float (the top
-    value and each result of g are converted).  The built-in rooted
-    labelling (top "+", the module's own g and h) is Dung's
-    grounded labelling on every graph: + IN, - OUT, ? undecided.  Any other
-    label instance raises UndecidableError on a graph with cycles.
+    exactly, and raise tuple_eval.EvaluationBoundError once the exact
+    values made hold more than EXACT_BITS_BOUND bits; on a cyclic graph
+    every numeric value is a float (the top value and each result of g
+    are converted).  The built-in rooted labelling (top "+", the module's
+    own g and h) is Dung's grounded labelling on every graph: + IN, - OUT,
+    ? undecided.  Any other label instance raises UndecidableError on a
+    graph with cycles.
     """
     order = g._components()
     names = g.arguments
@@ -208,7 +216,18 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
     value: list = [top] * len(attackers)  # by declaration index
     read = value.__getitem__
     if exact:
-        step = lambda row: weaken(combine(tuple(map(read, row))))
+        made = 0  # bits of the exact values made so far
+
+        def step(row):
+            nonlocal made
+            v = weaken(combine(tuple(map(read, row))))
+            if isinstance(v, Fraction):
+                made += v.numerator.bit_length() + v.denominator.bit_length()
+                if made > EXACT_BITS_BOUND:
+                    raise tuple_eval.EvaluationBoundError(
+                        f"exact values exceed the evaluation bound of "
+                        f"{EXACT_BITS_BOUND} bits")
+            return v
     else:
         step = lambda row: float(weaken(combine(tuple(map(read, row)))))
     for members, looped in zip(order, cyclic):

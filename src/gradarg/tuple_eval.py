@@ -38,7 +38,6 @@ parity are a stride-2 slice of its row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
 from .framework import AttackGraph
@@ -47,9 +46,7 @@ from .tuples import LEAF_VALUE, GradTuple, TupledValue
 __all__ = [
     "WORK_BOUND",
     "CyclicGraphError",
-    "DepthError",
     "EvaluationBoundError",
-    "PropagationDepth",
     "evaluate_acyclic",
     "evaluate_cyclic",
 ]
@@ -63,39 +60,21 @@ class CyclicGraphError(ValueError):
     """evaluate_acyclic was handed a graph with a cycle."""
 
 
-class DepthError(ValueError):
-    """Invalid propagation depth."""
-
-
 class EvaluationBoundError(ValueError):
     """The horizons are too long to evaluate within WORK_BOUND."""
-
-
-@dataclass(frozen=True)
-class PropagationDepth:
-    """How many runs through each cycle union the valuation unrolls."""
-
-    runs: int = 10
-
-    def __post_init__(self):
-        if self.runs < 1:
-            raise DepthError("propagation depth must be at least 1")
 
 
 def evaluate_acyclic(g: AttackGraph) -> dict[str, TupledValue]:
     """Exact tupled values; every component is a finite multiset except the
     all-zero tuple on unattacked arguments."""
-    order = g._components()
-    cyclic = list(map(g._is_cyclic, order))
-    if any(cyclic):
+    if not g.is_well_founded():
         raise CyclicGraphError("graph contains a cycle; use evaluate_cyclic")
-    return _walk_values(g, order, cyclic, PropagationDepth())
+    return _walk_values(g, 1)  # no cycle union to unroll
 
 
-def evaluate_cyclic(
-    g: AttackGraph, depth: PropagationDepth = PropagationDepth()
-) -> dict[str, TupledValue]:
-    """Tupled values for arbitrary graphs.
+def evaluate_cyclic(g: AttackGraph, depth: int = 10) -> dict[str, TupledValue]:
+    """Tupled values for arbitrary graphs, each cycle union unrolled
+    `depth` times (at least 1, or ValueError).
 
     Components known to be infinite come back as truncated tuples whose
     certified horizon is derived from the unroll depth; everything
@@ -104,27 +83,25 @@ def evaluate_cyclic(
     horizon whose product with the number of attacks exceeds WORK_BOUND,
     before filling that component's counts.
     """
-    order = g._components()
-    cyclic = list(map(g._is_cyclic, order))
-    if not any(cyclic):
+    if depth < 1:
+        raise ValueError(f"propagation depth must be at least 1, got {depth}")
+    if g.is_well_founded():
         return evaluate_acyclic(g)
-    return _walk_values(g, order, cyclic, depth)
+    return _walk_values(g, depth)
 
 
-def _walk_values(
-    g: AttackGraph, order, cyclic, depth: PropagationDepth
-) -> dict[str, TupledValue]:
+def _walk_values(g: AttackGraph, depth: int) -> dict[str, TupledValue]:
     """One pass along the condensation: each strongly connected component
     takes its horizons from its attackers' horizons and count rows, checks
     them against WORK_BOUND, then fills count[x][L], each parity cut at its
     own horizon (None marks an exact parity) and kept as its own runs.
-    `cyclic` flags the cycle unions of `order`."""
+    Each cycle union is unrolled `depth` times."""
     names, attackers_of = g.arguments, g._attackers
     counts: list = [None] * len(names)  # (even, odd) runs, by declaration index
     horizon: list = [None] * len(names)
     values: dict[str, TupledValue] = {}
-    for comp, is_cyclic in zip(order, cyclic):
-        if not is_cyclic:
+    for comp in g._components():
+        if not g._is_cyclic(comp):
             x = comp[0]
             attackers = attackers_of[x]
             if not attackers:
@@ -149,7 +126,7 @@ def _walk_values(
             values[names[x]] = _tupled(counts[x], cut)
             continue
         members = set(comp)
-        cap = depth.runs * len(comp)
+        cap = depth * len(comp)
         entries = [
             (j, [b for b in attackers_of[j] if b not in members]) for j in comp
         ]

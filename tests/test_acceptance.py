@@ -16,7 +16,6 @@ from gradarg import (
     BranchEdit,
     LEAF_VALUE,
     MIN_VALUE,
-    PropagationDepth,
     Verdict,
     ZERO_INF,
     builtin_instances,
@@ -149,7 +148,7 @@ def test_criterion_06_cycle_tuples_up_to_the_certified_horizon():
     with check(6, "cycle tuples carry full parity progressions to the horizon"):
         for k in (2, 3, 5):
             g = generate_family("unattacked-cycle", size=k)
-            for v in evaluate_cyclic(g, PropagationDepth(10)).values():
+            for v in evaluate_cyclic(g, 10).values():
                 horizon = 10 * k
                 assert v.even.horizon == v.odd.horizon == horizon
                 assert v.even.infinite and v.odd.infinite
@@ -157,7 +156,7 @@ def test_criterion_06_cycle_tuples_up_to_the_certified_horizon():
                 assert v.even.elements() == tuple(range(2, horizon + 1, 2))
                 assert v.odd.elements() == tuple(range(1, horizon + 1, 2))
 
-        values = evaluate_cyclic(load_fixture("example8"), PropagationDepth(10))
+        values = evaluate_cyclic(load_fixture("example8"), 10)
         progressions = {"A": 1, "E": 3}  # odd side
         for name, start in progressions.items():
             v = values[name]

@@ -386,13 +386,16 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert "bad element" in err
 
-    def test_depth_must_be_positive(self, capsys):
-        code, _, err = run_cli(
-            capsys, "value", fixture_path("example1"),
-            "--model", "tuples", "--depth", "0",
-        )
-        assert code == 1
-        assert "--depth" in err
+    # ASCII digits naming at least 1, as in tuple literals
+    @pytest.mark.parametrize("depth", ["0", "-1", "1_0", "+2", "\u0663", "abc"])
+    def test_depth_must_be_positive(self, capsys, depth):
+        for command in ("value", "classify", "well-defended"):
+            code, out, err = run_cli(
+                capsys, command, fixture_path("example1"), "--depth", depth,
+            )
+            assert (code, out) == (1, "")
+            assert "--depth" in err
+            assert "Traceback" not in err
 
     def test_oversized_graph_is_a_computation_error(self, capsys, tmp_path):
         big = generate_family("unattacked-cycle", size=26)
@@ -558,3 +561,4 @@ def test_readme_library_example_shows_what_it_computes():
     assert namespace["ext"].render() == "{a,c}"
     assert namespace["levels"]["a"] == "uni"
     assert namespace["defended"] == {"a", "c"}
+    assert namespace["walks"] == 1

@@ -1,9 +1,11 @@
 """Every attack graph on at most four arguments, self-attacks included, once
-up to renaming (2, 10, 104 and 3,044 graphs: OEIS A000595), checked against
-the test-side oracles of conftest."""
+up to renaming (2, 10, 104 and 3,044 graphs: OEIS A000595), and every
+acyclic one on at most five, checked against the test-side oracles of
+conftest."""
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +20,6 @@ from conftest import (
 
 from gradarg import (
     AttackGraph,
-    PropagationDepth,
     Verdict,
     builtin_instances,
     categoriser,
@@ -35,7 +36,7 @@ from gradarg import (
 )
 from gradarg.cli import MODELS
 
-NAMES = "abcd"
+NAMES = "abcde"
 
 
 def canonical_graphs(n):
@@ -118,7 +119,7 @@ def test_rooted_labelling_is_the_grounded_labelling(graphs):
 def test_tuple_values_are_rooted_walk_counts(graphs):
     # at depth 10 no horizon passes 10 x 4 = 40, so 48 lengths cover them
     for g in every(graphs):
-        assert_matches_walk_counts(g, evaluate_cyclic(g, PropagationDepth(10)), bound=48)
+        assert_matches_walk_counts(g, evaluate_cyclic(g, 10), bound=48)
 
 
 def test_acyclic_categoriser_is_exact(graphs):
@@ -135,7 +136,7 @@ def test_well_defended_compares_tuples_and_labels(graphs):
     # Labels rank by "-?+".index, not as strings: in ASCII, + < - < ?.
     by_string = 0
     for g in every(graphs):
-        tuples = evaluate_cyclic(g, PropagationDepth(10))
+        tuples = evaluate_cyclic(g, 10)
         assert well_defended(g, tuples) == {
             a for a in g.arguments
             if not any(compare(tuples[b], tuples[a]).verdict is Verdict.FIRST_BETTER
@@ -200,10 +201,12 @@ def oracle_values(valuation, g):
     return exact_local(g, h[valuation])
 
 
-def oracle_clean(g, semantics, a):
+def clean_arguments(g, semantics):
+    """The arguments at level uni or cleanly, by the subset oracle."""
     extensions = [SimpleNamespace(members=s)
                   for s in oracle_extensions(g)[semantics == "stable"]]
-    return graded_from_lists(g, extensions)[a] in ("uni", "cleanly")
+    levels = graded_from_lists(g, extensions)
+    return {a for a in g.arguments if levels[a] in ("uni", "cleanly")}
 
 
 def test_scan_witnesses_hold_by_the_oracles():
@@ -224,7 +227,7 @@ def test_scan_witnesses_hold_by_the_oracles():
                     if w is None:
                         continue
                     g, a = w.graph, w.argument
-                    clean = oracle_clean(g, semantics, a)
+                    clean = a in clean_arguments(g, semantics)
                     is_defended = a in defended(g, oracle_values(valuation, g))
                     assert (clean, is_defended) == (
                         w.direction == "cleanly-not-defended",
@@ -247,9 +250,84 @@ def test_float_noise_decides_the_seed_7_max_based_witnesses():
         w = compatibility_scan("max_based", seed=7, trials=2000,
                                semantics=semantics).cleanly_not_defended
         g, a = w.graph, w.argument
-        assert oracle_clean(g, semantics, a)
+        assert a in clean_arguments(g, semantics)
         values = evaluate_local(g, max_based())
         [better] = [b for b in g.attackers_of(a) if values[b] > values[a]]
         assert round(values[better], 9) == round(values[a], 9)
         found[semantics] = (w.trial, a, values[a], better, values[better])
     assert found == known
+
+
+# ROADMAP item 11's compatibility table, the rows that are exact today.
+
+def later_to_earlier_graphs(n):
+    """Every graph on n arguments whose attacks run from later to earlier
+    arguments: 2 ** (n(n-1)/2) labelled graphs, which cover every acyclic
+    graph on n arguments up to renaming."""
+    cells = [(j, i) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(1 << len(cells)):
+        yield AttackGraph(NAMES[:n], [(NAMES[j], NAMES[i])
+                                      for k, (j, i) in enumerate(cells) if mask >> k & 1])
+
+
+def witnesses(graphs, clean_of, values_of):
+    """Per direction, the (graph, argument) pairs that are clean and not
+    defended, or defended and not clean."""
+    found = {"cleanly-not-defended": [], "defended-not-cleanly": []}
+    for g in graphs:
+        clean, kept = clean_of(g), defended(g, values_of(g))
+        for a in g.arguments:
+            if (a in clean) != (a in kept):
+                direction = "cleanly-not-defended" if a in clean else "defended-not-cleanly"
+                found[direction].append((g, a))
+    return found
+
+
+def smallest(found):
+    """The fewest arguments of a witness per direction; None for none."""
+    return {direction: min((len(g) for g, _ in pairs), default=None)
+            for direction, pairs in found.items()}
+
+
+@pytest.mark.parametrize("semantics", ["preferred", "stable"])
+def test_rooted_labelling_compatibility_row(graphs, semantics):
+    # a self-attacker is undecided against itself, so defended and never
+    # clean; clean arguments are always defended (see
+    # test_clean_acceptance_implies_defence_under_grounded_labels)
+    found = witnesses(every(graphs), lambda g: clean_arguments(g, semantics),
+                      partial(oracle_values, "rooted_labelling"))
+    assert smallest(found) == {"cleanly-not-defended": None, "defended-not-cleanly": 1}
+    assert (AttackGraph("a", [("a", "a")]), "a") in found["defended-not-cleanly"]
+
+
+@pytest.fixture(scope="module")
+def dags():
+    return [g for n in range(1, 6) for g in later_to_earlier_graphs(n)]
+
+
+def grounded_in(g):
+    return {a for a, label in grounded_oracle(g).items() if label == "+"}
+
+
+def test_an_acyclic_graph_is_clean_where_grounded_in(dags):
+    # its one complete extension is the grounded one, under both semantics
+    assert len(dags) == 1099
+    for g in dags:
+        for semantics in ("preferred", "stable"):
+            assert clean_arguments(g, semantics) == grounded_in(g), g.attacks
+
+
+@pytest.mark.parametrize("valuation, sizes", [
+    ("categoriser", {"cleanly-not-defended": 5, "defended-not-cleanly": 5}),
+    ("max_based", {"cleanly-not-defended": None, "defended-not-cleanly": None}),
+])
+def test_acyclic_local_compatibility_rows(dags, valuation, sizes):
+    found = witnesses(dags, grounded_in, partial(oracle_values, valuation))
+    assert smallest(found) == sizes
+    if valuation == "categoriser":
+        shown = {direction: {(frozenset(g.attacks), a) for g, a in pairs}
+                 for direction, pairs in found.items()}
+        clean_only = frozenset({("b", "a"), ("d", "a"), ("c", "b"), ("d", "c"), ("e", "d")})
+        defended_only = frozenset({("b", "a"), ("c", "b"), ("d", "b"), ("e", "c"), ("e", "d")})
+        assert (clean_only, "a") in shown["cleanly-not-defended"]
+        assert (defended_only, "a") in shown["defended-not-cleanly"]

@@ -18,7 +18,6 @@ from gradarg import (
     EditError,
     FrameworkError,
     ParseError,
-    PathQuery,
     UnknownArgumentError,
     edit_graph,
     generate_family,
@@ -253,17 +252,17 @@ class TestNeighbourhoods:
 
     def test_walk_counts(self):
         g = load_fixture("example2")
-        assert g.walk_count(PathQuery("C2", "A", 2)) == 1
-        assert g.walk_count(PathQuery("A", "A", 0)) == 1
+        assert g.walk_count("C2", "A", 2) == 1
+        assert g.walk_count("A", "A", 0) == 1
         # two distinct 3-edge loops pass through A1
-        assert g.walk_count(PathQuery("A1", "A1", 3)) == 2
-        assert g.walk_count(PathQuery("E1", "A", 4)) == 1
-        assert g.walk_count(PathQuery("E1", "A", 3)) == 0
+        assert g.walk_count("A1", "A1", 3) == 2
+        assert g.walk_count("E1", "A", 4) == 1
+        assert g.walk_count("E1", "A", 3) == 0
 
     def test_walk_length_must_be_non_negative(self):
         g = load_fixture("example2")
         with pytest.raises(FrameworkError, match="^walk length must be non-negative$"):
-            g.walk_count(PathQuery("A", "A", -1))
+            g.walk_count("A", "A", -1)
 
     def test_indirect_queries_use_cycle_pumping(self):
         # D -> C1 -> C2 -> C3 -> C1: the only odd walks from D into C1 are
@@ -348,8 +347,8 @@ def _brute_shortest(g, seeds, step, *, backward=False, limit):
         for length in range(limit + 1):
             cls = _walk_class(length, step)
             for v in g.arguments:
-                query = PathQuery(v, seed, length) if backward else PathQuery(seed, v, length)
-                if g.walk_count(query) and out.get((v, cls), limit + offset + 1) > offset + length:
+                ends = (v, seed) if backward else (seed, v)
+                if g.walk_count(*ends, length) and out.get((v, cls), limit + offset + 1) > offset + length:
                     out[(v, cls)] = offset + length
     return out
 
@@ -569,6 +568,16 @@ class TestEdits:
         assert len(edited) == 2
 
 
+# (kind, size, least size): every sized family rejects a missing or
+# non-positive size; a spider without a size draws its branch count, and a
+# random graph may be empty.
+SIZE_ERRORS = [
+    *((kind, size, 1) for size in (None, 0, -2)
+      for kind in ("attacked-cycle", "chain", "unattacked-cycle")),
+    ("spider", 0, 1), ("spider", -2, 1), ("random", -3, 0),
+]
+
+
 class TestFamilies:
     def test_chain(self):
         g = generate_family("chain", size=4)
@@ -608,12 +617,12 @@ class TestFamilies:
         for seed in range(25):
             assert random_acyclic_graph(seed, 9, 0.5).is_well_founded()
 
-    @pytest.mark.parametrize("kind", ["chain", "unattacked-cycle", "attacked-cycle"])
-    @pytest.mark.parametrize("size", [None, 0, -2])
-    def test_sized_families_need_a_positive_size(self, kind, size):
+    @pytest.mark.parametrize("kind, size, least", SIZE_ERRORS,
+                             ids=[f"{size}-{kind}" for kind, size, _ in SIZE_ERRORS])
+    def test_sized_families_need_a_positive_size(self, kind, size, least):
         with pytest.raises(FrameworkError) as caught:
-            generate_family(kind, size=size)
-        assert str(caught.value) == f"{kind} requires size >= 1"
+            generate_family(kind, size=size, density=0.5)
+        assert str(caught.value) == f"{kind} requires size >= {least}"
 
     def test_random_family(self):
         assert generate_family("random", size=6, density=0.3, seed=5) == (

@@ -74,6 +74,26 @@ class TestEvaluationBound:
         assert done.stdout == ""
         assert elapsed < 20
 
+    def test_oversized_exact_values_fail_fast(self, tmp_path):
+        # the categoriser's exact values along an n-chain take about
+        # 0.69 * n**2 bits in all, past the bound from about 39,000 links.
+        # The text is written without building the graph here: a child's
+        # ru_maxrss also counts what this process held when it forked, and
+        # the next test bounds its child's peak.
+        size = 200000
+        path = tmp_path / "chain.apx"
+        path.write_text("".join(f"arg(A{i}).\n" for i in range(1, size + 1))
+                        + "".join(f"att(A{i + 1},A{i}).\n" for i in range(1, size)),
+                        encoding="utf-8")
+        start = time.monotonic()
+        done = run_cli(["well-defended", str(path), "--model", "categoriser"],
+                       limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 3, done.stderr
+        assert "evaluation bound" in done.stderr
+        assert done.stdout == ""
+        assert elapsed < 20
+
     def test_short_horizons_on_a_large_graph_run(self, tmp_path):
         size = 800
         path = write_graph(tmp_path, "large", random_attack_graph(5, size, 2 / size))

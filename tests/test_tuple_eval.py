@@ -10,11 +10,9 @@ from gradarg import (
     AttackGraph,
     BranchEdit,
     CyclicGraphError,
-    DepthError,
     EMPTY,
     EvaluationBoundError,
     LEAF_VALUE,
-    PropagationDepth,
     Verdict,
     ZERO_INF,
     compare,
@@ -120,7 +118,7 @@ class TestCyclicEvaluation:
     @pytest.mark.parametrize("size", [2, 3, 5])
     def test_unattacked_cycles_closed_form(self, size):
         g = generate_family("unattacked-cycle", size=size)
-        values = evaluate_cyclic(g, PropagationDepth(10))
+        values = evaluate_cyclic(g, 10)
         horizon = 10 * size
         for member in g.arguments:
             v = values[member]
@@ -225,18 +223,18 @@ class TestCyclicEvaluation:
     def test_random_graphs_match_walk_counts(self):
         for seed in range(60):
             g = random_attack_graph(seed=seed, size=3 + seed % 5, density=0.35)
-            values = evaluate_cyclic(g, PropagationDepth(8))
+            values = evaluate_cyclic(g, 8)
             assert_matches_walk_counts(g, values, bound=120)
         cyclic = (g for g in scan_graph_stream(7) if not g.is_well_founded())
         for g in itertools.islice(cyclic, 1000):
             for runs in (1, 3):
-                assert_matches_walk_counts(g, evaluate_cyclic(g, PropagationDepth(runs)))
+                assert_matches_walk_counts(g, evaluate_cyclic(g, runs))
 
     def test_deeper_propagation_refines_the_same_value(self):
         for name in ("example7", "example8", "mcycles"):
             g = load_fixture(name)
-            shallow = evaluate_cyclic(g, PropagationDepth(5))
-            deep = evaluate_cyclic(g, PropagationDepth(10))
+            shallow = evaluate_cyclic(g, 5)
+            deep = evaluate_cyclic(g, 10)
             for arg in g.arguments:
                 for side in ("even", "odd"):
                     a = getattr(shallow[arg], side)
@@ -251,10 +249,12 @@ class TestCyclicEvaluation:
                         [r for r in b.runs if r[0] <= cutoff]
 
     def test_depth_must_be_positive(self):
-        with pytest.raises(DepthError):
-            PropagationDepth(0)
-        with pytest.raises(DepthError):
-            PropagationDepth(-3)
+        # checked before the graph is looked at: example4 is acyclic,
+        # example7 is not
+        for name in ("example4", "example7"):
+            for depth in (0, -3):
+                with pytest.raises(ValueError, match="depth"):
+                    evaluate_cyclic(load_fixture(name), depth)
 
 
 # -- branch independence -----------------------------------------------------
