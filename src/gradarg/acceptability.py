@@ -342,10 +342,15 @@ def well_defended(g: AttackGraph, values: Mapping[str, object]) -> frozenset[str
 
     Tupled values compare by `compare`, numbers and labels by their order.
     Ties and incomparability both count in the argument's favour;
-    unattacked arguments qualify vacuously.
+    unattacked arguments qualify vacuously.  A map without a value for
+    some argument raises ValueError naming the first such argument, in
+    declaration order; values of other names are ignored.
     """
-    strictly_better = valuation_preference(values)
     names = g.arguments
+    missing = next((a for a in names if a not in values), None)
+    if missing is not None:
+        raise ValueError(f"no value for argument {missing!r}")
+    strictly_better = valuation_preference(values)
     return frozenset(
         a
         for a, attackers in zip(names, g._attackers)
@@ -452,6 +457,7 @@ def scan_graph_stream(
     3 to `size_bound` arguments, but a tangle always has at least 6: an odd
     3-cycle, an even 2-cycle and at least one argument they attack.
     """
+    size_bound = operator.index(size_bound)
     if size_bound < 3:
         raise ValueError(f"size_bound must be at least 3, not {size_bound}")
     return _graphs(random.Random(seed), size_bound, acyclic_only)
@@ -476,7 +482,15 @@ def _graphs(rng: random.Random, size_bound: int, acyclic_only: bool) -> Iterator
             yield _cycle_tangle(rng, size)
 
 
-def _resolve_valuation(valuation) -> tuple[str, object]:
+def _values(g: AttackGraph, instance: LocalInstance | None, depth: int = 10) -> dict:
+    """The value map of one valuation: the tupled values, unrolled `depth`
+    runs, when `instance` is None, else the local instance's values."""
+    if instance is None:
+        return evaluate_cyclic(g, depth)
+    return evaluate_local(g, instance)
+
+
+def _resolve_valuation(valuation) -> tuple[str, LocalInstance | None]:
     if isinstance(valuation, LocalInstance):
         return valuation.name, valuation
     if valuation == "tuples":
@@ -515,41 +529,27 @@ def compatibility_scan(
     stream = scan_graph_stream(seed, size_bound=size_bound, acyclic_only=acyclic_only)
     _check_semantics(semantics)
     name, instance = _resolve_valuation(valuation)
-    found: dict[str, Witness] = {}
-    trials_used = 0
+    clean_witness = defended_witness = None
     for trial in range(1, trials + 1):
-        trials_used = trial
         g = next(stream)
         levels = classify(g, semantics)
         clean = [levels[a] in CLEAN_LEVELS for a in g.arguments]
         if not (
-            ("cleanly-not-defended" not in found
+            (clean_witness is None
              and any(c and attackers for c, attackers in zip(clean, g._attackers)))
-            or ("defended-not-cleanly" not in found and not all(clean))
+            or (defended_witness is None and not all(clean))
         ):
             continue
         try:
-            if instance is None:
-                values = evaluate_cyclic(g)
-            else:
-                values = evaluate_local(g, instance)
+            values = _values(g, instance)
         except ConvergenceError:
             continue
         defended = well_defended(g, values)
         for a, is_clean in zip(g.arguments, clean):
-            if is_clean and a not in defended and "cleanly-not-defended" not in found:
-                found["cleanly-not-defended"] = Witness(
-                    "cleanly-not-defended", g, a, trial
-                )
-            if a in defended and not is_clean and "defended-not-cleanly" not in found:
-                found["defended-not-cleanly"] = Witness(
-                    "defended-not-cleanly", g, a, trial
-                )
-        if len(found) == 2:
+            if is_clean and a not in defended and clean_witness is None:
+                clean_witness = Witness("cleanly-not-defended", g, a, trial)
+            if a in defended and not is_clean and defended_witness is None:
+                defended_witness = Witness("defended-not-cleanly", g, a, trial)
+        if clean_witness is not None and defended_witness is not None:
             break
-    return ScanReport(
-        valuation=name,
-        trials_used=trials_used,
-        cleanly_not_defended=found.get("cleanly-not-defended"),
-        defended_not_cleanly=found.get("defended-not-cleanly"),
-    )
+    return ScanReport(name, trial, clean_witness, defended_witness)

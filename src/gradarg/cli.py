@@ -20,24 +20,20 @@ import sys
 
 from .acceptability import (
     EnumerationBoundError,
+    _values,
     classification_report,
     preferred_extensions,
     stable_extensions,
     well_defended,
 )
 from .framework import AttackGraph, FrameworkError, ParseError, parse_framework
-from .local import (
-    ConvergenceError,
-    categoriser,
-    evaluate_local,
-    rooted_labelling,
-)
-from .tuple_eval import EvaluationBoundError, evaluate_cyclic
+from .local import ConvergenceError, categoriser, rooted_labelling
+from .tuple_eval import EvaluationBoundError
 from .tuples import RenderLimitError, TupleFormatError, _natural, compare, parse_tuple_literal
 
 __all__ = ["build_parser", "entry", "main"]
 
-# Model name to local instance; tuples are evaluated by evaluate_cyclic.
+# Model name to local instance; None stands for the tupled values.
 MODELS = {"categoriser": categoriser(), "labelling": rooted_labelling(), "tuples": None}
 
 EXIT_OK = 0
@@ -153,12 +149,6 @@ def _read_graph(path: str) -> AttackGraph:
     return parse_framework(text)
 
 
-def _model_values(g: AttackGraph, model: str, depth: int):
-    if MODELS[model] is None:
-        return evaluate_cyclic(g, depth)
-    return evaluate_local(g, MODELS[model])
-
-
 def _emit(args, document, lines) -> int:
     """Print a command's result: its fields as one JSON document, headed by
     the command name, or its lines.  Neither is joined into one string
@@ -173,7 +163,7 @@ def _emit(args, document, lines) -> int:
 
 def _cmd_value(args) -> int:
     g = _read_graph(args.path)
-    values = _model_values(g, args.model, args.depth)
+    values = _values(g, MODELS[args.model], args.depth)
     # Each value is dropped once its text is made; all are rendered before
     # anything is printed, so a value that cannot be rendered prints nothing.
     try:
@@ -205,7 +195,7 @@ def _cmd_solve(args) -> int:
 def _cmd_classify(args) -> int:
     g = _read_graph(args.path)
     models = list(dict.fromkeys(args.models or MODELS))  # repeats dropped
-    valuations = {m: _model_values(g, m, args.depth) for m in models}
+    valuations = {m: _values(g, MODELS[m], args.depth) for m in models}
     report = classification_report(g, args.semantics, valuations)
 
     def lines():
@@ -228,7 +218,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_well_defended(args) -> int:
     g = _read_graph(args.path)
-    values = _model_values(g, args.model, args.depth)
+    values = _values(g, MODELS[args.model], args.depth)
     defended = well_defended(g, values)
     names = [n for n in g.arguments if n in defended]
     return _emit(args, {"model": args.model, "well_defended": names}, names)

@@ -688,8 +688,6 @@ def generate_family(kind: str, *, size: int | None = None, seed: int | None = No
     if kind == "random":
         if size is None or density is None:
             raise FrameworkError("random requires size and density")
-        if size < 0:
-            raise FrameworkError("random requires size >= 0")
         return random_attack_graph(seed or 0, size, density)
     raise FrameworkError(f"unknown family {kind!r}")
 
@@ -697,6 +695,7 @@ def generate_family(kind: str, *, size: int | None = None, seed: int | None = No
 def random_attack_graph(seed: int, size: int, density: float) -> AttackGraph:
     """Seeded digraph; every ordered pair (self-pairs included) attacks with
     probability `density`."""
+    names = _random_names(size)
     rng = random.Random(seed)
     attacks = [
         (src, dst)
@@ -704,12 +703,13 @@ def random_attack_graph(seed: int, size: int, density: float) -> AttackGraph:
         for dst in range(size)
         if rng.random() < density
     ]
-    return _generated([f"a{i}" for i in range(1, size + 1)], attacks)
+    return _generated(names, attacks)
 
 
 def random_acyclic_graph(seed: int, size: int, density: float) -> AttackGraph:
     """Seeded acyclic digraph: only later-declared arguments attack earlier
     ones, so declaration order is a reverse topological order."""
+    names = _random_names(size)
     rng = random.Random(seed)
     attacks = [
         (j, i)
@@ -717,7 +717,14 @@ def random_acyclic_graph(seed: int, size: int, density: float) -> AttackGraph:
         for j in range(i + 1, size)
         if rng.random() < density
     ]
-    return _generated([f"a{i}" for i in range(1, size + 1)], attacks)
+    return _generated(names, attacks)
+
+
+def _random_names(size: int) -> list[str]:
+    """The arguments a1 to a`size` of a seeded graph (size at least 0)."""
+    if size < 0:
+        raise FrameworkError("random requires size >= 0")
+    return [f"a{i}" for i in range(1, size + 1)]
 
 
 def _generated(args: list[str], attacks) -> AttackGraph:

@@ -38,6 +38,7 @@ parity are a stride-2 slice of its row.
 
 from __future__ import annotations
 
+import operator
 from itertools import compress
 
 from .framework import AttackGraph
@@ -74,7 +75,7 @@ def evaluate_acyclic(g: AttackGraph) -> dict[str, TupledValue]:
 
 def evaluate_cyclic(g: AttackGraph, depth: int = 10) -> dict[str, TupledValue]:
     """Tupled values for arbitrary graphs, each cycle union unrolled
-    `depth` times (at least 1, or ValueError).
+    `depth` times (an integer, or TypeError, and at least 1, or ValueError).
 
     Components known to be infinite come back as truncated tuples whose
     certified horizon is derived from the unroll depth; everything
@@ -83,6 +84,7 @@ def evaluate_cyclic(g: AttackGraph, depth: int = 10) -> dict[str, TupledValue]:
     horizon whose product with the number of attacks exceeds WORK_BOUND,
     before filling that component's counts.
     """
+    depth = operator.index(depth)
     if depth < 1:
         raise ValueError(f"propagation depth must be at least 1, got {depth}")
     if g.is_well_founded():

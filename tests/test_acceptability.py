@@ -484,6 +484,14 @@ class TestWellDefended:
         with pytest.raises(MixedValueKindsError, match="unknown label 'x'"):
             well_defended(g, {"a": "x", "b": "+"})
 
+    def test_missing_value_is_named(self):
+        g = parse_framework("arg(a). arg(b). att(a,b). att(b,a).")
+        with pytest.raises(ValueError, match="^no value for argument 'b'$"):
+            well_defended(g, {"a": 1})
+        with pytest.raises(ValueError, match="^no value for argument 'a'$"):
+            well_defended(g, {})
+        assert well_defended(g, {"a": 1, "b": 1, "z": 0}) == {"a", "b"}
+
     def test_maximal_attacker_disqualifies(self):
         g = load_fixture("example4")
         values = evaluate_cyclic(g)
@@ -631,6 +639,11 @@ class TestCompatibilityScan:
             compatibility_scan("categoriser", seed=1, trials=10, size_bound=size_bound)
         with pytest.raises(ValueError, match="size_bound"):
             scan_graph_stream(1, size_bound=size_bound)
+
+    def test_size_bound_must_be_an_integer(self):
+        # refused at the call, not at the stream's first graph
+        with pytest.raises(TypeError):
+            scan_graph_stream(1, size_bound=3.5)
 
     def test_semantics_is_validated(self):
         with pytest.raises(ValueError, match="semantics"):

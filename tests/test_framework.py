@@ -624,6 +624,12 @@ class TestFamilies:
             generate_family(kind, size=size, density=0.5)
         assert str(caught.value) == f"{kind} requires size >= {least}"
 
+    @pytest.mark.parametrize("generate", [random_attack_graph, random_acyclic_graph])
+    def test_seeded_generators_need_a_non_negative_size(self, generate):
+        with pytest.raises(FrameworkError, match="^random requires size >= 0$"):
+            generate(0, -3, 0.5)
+        assert len(generate(0, 0, 0.5)) == 0
+
     def test_random_family(self):
         assert generate_family("random", size=6, density=0.3, seed=5) == (
             random_attack_graph(seed=5, size=6, density=0.3))

@@ -18,14 +18,18 @@ from gradarg import AttackGraph, generate_family, random_attack_graph
 SRC = str(Path(gradarg.__file__).resolve().parents[1])
 MEMORY_LIMIT = 512 * 1024 * 1024
 
-# Runs the CLI under an address-space limit and reports its peak RSS (KiB)
-# as the last line of standard error.
+# Runs the CLI under an address-space limit and reports its own peak RSS
+# (KiB) as the last line of standard error.  That is the kernel's VmHWM,
+# which exec starts afresh; ru_maxrss would also carry the peak of the
+# process that forked it.
 LIMITED_CLI = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
 from gradarg.cli import main
 code = main(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status", encoding="ascii") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(peak, file=sys.stderr)
 raise SystemExit(code)
 """
 
@@ -77,9 +81,8 @@ class TestEvaluationBound:
     def test_oversized_exact_values_fail_fast(self, tmp_path):
         # the categoriser's exact values along an n-chain take about
         # 0.69 * n**2 bits in all, past the bound from about 39,000 links.
-        # The text is written without building the graph here: a child's
-        # ru_maxrss also counts what this process held when it forked, and
-        # the next test bounds its child's peak.
+        # The text is written directly, without building the graph in this
+        # process.
         size = 200000
         path = tmp_path / "chain.apx"
         path.write_text("".join(f"arg(A{i}).\n" for i in range(1, size + 1))
@@ -103,6 +106,14 @@ class TestEvaluationBound:
         assert len(done.stdout.splitlines()) == size
         peak_kib = int(done.stderr.split()[-1])
         assert peak_kib < 100 * 1024
+
+    def test_the_reported_peak_is_the_child_s_own(self):
+        ballast = b"x" * (160 * 1024 * 1024)  # written, so resident here
+        done = run_cli(["value", str(fixture_path("example1"))], limit=MEMORY_LIMIT)
+        assert done.returncode == 0, done.stderr
+        peak_kib = int(done.stderr.split()[-1])
+        assert peak_kib < 100 * 1024
+        del ballast
 
 
 class TestEnumerationBound:

@@ -256,6 +256,13 @@ class TestCyclicEvaluation:
                 with pytest.raises(ValueError, match="depth"):
                     evaluate_cyclic(load_fixture(name), depth)
 
+    def test_depth_must_be_an_integer(self):
+        # a float is refused on an acyclic graph (example4) as on a cyclic
+        # one (example7), before any value is computed
+        for name in ("example4", "example7"):
+            with pytest.raises(TypeError):
+                evaluate_cyclic(load_fixture(name), 2.5)
+
 
 # -- branch independence -----------------------------------------------------
 
