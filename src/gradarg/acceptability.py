@@ -201,9 +201,10 @@ def _extension_masks(g: AttackGraph, stable: bool) -> list[int]:
     undecided = [a for a, lab in enumerate(label) if not lab]
     pos = {a: j for j, a in enumerate(undecided)}
     targets = [[pos[t] for t in g._targets[a] if t in pos] for a in undecided]
+    attackers = [[pos[b] for b in g._attackers[a] if b in pos] for a in undecided]
     tgt = [sum(1 << t for t in ts) for ts in targets]
-    att = [sum(1 << pos[b] for b in g._attackers[a] if b in pos) for a in undecided]
-    components = _condense(targets)
+    att = [sum(1 << b for b in bs) for bs in attackers]
+    components = _condense(targets, attackers)
     largest = max(map(len, components), default=0)
     if largest > ENUMERATION_BOUND:
         raise EnumerationBoundError(
@@ -350,7 +351,7 @@ def well_defended(g: AttackGraph, values: Mapping[str, object]) -> frozenset[str
     missing = next((a for a in names if a not in values), None)
     if missing is not None:
         raise ValueError(f"no value for argument {missing!r}")
-    strictly_better = valuation_preference(values)
+    strictly_better = valuation_preference({a: values[a] for a in names})
     return frozenset(
         a
         for a, attackers in zip(names, g._attackers)
@@ -506,7 +507,6 @@ def compatibility_scan(
     *,
     seed: int,
     trials: int,
-    size_bound: int = 8,
     semantics: str = "preferred",
     acyclic_only: bool = False,
 ) -> ScanReport:
@@ -526,7 +526,7 @@ def compatibility_scan(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    stream = scan_graph_stream(seed, size_bound=size_bound, acyclic_only=acyclic_only)
+    stream = scan_graph_stream(seed, acyclic_only=acyclic_only)
     _check_semantics(semantics)
     name, instance = _resolve_valuation(valuation)
     clean_witness = defended_witness = None

@@ -241,7 +241,8 @@ class AttackGraph:
     @staticmethod
     def _shortest_walks(seeds, step, adjacency,
                         within=None) -> dict[tuple[int, int], int]:
-        """Breadth-first search over (declaration index, walk class) states.
+        """Shortest walks over (declaration index, walk class) states, taken
+        from a binary heap by length, as seeds may start at different ones.
 
         `seeds` are (length, argument, class) triples: walks known to exist.
         One more attack edge takes a walk of class c to class step[c], so
@@ -250,29 +251,18 @@ class AttackGraph:
         argument) and stay inside the index set `within` when it is given.
         Returns the length of the shortest walk reaching each reachable state.
         """
-        pending = sorted(seeds, key=lambda seed: seed[0])
+        heap = list(seeds)
+        heapq.heapify(heap)
         shortest: dict[tuple[int, int], int] = {}
-        frontier: list[tuple[int, int]] = []
-        taken = 0
-        length = 0
-        while frontier or taken < len(pending):
-            if not frontier:
-                length = pending[taken][0]
-            while taken < len(pending) and pending[taken][0] <= length:
-                _, v, c = pending[taken]
-                taken += 1
-                if (v, c) not in shortest:
-                    shortest[(v, c)] = length
-                    frontier.append((v, c))
-            length += 1
-            nxt = []
-            for (v, c) in frontier:
-                c = step[c]
-                for t in adjacency[v]:
-                    if (t, c) not in shortest and (within is None or t in within):
-                        shortest[(t, c)] = length
-                        nxt.append((t, c))
-            frontier = nxt
+        while heap:
+            length, v, c = heapq.heappop(heap)
+            if (v, c) in shortest:
+                continue
+            shortest[(v, c)] = length
+            c = step[c]
+            for t in adjacency[v]:
+                if (t, c) not in shortest and (within is None or t in within):
+                    heapq.heappush(heap, (length + 1, t, c))
         return shortest
 
     # -- cycle structure ---------------------------------------------------
@@ -280,7 +270,7 @@ class AttackGraph:
     def _components(self) -> tuple[tuple[int, ...], ...]:
         """The condensation on declaration indices, computed once."""
         if self._condensation is None:
-            self._condensation = _condense(self._targets)
+            self._condensation = _condense(self._targets, self._attackers)
         return self._condensation
 
     def _grounded(self) -> list[int]:
@@ -376,54 +366,47 @@ class AttackGraph:
         return "\n".join(lines) + "\n"
 
 
-def _condense(successors) -> tuple[tuple[int, ...], ...]:
+def _condense(successors, predecessors) -> tuple[tuple[int, ...], ...]:
     """Strongly connected components of the digraph on 0..n-1 given by
-    successor lists, in dependency order: among components whose
-    predecessors are all placed, the one with the smallest member comes
-    first.  Members are sorted."""
-    # Tarjan's algorithm, iterative.  A visited vertex with no component
-    # yet is still on the stack.
+    successor lists and the matching predecessor lists, in dependency
+    order: among components whose predecessors are all placed, the one
+    with the smallest member comes first.  Members are sorted.
+
+    Kosaraju's algorithm, iterative: a depth-first finishing order along
+    the successors, then, latest finished first, each unplaced vertex
+    collects along the predecessors the unplaced vertices that reach it."""
     n = len(successors)
-    indices = [-1] * n
-    low = [0] * n
-    comp_of = [-1] * n
-    stack: list[int] = []
-    components: list[tuple[int, ...]] = []
-    counter = 0
+    seen = [False] * n
+    finished: list[int] = []
     for root in range(n):
-        if indices[root] != -1:
+        if seen[root]:
             continue
-        indices[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
+        seen[root] = True
         work = [(root, iter(successors[root]))]
         while work:
             v, later = work[-1]
             for w in later:
-                if indices[w] == -1:
-                    indices[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
+                if not seen[w]:
+                    seen[w] = True
                     work.append((w, iter(successors[w])))
                     break
-                if comp_of[w] == -1 and indices[w] < low[v]:
-                    low[v] = indices[w]
             else:
                 work.pop()
-                if low[v] == indices[v]:
-                    cid = len(components)
-                    w = stack.pop()
+                finished.append(v)
+    comp_of = [-1] * n
+    components: list[tuple[int, ...]] = []
+    for root in reversed(finished):
+        if comp_of[root] != -1:
+            continue
+        cid = len(components)
+        comp_of[root] = cid
+        members = [root]
+        for v in members:  # the list grows while it is read
+            for w in predecessors[v]:
+                if comp_of[w] == -1:
                     comp_of[w] = cid
-                    members = [w]
-                    while w != v:
-                        w = stack.pop()
-                        comp_of[w] = cid
-                        members.append(w)
-                    components.append(tuple(sorted(members)))
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
+                    members.append(w)
+        components.append(tuple(sorted(members)))
     # Kahn's algorithm over the components, keyed by smallest member (which
     # names its component).  waiting counts the attacks into each
     # component from unplaced ones.
@@ -655,19 +638,15 @@ def generate_family(kind: str, *, size: int | None = None, seed: int | None = No
     root A), or "random" (seeded digraph over `size` arguments where each
     ordered pair, self-pairs included, attacks with probability `density`).
     """
+    if kind in ("chain", "unattacked-cycle", "attacked-cycle") and (not size or size < 1):
+        raise FrameworkError(f"{kind} requires size >= 1")
     if kind == "chain":
-        if not size or size < 1:
-            raise FrameworkError("chain requires size >= 1")
         return _generated([f"A{i}" for i in range(1, size + 1)],
                           [(i, i - 1) for i in range(1, size)])
     if kind == "unattacked-cycle":
-        if not size or size < 1:
-            raise FrameworkError("unattacked-cycle requires size >= 1")
         return _generated([f"C{i}" for i in range(1, size + 1)],
                           [(i, (i + 1) % size) for i in range(size)])
     if kind == "attacked-cycle":
-        if not size or size < 1:
-            raise FrameworkError("attacked-cycle requires size >= 1")
         # D is 0, and cycle member Ci is i.
         return _generated(["D"] + [f"C{i}" for i in range(1, size + 1)],
                           [(0, 1)] + [(i, i % size + 1) for i in range(1, size + 1)])

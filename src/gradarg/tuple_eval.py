@@ -177,7 +177,7 @@ def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):
     count rows of the external attackers of each entry member."""
     members = set(comp)
     smallest = []  # m: smallest stored element of an external attacker
-    distance_seeds = []  # t_j + 1 at entry j
+    distance_seeds = []  # t_j + 1 at entry j; the union's bound at every member
     parity_seeds = []  # entry j reached at the parity of one more step
     for (j, outside) in entries:
         truncated = []
@@ -193,11 +193,12 @@ def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):
                     parity_seeds.append((0, j, 1 - p))
         if truncated:
             distance_seeds.append((min(truncated) + 1, j, 0))
+    if smallest:
+        distance_seeds += [(min(smallest) + 1 + cap, i, 0) for i in comp]
     reached = g._shortest_walks(parity_seeds, (1, 0), g._targets, members)
     relayed = g._shortest_walks(distance_seeds, (0,), g._targets, members)
-    bound = min(smallest) + 1 + cap if smallest else None
     for i in comp:
-        h = min(x for x in (bound, relayed.get((i, 0))) if x is not None)
+        h = relayed[(i, 0)]
         horizon[i] = tuple(h if (i, q) in reached else None for q in (0, 1))
 
 

@@ -492,6 +492,16 @@ class TestWellDefended:
             well_defended(g, {})
         assert well_defended(g, {"a": 1, "b": 1, "z": 0}) == {"a", "b"}
 
+    def test_tupled_values_ignore_values_of_other_names(self):
+        g = load_fixture("example4")
+        values = evaluate_cyclic(g)
+        assert well_defended(g, {**values, "zzz": 0.5}) == well_defended(g, values)
+
+    def test_local_values_ignore_values_of_other_names(self):
+        g = load_fixture("example4")
+        values = evaluate_local(g, categoriser())
+        assert well_defended(g, {**values, "zzz": "+"}) == well_defended(g, values)
+
     def test_maximal_attacker_disqualifies(self):
         g = load_fixture("example4")
         values = evaluate_cyclic(g)
@@ -636,9 +646,11 @@ class TestCompatibilityScan:
     @pytest.mark.parametrize("size_bound", [-1, 0, 2])
     def test_size_bound_is_validated(self, size_bound):
         with pytest.raises(ValueError, match="size_bound"):
-            compatibility_scan("categoriser", seed=1, trials=10, size_bound=size_bound)
-        with pytest.raises(ValueError, match="size_bound"):
             scan_graph_stream(1, size_bound=size_bound)
+
+    def test_the_scan_takes_no_size_bound(self):
+        with pytest.raises(TypeError, match="size_bound"):
+            compatibility_scan("categoriser", seed=1, trials=10, size_bound=8)
 
     def test_size_bound_must_be_an_integer(self):
         # refused at the call, not at the stream's first graph

@@ -400,6 +400,23 @@ class TestShortestWalks:
                 got = _shortest_walks(g, seeds, step=(0,), within=set(comp))
                 assert got == _brute_shortest(inner, seeds, (0,), limit=len(comp))
 
+    def test_a_state_seeded_twice_keeps_the_shorter_length(self):
+        g = parse_framework("arg(a). arg(b). arg(c). att(a,b). att(b,c).")
+        assert _shortest_walks(g, [(5, "a", 0), (0, "a", 0)]) == {
+            ("a", 0): 0, ("b", 1): 1, ("c", 0): 2}
+        # c's seed at 1, listed last, beats its seed at 3 and the walk of 2 from a
+        assert _shortest_walks(g, [(0, "a", 0), (3, "c", 0), (1, "c", 0)], step=(0,)) == {
+            ("a", 0): 0, ("b", 0): 1, ("c", 0): 1}
+        for g in _small_graphs():
+            limit = 2 * len(g) + 5
+            for source in g.arguments:
+                other = g.arguments[(g.index_of(source) + 1) % len(g)]
+                seeds = [(4, source, 0), (3, other, 0), (1, source, 0), (0, other, 0)]
+                for backward in (False, True):
+                    assert _shortest_walks(g, seeds, backward=backward) == _brute_shortest(
+                        g, seeds, (1, 0), backward=backward, limit=limit
+                    ), (g.serialize(), source, backward)
+
 
 class TestCondensation:
     def test_dependency_order_and_members(self):
@@ -433,31 +450,74 @@ class TestCondensation:
         cyclic = 0
         for seed in range(60):
             g = random_attack_graph(seed, 4 + seed % 12, 0.2)
-            reach = {}
-            for a in g.arguments:
-                seen, todo = {a}, [a]
-                while todo:
-                    for t in g.targets_of(todo.pop()):
-                        if t not in seen:
-                            seen.add(t)
-                            todo.append(t)
-                reach[a] = seen
-            components = {
-                tuple(b for b in g.arguments if b in reach[a] and a in reach[b])
-                for a in g.arguments
-            }
-            expected = []
-            while components:
-                placed = {m for comp in expected for m in comp}
-                ready = [comp for comp in components
-                         if all(b in placed or b in comp
-                                for m in comp for b in g.attackers_of(m))]
-                nxt = min(ready, key=lambda comp: g.index_of(comp[0]))
-                expected.append(nxt)
-                components.remove(nxt)
+            expected = _reach_condensation(g)
             cyclic += any(len(comp) > 1 for comp in expected)
-            assert g.condensation() == tuple(expected)
+            assert g.condensation() == expected
         assert cyclic >= 30
+
+    def test_large_graphs_match_the_reach_oracle(self):
+        for seed in range(4):
+            rng = random.Random(seed)
+            size = rng.randint(100, 300)
+            names = [f"v{i}" for i in range(size)]
+            rng.shuffle(names)
+            # blocks of the shuffled names, each a cycle with chords, and
+            # attacks between blocks only from an earlier block to a later one
+            cuts = sorted(rng.sample(range(1, size), 12))
+            blocks = [names[i:j] for i, j in zip([0] + cuts, cuts + [size])]
+            attacks = []
+            for block in blocks:
+                attacks += [(block[k - 1], block[k]) for k in range(1, len(block))]
+                if len(block) > 1:
+                    attacks.append((block[-1], block[0]))
+                attacks += [(rng.choice(block), rng.choice(block)) for _ in range(len(block) // 3)]
+            for _ in range(size):
+                i, j = sorted(rng.sample(range(len(blocks)), 2))
+                attacks.append((rng.choice(blocks[i]), rng.choice(blocks[j])))
+            g = AttackGraph(sorted(names, key=lambda n: int(n[1:])), attacks)
+            expected = _reach_condensation(g)
+            assert sum(len(comp) > 1 for comp in expected) >= 5
+            assert g.condensation() == expected
+
+    @pytest.mark.parametrize("cycle_first", [True, False])
+    def test_a_long_cycle_fed_by_a_long_chain(self, cycle_first):
+        n = 5000
+        chain = [f"X{k}" for k in range(1, n + 1)]  # X(k+1) attacks Xk, X1 attacks C1
+        cycle = [f"C{k}" for k in range(1, n + 1)]
+        attacks = [(chain[k], chain[k - 1]) for k in range(1, n)] + [("X1", "C1")]
+        attacks += [(cycle[k - 1], cycle[k % n]) for k in range(1, n + 1)]
+        g = AttackGraph(cycle + chain if cycle_first else chain + cycle, attacks)
+        assert g.condensation() == tuple((x,) for x in reversed(chain)) + (tuple(cycle),)
+
+
+def _reach_condensation(g):
+    """The condensation by reach sets: components are the mutually reaching
+    arguments, placed once all their attackers are, earliest declared
+    first."""
+    reach = {}
+    for a in g.arguments:
+        seen, todo = {a}, [a]
+        while todo:
+            for t in g.targets_of(todo.pop()):
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach[a] = seen
+    components = {
+        tuple(b for b in g.arguments if b in reach[a] and a in reach[b])
+        for a in g.arguments
+    }
+    expected = []
+    placed = set()
+    while components:
+        ready = [comp for comp in components
+                 if all(b in placed or b in comp
+                        for m in comp for b in g.attackers_of(m))]
+        nxt = min(ready, key=lambda comp: g.index_of(comp[0]))
+        expected.append(nxt)
+        placed.update(nxt)
+        components.remove(nxt)
+    return tuple(expected)
 
 
 class TestSerialization:
