@@ -14,9 +14,11 @@ the parser and the seeded generators, which produce valid indices
 themselves, build through a private constructor that checks nothing again.
 
 Framework text is parsed by one compiled pattern, built from a single
-table of statement shapes and matched once per statement.  Only when it
-fails is the text walked token by token, and only then are line and
-column computed.
+table of statement shapes and matched once per statement.  An attack whose
+endpoints are both declared becomes an index pair as it is read; one that
+names a later declaration waits, with its names and position, until the
+whole text has matched.  Only when the pattern fails is the text walked
+token by token, and only then are line and column computed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import heapq
 import random
 import re
+from collections import deque
 from dataclasses import dataclass
 
 __all__ = [
@@ -241,8 +244,10 @@ class AttackGraph:
     @staticmethod
     def _shortest_walks(seeds, step, adjacency,
                         within=None) -> dict[tuple[int, int], int]:
-        """Shortest walks over (declaration index, walk class) states, taken
-        from a binary heap by length, as seeds may start at different ones.
+        """Shortest walks over (declaration index, walk class) states, by a
+        breadth-first search that merges the seeds, sorted by length, with a
+        FIFO queue of the states reached one step later: every push is one
+        longer than the state just taken, so the queue stays sorted.
 
         `seeds` are (length, argument, class) triples: walks known to exist.
         One more attack edge takes a walk of class c to class step[c], so
@@ -251,18 +256,21 @@ class AttackGraph:
         argument) and stay inside the index set `within` when it is given.
         Returns the length of the shortest walk reaching each reachable state.
         """
-        heap = list(seeds)
-        heapq.heapify(heap)
+        seeds = sorted(seeds, reverse=True)  # popped from the end, shortest first
+        queue: deque[tuple[int, int, int]] = deque()
         shortest: dict[tuple[int, int], int] = {}
-        while heap:
-            length, v, c = heapq.heappop(heap)
+        while seeds or queue:
+            if queue and (not seeds or queue[0][0] < seeds[-1][0]):
+                length, v, c = queue.popleft()
+            else:
+                length, v, c = seeds.pop()
             if (v, c) in shortest:
                 continue
             shortest[(v, c)] = length
             c = step[c]
             for t in adjacency[v]:
                 if (t, c) not in shortest and (within is None or t in within):
-                    heapq.heappush(heap, (length + 1, t, c))
+                    queue.append((length + 1, t, c))
         return shortest
 
     # -- cycle structure ---------------------------------------------------
@@ -494,12 +502,14 @@ def parse_framework(text: str) -> AttackGraph:
     separates tokens, and ``%`` starts a comment running to the next
     newline.  Every attack endpoint must be declared somewhere in the text.
     One compiled pattern matches each statement; only on failure is the
-    text walked token by token, to name and locate the error.
+    text walked token by token, to name and locate the error.  An attack
+    is an index pair once both endpoints are declared; the rest wait, in
+    input order, for the whole text to match, so a syntax error wins.
     """
     args: list[str] = []
     index: dict[str, int] = {}
-    attacks: list[tuple[str, str]] = []
-    heads: list[int] = []
+    pairs: list[tuple[int, int] | None] = []
+    later: list[tuple[int, str, str, int]] = []  # slot, src, dst, att head
     pos = 0
     while (statement := _STATEMENT.match(text, pos)) is not None:
         pos = statement.end()
@@ -508,20 +518,19 @@ def parse_framework(text: str) -> AttackGraph:
             if name not in index:
                 index[name] = len(args)
                 args.append(name)
+        elif src in index and dst in index:
+            pairs.append((index[src], index[dst]))
         else:
-            attacks.append((src, dst))
-            heads.append(statement.start("att"))
+            later.append((len(pairs), src, dst, statement.start("att")))
+            pairs.append(None)
     pos = _BLANK_RE.match(text, pos).end()
     if pos < len(text):
         raise _statement_error(text, pos)
-    try:
-        pairs = [(index[src], index[dst]) for src, dst in attacks]
-    except KeyError:
-        for (src, dst), head in zip(attacks, heads):
-            for end in (src, dst):
-                if end not in index:
-                    raise _error_at(text, head, f"undeclared argument {end!r}") from None
-        raise
+    for slot, src, dst, head in later:
+        for end in (src, dst):
+            if end not in index:
+                raise _error_at(text, head, f"undeclared argument {end!r}")
+        pairs[slot] = (index[src], index[dst])
     return AttackGraph._from_indices(args, index, pairs)
 
 

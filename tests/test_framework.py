@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -163,6 +164,37 @@ class TestParsing:
     def test_duplicate_attacks_collapse(self):
         g = parse_framework("arg(a). arg(b). att(a,b). att(a,b).")
         assert g.attacks == (("a", "b"),)
+
+    def test_parse_holds_no_second_copy_of_the_attacks(self):
+        # A chain written declarations first: every attack can become an
+        # index pair as it is read, so the parse's transient memory stays
+        # below what the graph it returns holds.
+        n = 20000
+        text = ("".join(f"arg(a{i}).\n" for i in range(n))
+                + "".join(f"att(a{i},a{i - 1}).\n" for i in range(1, n)))
+        tracemalloc.start()
+        try:
+            g = parse_framework(text)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g.attacks) == n - 1
+        assert peak <= 2.0 * held
+
+    def test_attacks_keep_statement_order_across_declarations(self):
+        g = parse_framework(
+            "arg(a). att(a,b). arg(b). att(b,a). att(a,b). att(a,a).")
+        assert g.attacks == (("a", "b"), ("b", "a"), ("a", "a"))
+
+    def test_syntax_error_wins_over_an_undeclared_endpoint(self):
+        with pytest.raises(ParseError) as err:
+            parse_framework("att(a,zz). arg(a). att(a,a). foo(a).")
+        assert str(err.value) == "line 1, column 30: unknown statement 'foo'"
+
+    def test_first_undeclared_endpoint_is_reported(self):
+        with pytest.raises(ParseError) as err:
+            parse_framework("att(a,zz). att(yy,a). arg(a).")
+        assert str(err.value) == "line 1, column 1: undeclared argument 'zz'"
 
     # Each name here is one the framework text cannot hold: serialize() and
     # to_dot() would write output that does not parse back.
