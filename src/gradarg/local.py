@@ -16,9 +16,8 @@ labelling is Dung's grounded labelling on every graph, read from the
 graph's one queue pass (`AttackGraph._grounded`) that extension
 enumeration also starts from: + for IN, - for OUT, ? for undecided.  Any
 other label instance follows the step rule on acyclic graphs and cannot
-decide a graph with cycles.
-Every value map lists the arguments in condensation order, members of a
-component in declaration order.
+decide a graph with cycles.  Every value map lists the arguments in
+declaration order.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .framework import _IN, _OUT, AttackGraph
 from . import tuple_eval
 
 __all__ = [
-    "EXACT_BITS_BOUND",
     "ConditionStarOutcome",
     "ConvergenceError",
     "LocalInstance",
@@ -172,18 +170,13 @@ def builtin_instances() -> dict[str, LocalInstance]:
     }
 
 
-# Largest total size, in bits of numerators and denominators, of the exact
-# values one evaluation makes: about 128 MiB of integers.  A 25,000-chain's
-# categoriser values take 433,902,861 bits.
-EXACT_BITS_BOUND = 2**30
-
 _TOLERANCE = 1e-12  # a round moving no cycle union member this much or more ends it
 _MIN_ROUNDS = 1_000  # rounds every cycle union gets, whatever one round reads
 
 
 def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]:
-    """Value of every argument under the instance, listed in condensation
-    order (`g.condensation()`, members in declaration order).
+    """Value of every argument under the instance, listed in declaration
+    order.
 
     One pass along the condensation: an unattacked argument takes the top
     value, any other argument outside a cycle union takes g(h(values of
@@ -192,18 +185,17 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
     ConvergenceError after max(1,000, WORK_BOUND // attacks read a round) rounds;
     h gets a tuple in `g.attackers_of` order.  Acyclic graphs evaluate
     exactly, and raise tuple_eval.EvaluationBoundError once the exact
-    values made hold more than EXACT_BITS_BOUND bits; on a cyclic graph
-    every numeric value is a float (the top value and each result of g
-    are converted).  The built-in rooted labelling (top "+", the module's
+    values made hold more than tuple_eval.EXACT_BITS_BOUND bits; on a
+    cyclic graph every numeric value is a float (the top value and each
+    result of g are converted).  The built-in rooted labelling (top "+", the module's
     own g and h) is Dung's grounded labelling on every graph: + IN, - OUT,
     ? undecided.  Any other label instance raises UndecidableError on a
     graph with cycles.
     """
-    order = g._components()
     names = g.arguments
     if (instance.v_max, instance.g, instance.h) == ("+", _label_g, _label_h):
-        label = g._grounded()
-        return {names[i]: _ROOTED_LABEL[label[i]] for members in order for i in members}
+        return dict(zip(names, map(_ROOTED_LABEL.__getitem__, g._grounded())))
+    order = g._components()
     cyclic = list(map(g._is_cyclic, order))
     top, combine, weaken = instance.v_max, instance.h, instance.g
     exact = not any(cyclic)
@@ -217,16 +209,15 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
     read = value.__getitem__
     if exact:
         made = 0  # bits of the exact values made so far
+        bound = tuple_eval.EXACT_BITS_BOUND
 
         def step(row):
             nonlocal made
             v = weaken(combine(tuple(map(read, row))))
             if isinstance(v, Fraction):
                 made += v.numerator.bit_length() + v.denominator.bit_length()
-                if made > EXACT_BITS_BOUND:
-                    raise tuple_eval.EvaluationBoundError(
-                        f"exact values exceed the evaluation bound of "
-                        f"{EXACT_BITS_BOUND} bits")
+                if made > bound:
+                    raise tuple_eval._exact_bound_error()
             return v
     else:
         step = lambda row: float(weaken(combine(tuple(map(read, row)))))
@@ -235,7 +226,7 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
             _iterate(members, attackers, value, step)
         elif attackers[members[0]]:
             value[members[0]] = step(attackers[members[0]])
-    return {names[i]: value[i] for members in order for i in members}
+    return dict(zip(names, value))
 
 
 def _iterate(members, attackers, value, step):

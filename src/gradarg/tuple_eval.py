@@ -28,7 +28,10 @@ One pass along the condensation takes the horizons of each strongly
 connected component from its attackers' horizons and count rows, checks
 them, then fills its counts.  Time and memory grow with horizon * attacks;
 the pass stops at the first such component with a horizon that times the
-number of attacks exceeds WORK_BOUND, before filling its counts.
+number of attacks exceeds WORK_BOUND, before filling its counts.  Exact
+parities have no horizon, and their counts grow with the graph alone: the
+pass stops once the counts of the exact parities it has filled take more
+than EXACT_BITS_BOUND bits.
 An argument's counts are kept as the pair (even runs, odd runs) of
 ascending (length, count) runs, the very tuples its value holds.  A
 singleton fills each parity from its attackers' runs of the other parity;
@@ -45,6 +48,7 @@ from .framework import AttackGraph
 from .tuples import LEAF_VALUE, GradTuple, TupledValue
 
 __all__ = [
+    "EXACT_BITS_BOUND",
     "WORK_BOUND",
     "CyclicGraphError",
     "EvaluationBoundError",
@@ -56,21 +60,32 @@ __all__ = [
 # few seconds and a few hundred MB of walk counts at most.
 WORK_BOUND = 2_000_000
 
+# Largest total size, in bits, of the exact numbers one evaluation makes:
+# about 128 MiB of integers.  Local evaluation counts the numerators and
+# denominators of its Fractions, tuple evaluation the counts of its exact
+# parities.  A 25,000-chain's categoriser values take 433,902,861 bits.
+EXACT_BITS_BOUND = 2**30
+
 
 class CyclicGraphError(ValueError):
     """evaluate_acyclic was handed a graph with a cycle."""
 
 
 class EvaluationBoundError(ValueError):
-    """The horizons are too long to evaluate within WORK_BOUND."""
+    """The horizons are too long to evaluate within WORK_BOUND, or the
+    exact values too large for EXACT_BITS_BOUND."""
+
+
+def _exact_bound_error() -> EvaluationBoundError:
+    return EvaluationBoundError(
+        f"exact values exceed the evaluation bound of {EXACT_BITS_BOUND} bits")
 
 
 def evaluate_acyclic(g: AttackGraph) -> dict[str, TupledValue]:
     """Exact tupled values; every component is a finite multiset except the
-    all-zero tuple on unattacked arguments."""
-    if not g.is_well_founded():
-        raise CyclicGraphError("graph contains a cycle; use evaluate_cyclic")
-    return _walk_values(g, 1)  # no cycle union to unroll
+    all-zero tuple on unattacked arguments.  Raises CyclicGraphError at the
+    first cycle union, in dependency order."""
+    return _walk_values(g, None)
 
 
 def evaluate_cyclic(g: AttackGraph, depth: int = 10) -> dict[str, TupledValue]:
@@ -92,23 +107,27 @@ def evaluate_cyclic(g: AttackGraph, depth: int = 10) -> dict[str, TupledValue]:
     return _walk_values(g, depth)
 
 
-def _walk_values(g: AttackGraph, depth: int) -> dict[str, TupledValue]:
+def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
     """One pass along the condensation: each strongly connected component
     takes its horizons from its attackers' horizons and count rows, checks
     them against WORK_BOUND, then fills count[x][L], each parity cut at its
     own horizon (None marks an exact parity) and kept as its own runs.
-    Each cycle union is unrolled `depth` times."""
+    The counts of exact parities are held to EXACT_BITS_BOUND.  Each cycle
+    union is unrolled `depth` times; with no depth, the first one raises
+    CyclicGraphError before it is filled."""
     names, attackers_of = g.arguments, g._attackers
-    counts: list = [None] * len(names)  # (even, odd) runs, by declaration index
+    # (even, odd) runs, horizons and values, by declaration index
+    counts: list = [None] * len(names)
     horizon: list = [None] * len(names)
-    values: dict[str, TupledValue] = {}
+    values: list = [None] * len(names)
+    made = 0  # bits of the exact parities' counts so far
     for comp in g._components():
         if not g._is_cyclic(comp):
             x = comp[0]
             attackers = attackers_of[x]
             if not attackers:
                 counts[x], horizon[x] = (((0, 1),), ()), (None, None)
-                values[names[x]] = LEAF_VALUE
+                values[x] = LEAF_VALUE
                 continue
             cut = horizon[x] = (
                 _after(horizon[b][1] for b in attackers),
@@ -123,10 +142,16 @@ def _walk_values(g: AttackGraph, depth: int) -> dict[str, TupledValue]:
                         if h is not None and length >= h:
                             break
                         row[length + 1] = row.get(length + 1, 0) + c
+                if h is None:
+                    made += sum(map(int.bit_length, row.values()))
+                    if made > EXACT_BITS_BOUND:
+                        raise _exact_bound_error()
                 runs.append(tuple(sorted(row.items())))
             counts[x] = tuple(runs)
-            values[names[x]] = _tupled(counts[x], cut)
+            values[x] = _tupled(counts[x], cut)
             continue
+        if depth is None:
+            raise CyclicGraphError("graph contains a cycle; use evaluate_cyclic")
         members = set(comp)
         cap = depth * len(comp)
         entries = [
@@ -168,8 +193,8 @@ def _walk_values(g: AttackGraph, depth: int) -> dict[str, TupledValue]:
             even, odd = row[2:end + 1:2], row[1:end + 1:2]
             counts[m] = (tuple(compress(zip(range(2, end + 1, 2), even), even)),
                          tuple(compress(zip(range(1, end + 1, 2), odd), odd)))
-            values[names[m]] = _tupled(counts[m], horizon[m])
-    return values
+            values[m] = _tupled(counts[m], horizon[m])
+    return dict(zip(names, values))
 
 
 def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):

@@ -9,19 +9,18 @@ check that the output has not moved.  Keys `<case>@<command>:<option>`
 freeze the local side - `value` and `well-defended` under the categoriser
 and labelling models, `classify` under preferred and stable semantics -
 recorded from the local evaluator that kept separate acyclic, float-cyclic
-and label-cyclic code paths.  Keys `<case>@order:<instance>` and
-`<case>@ranking:<instance>` freeze, for every built-in local instance,
-the key order of `evaluate_local`'s value map and the tie groups of
-`TotalPreorder(...).ranking()`, which inherits that order; the CLI
-prints in declaration order and cannot see it.  They were recorded from
-the evaluator that looked attackers up by name.  Eighteen
-`rooted_labelling` keys were re-recorded when the rooted labelling on a
-cyclic graph became the grounded labelling's one queue pass, listed in
-condensation order instead of the order a sweep over each cycle union
-first set the labels: `@order:` of hand:odd-union-long-tail and of the
-random seeds 6, 7, 9, 23, 25, 27, 28, 37, 45, 101 and 103, and
-`@ranking:` of the random seeds 6, 7, 9, 23, 101 and 103.  The labels
-themselves did not move; every `value:` and `well-defended:` key held.
+and label-cyclic code paths.  Keys `<case>@ranking:<instance>` freeze,
+for every built-in local instance, the tie groups of
+`TotalPreorder(...).ranking()`, whose members keep the value map's key
+order; the CLI cannot see that order.  They were recorded from the
+evaluator that looked attackers up by name.  Six `rooted_labelling` keys
+(random seeds 6, 7, 9, 23, 101 and 103) were re-recorded when the rooted
+labelling on a cyclic graph became the grounded labelling's one queue
+pass.  58 keys (35 `rooted_labelling`, 22 `max_based`, 1 `categoriser`)
+were re-recorded when value maps moved from condensation order to
+declaration order, which `test_value_maps_follow_declaration_order`
+now checks directly.  Neither change moved a label or a tie group as a
+set; every `value:` and `well-defended:` key held.
 
 Regenerate (only when a change of output is intended and announced):
     PYTHONPATH=src python3 tests/test_frozen_tuples.py > tests/frozen_tuple_digests.json
@@ -152,10 +151,8 @@ def digests(workdir: Path) -> dict[str, str]:
             output = render(path, argv).encode()
             out[f"{case}@{key}"] = hashlib.sha256(output).hexdigest()
         for name, instance in builtin_instances().items():
-            values = evaluate_local(g, instance)
-            out[f"{case}@order:{name}"] = _sha256_json(list(values))
             out[f"{case}@ranking:{name}"] = _sha256_json(
-                TotalPreorder(values).ranking())
+                TotalPreorder(evaluate_local(g, instance)).ranking())
     return out
 
 
@@ -194,6 +191,13 @@ def test_cases_cover_every_union_shape():
     for text in cases().values():
         seen |= _kinds(parse_framework(text))
     assert {"self-loop", "bipartite", "fed-by-union"} <= seen
+
+
+def test_value_maps_follow_declaration_order():
+    for text in cases().values():
+        g = parse_framework(text)
+        for instance in builtin_instances().values():
+            assert tuple(evaluate_local(g, instance)) == g.arguments
 
 
 @pytest.fixture(scope="module")

@@ -64,6 +64,27 @@ def write_graph(tmp_path, name, g):
     return str(path)
 
 
+def skip_chain(size):
+    """a_k is attacked by a_(k-1) and a_(k-2): about size**2 runs in all."""
+    return ("".join(f"arg(a{k}).\n" for k in range(size))
+            + "".join(f"att(a{j},a{k}).\n"
+                      for k in range(size) for j in (k - 2, k - 1) if j >= 0))
+
+
+def ladder(layers):
+    """Two arguments a layer, each attacking both arguments of the next:
+    2**L walks of each length L."""
+    return ("".join(f"arg(x{k}).\narg(y{k}).\n" for k in range(layers))
+            + "".join(f"att({s}{k},{t}{k + 1}).\n"
+                      for k in range(layers - 1) for s in "xy" for t in "xy"))
+
+
+EXACT_SHAPES = {
+    "skip-chain": lambda: skip_chain(3000),
+    "ladder": lambda: ladder(60000),
+}
+
+
 class TestEvaluationBound:
     def test_oversized_horizons_fail_fast(self, tmp_path):
         # horizons of about 1,900 over 6,000 attacks
@@ -94,6 +115,21 @@ class TestEvaluationBound:
         elapsed = time.monotonic() - start
         assert done.returncode == 3, done.stderr
         assert "evaluation bound" in done.stderr
+        assert done.stdout == ""
+        assert elapsed < 20
+
+    @pytest.mark.parametrize("command", ["value", "well-defended"])
+    @pytest.mark.parametrize("shape", sorted(EXACT_SHAPES))
+    def test_oversized_exact_tuple_counts_fail_fast(self, tmp_path, shape, command):
+        # exact parities have no horizon, so only the size of their counts
+        # stops these; the text is written directly, as above
+        path = tmp_path / f"{shape}.apx"
+        path.write_text(EXACT_SHAPES[shape](), encoding="utf-8")
+        start = time.monotonic()
+        done = run_cli([command, str(path), "--model", "tuples"], limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 3, done.stderr
+        assert "exact values exceed the evaluation bound" in done.stderr
         assert done.stdout == ""
         assert elapsed < 20
 

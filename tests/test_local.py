@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -20,6 +21,7 @@ from gradarg import (
     builtin_instances,
     categoriser,
     check_condition_star,
+    evaluate_cyclic,
     evaluate_local,
     generate_family,
     max_based,
@@ -411,16 +413,26 @@ class TestMixedGraphEvaluation:
 
 
 class TestValueMapOrder:
-    """Every value map lists arguments in condensation order, members in
-    declaration order."""
+    """Every value map lists the arguments in declaration order."""
 
-    @pytest.mark.parametrize("name", sorted(builtin_instances()))
-    def test_keys_follow_the_condensation(self, name, scan_graphs):
-        instance = builtin_instances()[name]
+    @pytest.mark.parametrize("name", [*sorted(builtin_instances()), "tuples"])
+    def test_keys_follow_declaration_order(self, name, scan_graphs):
+        if name == "tuples":
+            valuate = evaluate_cyclic
+        else:
+            valuate = functools.partial(evaluate_local, instance=builtin_instances()[name])
         graphs = [parse_framework(text) for text in cases().values()]
         for graph in graphs + scan_graphs:
-            order = [n for comp in graph.condensation() for n in comp]
-            assert list(evaluate_local(graph, instance)) == order
+            assert tuple(valuate(graph)) == graph.arguments
+
+    def test_the_labelling_is_not_condensed(self):
+        # the grounded labelling is one queue pass, on an odd cycle that a
+        # chain attacks as on anything else
+        g = AttackGraph(["x", "y", "a", "b", "c"],
+                        [("x", "y"), ("y", "a"), ("a", "b"), ("b", "c"), ("c", "a")])
+        assert evaluate_local(g, rooted_labelling()) == {
+            "x": "+", "y": "-", "a": "?", "b": "?", "c": "?"}
+        assert g._condensation is None
 
 
 def same(got, want):

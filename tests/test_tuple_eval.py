@@ -170,6 +170,15 @@ class TestCyclicEvaluation:
         g = load_fixture("example6")
         assert evaluate_cyclic(g) == evaluate_acyclic(g)
 
+    def test_an_acyclic_graph_is_walked_for_cycles_once(self, monkeypatch):
+        calls = []
+        well_founded = AttackGraph.is_well_founded
+        monkeypatch.setattr(AttackGraph, "is_well_founded",
+                            lambda g: calls.append(g) or well_founded(g))
+        g = generate_family("chain", size=1000)
+        assert evaluate_cyclic(g)["A1"].odd.elements() == (999,)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "name", ["example7", "example8", "example2", "mcycles", "star3"]
     )
