@@ -124,7 +124,7 @@ def defends(g: AttackGraph, members, name: str) -> bool:
     return all(g.direct_attackers(b) & chosen for b in g.attackers_of(name))
 
 
-def _weak_parts(components, att, tgt) -> list[list[tuple[int, ...]]]:
+def _weak_parts(components, targets, attackers) -> list[list[tuple[int, ...]]]:
     """The components grouped by weakly connected part of the undecided
     subgraph, each part keeping dependency order."""
     part: dict[int, int] = {}  # undecided argument -> part number
@@ -135,12 +135,19 @@ def _weak_parts(components, att, tgt) -> list[list[tuple[int, ...]]]:
             grouped.append([])
             queue = [comp[0]]
             for v in queue:
-                for u in _bits(att[v] | tgt[v]):
+                for u in (*targets[v], *attackers[v]):
                     if u not in part:
                         part[u] = part[v]
                         queue.append(u)
         grouped[part[comp[0]]].append(comp)
     return grouped
+
+
+def _mask(indices) -> int:
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -164,8 +171,10 @@ def _component_labellings(comp, inside, att, tgt, forced, eligible, stable):
         j, chosen, out = stack.pop()
         if j == len(comp):
             out &= inside
-            ready = sum(bit for bit, attacked_by in ready_tests
-                        if not attacked_by & ~out)
+            ready = 0
+            for bit, attacked_by in ready_tests:
+                if not attacked_by & ~out:
+                    ready |= bit
             if ready == chosen and (not stable or chosen | out == inside):
                 found.append((chosen, out))
             continue
@@ -182,50 +191,100 @@ def _component_labellings(comp, inside, att, tgt, forced, eligible, stable):
     return maximal
 
 
-def _extension_masks(g: AttackGraph, stable: bool) -> list[int]:
-    """IN sets of the preferred (or stable) labellings, as bitmasks over
-    declaration indices.
+def _searched_parts(g: AttackGraph, stable: bool):
+    """The labellings of each weakly connected part of the undecided
+    subgraph, as (grounded, undecided, parts), or None when some part has
+    no stable labelling, so no extension exists.
 
-    Every complete labelling extends the grounded one, and each undecided
-    argument's decided attackers are OUT, so only the subgraph of the
-    undecided arguments is searched, with them numbered once, 0 to u - 1
-    in declaration order: every mask of the search, such as `att[j]` and
+    `grounded` is the grounded labelling's IN set as a mask over
+    declaration indices.  Every complete labelling extends the grounded
+    one, and each undecided argument's decided attackers are OUT, so only
+    the subgraph of the undecided arguments is searched, with them
+    numbered once, 0 to u - 1 in declaration order (`undecided` maps that
+    numbering back): every mask of the search, such as `att[j]` and
     `tgt[j]` (argument j's undecided attackers and targets), is over that
     numbering.  Its weakly connected parts do not constrain each other:
-    each part is searched alone, and the answer is every combination of
-    one labelling per part, mapped to declaration indices at the end.  A
-    part with no stable labelling empties the answer even beside a part
-    past the cap.
+    each part is searched alone, and `parts` holds each one's list of IN
+    masks.  The extensions are every combination of one labelling per
+    part.  A part with no stable labelling empties the answer even beside
+    a part past the cap.
     """
     label = g._grounded()
-    undecided = [a for a, lab in enumerate(label) if not lab]
+    grounded = 0
+    undecided = []
+    for a, lab in enumerate(label):
+        if lab == _IN:
+            grounded |= 1 << a
+        elif not lab:
+            undecided.append(a)
+    if not undecided:
+        return grounded, undecided, []
     pos = {a: j for j, a in enumerate(undecided)}
-    targets = [[pos[t] for t in g._targets[a] if t in pos] for a in undecided]
-    attackers = [[pos[b] for b in g._attackers[a] if b in pos] for a in undecided]
-    tgt = [sum(1 << t for t in ts) for ts in targets]
-    att = [sum(1 << b for b in bs) for bs in attackers]
+    targets, attackers, tgt, att = [], [], [], []
+    for a in undecided:
+        ts = [pos[t] for t in g._targets[a] if t in pos]
+        bs = [pos[b] for b in g._attackers[a] if b in pos]
+        targets.append(ts)
+        attackers.append(bs)
+        tgt.append(_mask(ts))
+        att.append(_mask(bs))
     components = _condense(targets, attackers)
-    largest = max(map(len, components), default=0)
+    largest = max(map(len, components))
     if largest > ENUMERATION_BOUND:
         raise EnumerationBoundError(
             f"an undecided component of {largest} arguments exceeds the "
             f"enumeration bound of {ENUMERATION_BOUND}")
-    searched = []
-    for part in _weak_parts(components, att, tgt):
+    parts = []
+    for part in _weak_parts(components, targets, attackers):
         try:
             found = _part_masks(part, att, tgt, stable)
         except EnumerationBoundError if stable else ():
             found = None  # too many: raised below unless a later part has none
         if found == []:
-            return []
-        searched.append(found)
-    if None in searched or math.prod(map(len, searched)) > _EXTENSION_CAP:
+            return None
+        parts.append(found)
+    if None in parts:
+        raise _cap_error()
+    return grounded, undecided, parts
+
+
+def _declared(undecided: list[int], mask: int) -> int:
+    """A mask over the undecided numbering, over declaration indices."""
+    declared = 0
+    for j in _bits(mask):
+        declared |= 1 << undecided[j]
+    return declared
+
+
+def _extension_masks(search) -> list[int]:
+    """IN sets of the preferred (or stable) labellings, as bitmasks over
+    declaration indices: every combination of one labelling per part of a
+    `_searched_parts` result, unless there are more than the cap."""
+    if search is None:
+        return []
+    grounded, undecided, parts = search
+    if math.prod(map(len, parts)) > _EXTENSION_CAP:
         raise _cap_error()
     masks = [0]
-    for found in searched:
+    for found in parts:
         masks = [mask | chosen for mask in masks for chosen in found]
-    grounded = sum(1 << i for i, lab in enumerate(label) if lab == _IN)
-    return [grounded | sum(1 << undecided[j] for j in _bits(mask)) for mask in masks]
+    return [grounded | _declared(undecided, mask) for mask in masks]
+
+
+def _level_masks(search) -> tuple[int, int]:
+    """The AND and the OR of the extensions' IN masks, over declaration
+    indices, from a `_searched_parts` result without forming the
+    extensions: the parts are disjoint and combine freely, so the AND is
+    the OR of each part's AND, and the OR the OR of each part's OR."""
+    if search is None:
+        return 0, 0
+    grounded, undecided, parts = search
+    everywhere = somewhere = 0
+    for found in parts:
+        everywhere |= functools.reduce(operator.and_, found)
+        somewhere |= functools.reduce(operator.or_, found)
+    return (grounded | _declared(undecided, everywhere),
+            grounded | _declared(undecided, somewhere))
 
 
 def _cap_error() -> EnumerationBoundError:
@@ -252,7 +311,7 @@ def _part_masks(components, att, tgt, stable: bool) -> list[int]:
 
     tables = []
     for comp in components:
-        inside = sum(1 << v for v in comp)
+        inside = _mask(comp)
         upstream = [(1 << v, att[v] & ~inside) for v in comp]
         table = (comp, inside, upstream, {})
         # Under stable semantics a component with no undecided attacker outside
@@ -291,12 +350,12 @@ def _sorted_extensions(g: AttackGraph, masks) -> list[Extension]:
 
 def preferred_extensions(g: AttackGraph) -> list[Extension]:
     """Maximal admissible sets, sorted by size then member names."""
-    return _sorted_extensions(g, _extension_masks(g, stable=False))
+    return _sorted_extensions(g, _extension_masks(_searched_parts(g, stable=False)))
 
 
 def stable_extensions(g: AttackGraph) -> list[Extension]:
     """Conflict-free sets attacking every outside argument (may be empty)."""
-    return _sorted_extensions(g, _extension_masks(g, stable=True))
+    return _sorted_extensions(g, _extension_masks(_searched_parts(g, stable=True)))
 
 
 def _check_semantics(semantics: str) -> None:
@@ -304,9 +363,9 @@ def _check_semantics(semantics: str) -> None:
         raise ValueError(f"unknown semantics {semantics!r}")
 
 
-def _semantics_masks(g: AttackGraph, semantics: str) -> list[int]:
+def _semantics_search(g: AttackGraph, semantics: str):
     _check_semantics(semantics)
-    return _extension_masks(g, stable=semantics == "stable")
+    return _searched_parts(g, stable=semantics == "stable")
 
 
 def classify(g: AttackGraph, semantics: str = "preferred") -> dict[str, str]:
@@ -315,15 +374,15 @@ def classify(g: AttackGraph, semantics: str = "preferred") -> dict[str, str]:
     uni: in every extension (and at least one exists); cleanly: in some
     extension with no direct attacker in any; only-exi: in some extension
     but a direct attacker also appears in one; not-accepted: in none.
+    The levels are folded part by part, so they need no extension list.
     """
-    return _levels(g, _semantics_masks(g, semantics))
+    return _levels(g, *_level_masks(_semantics_search(g, semantics)))
 
 
-def _levels(g: AttackGraph, masks: list[int]) -> dict[str, str]:
-    """Levels read from the extensions' IN masks: their AND holds the
-    arguments in every extension, their OR those in some extension."""
-    everywhere = functools.reduce(operator.and_, masks) if masks else 0
-    somewhere = functools.reduce(operator.or_, masks, 0)
+def _levels(g: AttackGraph, everywhere: int, somewhere: int) -> dict[str, str]:
+    """Levels read from the AND of the extensions' IN masks, which holds the
+    arguments in every extension, and their OR, which holds those in some
+    extension."""
     levels = {}
     for i, (name, attackers) in enumerate(zip(g.arguments, g._attackers)):
         if everywhere >> i & 1:
@@ -387,9 +446,9 @@ def classification_report(
     valuations: Mapping[str, Mapping[str, object]] | None = None,
 ) -> AcceptabilityReport:
     """Bundle extensions, levels, and per-valuation well-defended sets."""
-    masks = _semantics_masks(g, semantics)
-    extensions = tuple(_sorted_extensions(g, masks))
-    level = _levels(g, masks)
+    search = _semantics_search(g, semantics)
+    extensions = tuple(_sorted_extensions(g, _extension_masks(search)))
+    level = _levels(g, *_level_masks(search))
     defended = {
         name: well_defended(g, values)
         for name, values in (valuations or {}).items()
