@@ -29,9 +29,10 @@ connected component from its attackers' horizons and count rows, checks
 them, then fills its counts.  Time and memory grow with horizon * attacks;
 the pass stops at the first such component with a horizon that times the
 number of attacks exceeds WORK_BOUND, before filling its counts.  Exact
-parities have no horizon, and their counts grow with the graph alone: the
-pass stops once the counts of the exact parities it has filled take more
-than EXACT_BITS_BOUND bits.
+parities have no horizon, and their runs grow with the graph alone: the
+pass stops once the exact parities it has filled take more than
+EXACT_BITS_BOUND bits, counting each run's count bits and a fixed charge
+per run.
 An argument's counts are kept as the pair (even runs, odd runs) of
 ascending (length, count) runs, the very tuples its value holds.  A
 singleton fills each parity from its attackers' runs of the other parity;
@@ -65,6 +66,15 @@ WORK_BOUND = 2_000_000
 # denominators of its Fractions, tuple evaluation the counts of its exact
 # parities.  A 25,000-chain's categoriser values take 433,902,861 bits.
 EXACT_BITS_BOUND = 2**30
+
+# Bits charged against EXACT_BITS_BOUND for each run an exact parity keeps,
+# on top of its count's bit length.  A run of count 1 takes one bit but
+# about 100 bytes: without the charge a comb (a chain with a fresh leaf
+# attacking each link) makes about n**2 / 2 such runs and runs out of
+# memory well inside the bound.  With it, a comb of 8,000 teeth stops at
+# about 290 MB peak, while a 2,000-argument skip chain (1,000,999 runs,
+# 661,938,543 count bits) still fits, with up to 411 bits a run to spare.
+_RUN_BITS = 384
 
 
 class CyclicGraphError(ValueError):
@@ -112,9 +122,10 @@ def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
     takes its horizons from its attackers' horizons and count rows, checks
     them against WORK_BOUND, then fills count[x][L], each parity cut at its
     own horizon (None marks an exact parity) and kept as its own runs.
-    The counts of exact parities are held to EXACT_BITS_BOUND.  Each cycle
-    union is unrolled `depth` times; with no depth, the first one raises
-    CyclicGraphError before it is filled."""
+    The runs of exact parities, their count bits and a fixed charge each,
+    are held to EXACT_BITS_BOUND.  Each cycle union is unrolled `depth`
+    times; with no depth, the first one raises CyclicGraphError before it
+    is filled."""
     names, attackers_of = g.arguments, g._attackers
     # (even, odd) runs, horizons and values, by declaration index
     counts: list = [None] * len(names)
@@ -143,7 +154,7 @@ def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
                             break
                         row[length + 1] = row.get(length + 1, 0) + c
                 if h is None:
-                    made += sum(map(int.bit_length, row.values()))
+                    made += _RUN_BITS * len(row) + sum(map(int.bit_length, row.values()))
                     if made > EXACT_BITS_BOUND:
                         raise _exact_bound_error()
                 runs.append(tuple(sorted(row.items())))
