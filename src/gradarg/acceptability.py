@@ -6,19 +6,22 @@ the same one the rooted labelling reads on a cyclic graph); the arguments
 it leaves undecided are numbered once, then searched one weakly connected
 part of their subgraph at a time, and within a part one strongly connected
 component at a time, in dependency order, over each component's
-conflict-free sets (bitmasks over that numbering).  The parts' answers are
-combined once at the end, over declaration indices.  The cost is
-exponential only in the largest undecided component, which
-`ENUMERATION_BOUND` caps, and a fixed cap on the number of extensions
-stops lists that would outgrow memory.  Acceptance levels grade each
-argument by how the whole extension list treats it, read from the IN
-bitmasks of the extensions.  Well-defendedness instead compares an
-argument against its direct attackers in a valuation's preorder, and a
-seeded scan hunts for graphs where the two notions come apart.  Each scan
-trial classifies its graph first and computes the valuation only when a
-missing witness can still occur: an unattacked argument is well-defended
-vacuously, so a clean argument that is not well-defended needs an
-attacker, whatever the valuation.
+conflict-free sets (bitmasks over that numbering).  The extensions are
+every combination of one labelling per part, formed once at the end over
+declaration indices.  The cost is exponential only in the largest
+undecided component, which `ENUMERATION_BOUND` caps, and a fixed cap on
+the number of extensions, and on the labellings of one part, stops lists
+that would outgrow memory.  Acceptance levels grade each argument by how
+the extensions treat it, and read only the AND and the OR of their IN
+bitmasks.  The parts combine freely, so those are the OR of each part's
+AND and of each part's OR: levels fold the parts and never form the
+extensions.  Well-defendedness instead compares an argument against its
+direct attackers in a valuation's preorder, and a seeded scan hunts for
+graphs where the two notions come apart.  Each scan trial classifies its
+graph first and computes the valuation only when a missing witness can
+still occur: an unattacked argument is well-defended vacuously, so a
+clean argument that is not well-defended needs an attacker, whatever the
+valuation.
 """
 
 from __future__ import annotations

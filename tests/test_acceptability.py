@@ -280,12 +280,37 @@ class TestEnumeration:
             frozenset(e.members) for e in preferred_extensions(pairs)}
         assert stable == []
 
-    def test_extension_cap(self):
-        # 2**13 extensions stay under the cap, 2**14 pass it
+    def test_extension_cap(self, capsys, tmp_path):
+        # 2**13 extensions stay under the cap, 2**14 pass it.  The levels
+        # are folded part by part, so classify needs no extension list and
+        # answers: each argument is in some extension, beside its attacker.
         assert len(preferred_extensions(disjoint_mutual_attacks(13))) == 2**13
-        for semantics in ("preferred", "stable"):
+        g = disjoint_mutual_attacks(14)
+        for enumerate_ in (preferred_extensions, stable_extensions):
             with pytest.raises(EnumerationBoundError, match="enumeration bound"):
-                classify(disjoint_mutual_attacks(14), semantics)
+                enumerate_(g)
+        path = tmp_path / "pairs.apx"
+        path.write_text(g.serialize(), encoding="utf-8")
+        for semantics in ("preferred", "stable"):
+            assert main(["solve", str(path), "--semantics", semantics]) == 3
+            assert "enumeration bound" in capsys.readouterr().err
+            start = time.process_time()
+            levels = classify(g, semantics)
+            assert time.process_time() - start < 0.1
+            assert levels == dict.fromkeys(g.arguments, "only-exi")
+
+    @pytest.mark.parametrize("pairs_first", [True, False])
+    def test_a_part_without_stable_labelling_leaves_nothing_accepted(self, pairs_first):
+        # 14 mutual attacks, whose product passes the cap, beside an
+        # unattacked 3-cycle, which has no stable labelling: no stable
+        # extension, so no argument is accepted, whichever part comes first
+        pairs = disjoint_mutual_attacks(14)
+        cycle = ["c1", "c2", "c3"]
+        g = AttackGraph(
+            [*pairs.arguments, *cycle] if pairs_first else [*cycle, *pairs.arguments],
+            [*pairs.attacks, ("c1", "c2"), ("c2", "c3"), ("c3", "c1")])
+        assert classify(g, "stable") == dict.fromkeys(g.arguments, "not-accepted")
+        assert stable_extensions(g) == []
 
     def test_extension_cap_inside_one_part(self, capsys, tmp_path):
         # 14 mutual attacks a_i <-> b_i joined by the target t of every a_i:
@@ -300,6 +325,10 @@ class TestEnumeration:
             with pytest.raises(EnumerationBoundError, match=message):
                 enumerate_(g)
             assert time.process_time() - start < 1.0
+        # the levels fold whole parts, and this part's own labellings pass the cap
+        for semantics in ("preferred", "stable"):
+            with pytest.raises(EnumerationBoundError, match=message):
+                classify(g, semantics)
         path = tmp_path / "joined.apx"
         path.write_text(g.serialize(), encoding="utf-8")
         for command in ("solve", "classify"):
@@ -468,6 +497,16 @@ class TestClassify:
             assert classification_report(g, semantics).level == expected
         if semantics == "stable":
             assert without_extensions > 0
+
+    def test_levels_match_the_subset_oracle_on_the_scan_stream(self):
+        # the levels are folded per part, never read from an extension
+        # list; the brute-force subset oracle lists the extensions instead
+        for g in itertools.islice(scan_graph_stream(7), 2000):
+            preferred, stable = oracle_extensions(g)
+            for semantics, listed in (("preferred", preferred), ("stable", stable)):
+                extensions = [Extension(tuple(sorted(s))) for s in listed]
+                assert classify(g, semantics) == graded_from_lists(g, extensions), (
+                    semantics, g.serialize())
 
 
 class TestWellDefended:
@@ -763,14 +802,15 @@ class TestReport:
 
     @pytest.mark.parametrize("semantics", ["preferred", "stable"])
     def test_one_search_per_classification(self, monkeypatch, capsys, semantics):
+        # the per-part search that both the extension list and the levels read
         searches = []
-        search = acceptability._extension_masks
+        search = acceptability._searched_parts
 
         def counted(*args, **kwargs):
             searches.append(args)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(acceptability, "_extension_masks", counted)
+        monkeypatch.setattr(acceptability, "_searched_parts", counted)
         g = load_fixture("star3")
         classify(g, semantics)
         assert len(searches) == 1

@@ -79,9 +79,19 @@ def ladder(layers):
                       for k in range(layers - 1) for s in "xy" for t in "xy"))
 
 
+def comb(teeth):
+    """A chain a_(k-1) -> a_k with a fresh leaf l_k attacking each a_k:
+    about teeth**2 / 2 runs, nearly all of count 1."""
+    return ("".join(f"arg(a{k}).\narg(l{k}).\n" for k in range(teeth))
+            + "".join(f"att(l{k},a{k}).\n" for k in range(teeth))
+            + "".join(f"att(a{k - 1},a{k}).\n" for k in range(1, teeth)))
+
+
 EXACT_SHAPES = {
     "skip-chain": lambda: skip_chain(3000),
     "ladder": lambda: ladder(60000),
+    # few count bits but many runs: stopped by the charge for each run
+    "comb": lambda: comb(8000),
 }
 
 
@@ -132,6 +142,17 @@ class TestEvaluationBound:
         assert "exact values exceed the evaluation bound" in done.stderr
         assert done.stdout == ""
         assert elapsed < 20
+
+    def test_exact_tuple_counts_inside_the_bound_answer(self, tmp_path):
+        # 1,000,999 runs of 661,938,543 count bits in all: the charge for
+        # each run still leaves them inside the bound
+        path = tmp_path / "skip-chain.apx"
+        path.write_text(skip_chain(2000), encoding="utf-8")
+        done = run_cli(["well-defended", str(path), "--model", "tuples"],
+                       limit=MEMORY_LIMIT)
+        assert done.returncode == 0, done.stderr
+        assert set(done.stdout.split()) <= {f"a{k}" for k in range(2000)}
+        assert done.stdout
 
     def test_short_horizons_on_a_large_graph_run(self, tmp_path):
         size = 800
