@@ -492,21 +492,22 @@ class ScanReport:
 
 def _attack_tree(rng: random.Random, size: int) -> AttackGraph:
     names = [f"N{i}" for i in range(1, size + 1)]
-    attacks = [(i, rng.randrange(i)) for i in range(1, size)]
-    return _generated(names, attacks)
+    attackers: list[list[int]] = [[] for _ in names]
+    for i in range(1, size):  # Ni+1 attacks one earlier argument
+        attackers[rng.randrange(i)].append(i)
+    return _generated(names, attackers)
 
 
 def _cycle_tangle(rng: random.Random, size: int) -> AttackGraph:
+    # O1 -> O2 -> O3 -> O1 and E1 <-> E2, then each Xi attacked by earlier ones
     names = ["O1", "O2", "O3", "E1", "E2"]
-    attacks = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)]
+    attackers = [(2,), (0,), (1,), (4,), (3,)]
     for i in range(1, max(1, size - 5) + 1):
         fresh = len(names)
-        attackers = [src for src in range(fresh) if rng.random() < 0.3]
-        if not attackers:
-            attackers = [rng.randrange(fresh)]
+        row = tuple(src for src in range(fresh) if rng.random() < 0.3)
         names.append(f"X{i}")
-        attacks.extend((src, fresh) for src in attackers)
-    return _generated(names, attacks)
+        attackers.append(row or (rng.randrange(fresh),))
+    return _generated(names, attackers)
 
 
 def scan_graph_stream(

@@ -6,16 +6,19 @@ attacker/defender queries, leaf and cycle detection, maximal interconnected
 cycle unions ("mcycles"), branch edits used by the monotonicity suites, and
 deterministic graph-family generators.
 
-A graph stores its adjacency once, on declaration indices, and computes
-its condensation (strongly connected components in dependency order) once,
-on the same indices.  The evaluators read both directly; names appear only
-at the API edge.  The public constructor checks every name and endpoint;
-the parser and the seeded generators, which produce valid indices
-themselves, build through a private constructor that checks nothing again.
+A graph is its attack relation as two rows per argument, on declaration
+indices: its attackers and its targets, each row sorted and free of
+duplicates, so the order in which attacks were written is not kept.  Its
+condensation (strongly connected components in dependency order) is
+computed once, on the same indices.  The evaluators read both directly;
+names appear only at the API edge.  The public constructor checks every
+name and endpoint; the parser and the seeded generators, which produce
+valid indices themselves, build through a private constructor that checks
+nothing again.
 
 Framework text is parsed by one compiled pattern, built from a single
 table of statement shapes and matched once per statement.  An attack whose
-endpoints are both declared becomes an index pair as it is read; one that
+endpoints are both declared joins its target's row as it is read; one that
 names a later declaration waits, with its names and position, until the
 whole text has matched.  Only when the pattern fails is the text walked
 token by token, and only then are line and column computed.
@@ -26,7 +29,7 @@ from __future__ import annotations
 import heapq
 import random
 import re
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 __all__ = [
@@ -92,12 +95,12 @@ class AttackGraph:
 
     Arguments keep their declaration order, which fixes every ordering
     this package exposes (reports, serialization, iteration).  The graph
-    stores its adjacency once, on declaration indices: `_attackers[i]` and
-    `_targets[i]` are tuples of indices, `_pairs` the attacks as index
-    pairs in input order with duplicates dropped, `_components()` the
-    condensation, computed once, and `_grounded()` the grounded labelling
-    that the rooted labelling and extension enumeration read.  Names
-    appear only at the API edge.
+    is its attack relation, stored once on declaration indices:
+    `_attackers[i]` and `_targets[i]` are tuples of indices, sorted and
+    free of duplicates, so a graph does not remember how its attacks were
+    written.  `_components()` is the condensation, computed once, and
+    `_grounded()` the grounded labelling that the rooted labelling and
+    extension enumeration read.  Names appear only at the API edge.
 
     `AttackGraph(arguments, attacks)` checks every name and endpoint; a
     name must be an identifier of the framework format.  The
@@ -105,7 +108,7 @@ class AttackGraph:
     themselves, build through the private `_from_indices` instead.
     """
 
-    __slots__ = ("_args", "_index", "_pairs", "_attackers", "_targets",
+    __slots__ = ("_args", "_index", "_attackers", "_targets",
                  "_condensation", "_named_condensation")
 
     def __init__(self, arguments, attacks=()):
@@ -117,34 +120,35 @@ class AttackGraph:
             if name not in index:
                 index[name] = len(args)
                 args.append(name)
-        pairs = []
+        rows: defaultdict[int, list[int]] = defaultdict(list)
         for src, dst in attacks:
             for end in (src, dst):
                 if end not in index:
                     raise UnknownArgumentError(f"undeclared argument: {end!r}")
-            pairs.append((index[src], index[dst]))
-        self._store(tuple(args), index, pairs)
+            rows[index[dst]].append(index[src])
+        self._store(tuple(args), index, _sorted_rows(rows, len(args)))
 
     @classmethod
-    def _from_indices(cls, args, index, pairs) -> AttackGraph:
-        """A graph from distinct names, their declaration index and attacks
-        as index pairs, none of them checked."""
+    def _from_indices(cls, args, index, attackers) -> AttackGraph:
+        """A graph from distinct names, their declaration index and each
+        argument's attackers as a row of indices, sorted and free of
+        duplicates; none of this is checked."""
         graph = cls.__new__(cls)
-        graph._store(tuple(args), index, pairs)
+        graph._store(tuple(args), index, tuple(map(tuple, attackers)))
         return graph
 
-    def _store(self, args, index, pairs) -> None:
-        pairs = tuple(dict.fromkeys(pairs))
-        attackers: list[list[int]] = [[] for _ in args]
-        targets: list[list[int]] = [[] for _ in args]
-        for src, dst in pairs:
-            attackers[dst].append(src)
-            targets[src].append(dst)
+    def _store(self, args, index, attackers) -> None:
+        # Each target row fills in ascending order of its targets.
+        targets: list = [[] for _ in args]
+        for dst, row in enumerate(attackers):
+            for src in row:
+                targets[src].append(dst)
+        for src, row in enumerate(targets):
+            targets[src] = tuple(row)
         self._args = args
         self._index = index
-        self._pairs = pairs
-        self._attackers = tuple(map(tuple, attackers))
-        self._targets = tuple(map(tuple, targets))
+        self._attackers = attackers
+        self._targets = tuple(targets)
         self._condensation = self._named_condensation = None
 
     # -- basic accessors ------------------------------------------------
@@ -155,8 +159,10 @@ class AttackGraph:
 
     @property
     def attacks(self) -> tuple[tuple[str, str], ...]:
+        """The attacks sorted by attacker, then target, by declaration index."""
         args = self._args
-        return tuple([(args[src], args[dst]) for src, dst in self._pairs])
+        return tuple([(args[src], args[dst])
+                      for src, row in enumerate(self._targets) for dst in row])
 
     def __len__(self) -> int:
         return len(self._args)
@@ -167,13 +173,14 @@ class AttackGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttackGraph):
             return NotImplemented
-        return self._args == other._args and set(self._pairs) == set(other._pairs)
+        return self._args == other._args and self._attackers == other._attackers
 
     def __hash__(self):
-        return hash((self._args, frozenset(self._pairs)))
+        return hash((self._args, self._attackers))
 
     def __repr__(self) -> str:
-        return f"AttackGraph({len(self._args)} arguments, {len(self._pairs)} attacks)"
+        attacks = sum(map(len, self._attackers))
+        return f"AttackGraph({len(self._args)} arguments, {attacks} attacks)"
 
     def index_of(self, name: str) -> int:
         self._check(name)
@@ -193,10 +200,11 @@ class AttackGraph:
         return frozenset(self.attackers_of(name))
 
     def attackers_of(self, name: str) -> tuple[str, ...]:
-        """Direct attackers in declaration-stable order."""
+        """Direct attackers in declaration order."""
         return self._names(self._attackers[self.index_of(name)])
 
     def targets_of(self, name: str) -> tuple[str, ...]:
+        """Direct targets in declaration order."""
         return self._names(self._targets[self.index_of(name)])
 
     def direct_defenders(self, name: str) -> frozenset[str]:
@@ -234,11 +242,7 @@ class AttackGraph:
         counts = [0] * len(self._args)
         counts[start] = 1
         for _ in range(length):
-            nxt = [0] * len(counts)
-            for (src, dst) in self._pairs:
-                if counts[src]:
-                    nxt[dst] += counts[src]
-            counts = nxt
+            counts = [sum([counts[src] for src in row]) for row in self._attackers]
         return counts[end]
 
     @staticmethod
@@ -503,13 +507,14 @@ def parse_framework(text: str) -> AttackGraph:
     newline.  Every attack endpoint must be declared somewhere in the text.
     One compiled pattern matches each statement; only on failure is the
     text walked token by token, to name and locate the error.  An attack
-    is an index pair once both endpoints are declared; the rest wait, in
-    input order, for the whole text to match, so a syntax error wins.
+    joins its target's row of attackers once both endpoints are declared;
+    the rest wait, in input order, for the whole text to match, so a
+    syntax error wins and the first undeclared endpoint is the one named.
     """
     args: list[str] = []
     index: dict[str, int] = {}
-    pairs: list[tuple[int, int] | None] = []
-    later: list[tuple[int, str, str, int]] = []  # slot, src, dst, att head
+    rows: defaultdict[int, list[int]] = defaultdict(list)  # attackers, as written
+    later: list[tuple[str, str, int]] = []  # src, dst, att head
     pos = 0
     while (statement := _STATEMENT.match(text, pos)) is not None:
         pos = statement.end()
@@ -519,19 +524,29 @@ def parse_framework(text: str) -> AttackGraph:
                 index[name] = len(args)
                 args.append(name)
         elif src in index and dst in index:
-            pairs.append((index[src], index[dst]))
+            rows[index[dst]].append(index[src])
         else:
-            later.append((len(pairs), src, dst, statement.start("att")))
-            pairs.append(None)
+            later.append((src, dst, statement.start("att")))
     pos = _BLANK_RE.match(text, pos).end()
     if pos < len(text):
         raise _statement_error(text, pos)
-    for slot, src, dst, head in later:
+    for src, dst, head in later:
         for end in (src, dst):
             if end not in index:
                 raise _error_at(text, head, f"undeclared argument {end!r}")
-        pairs[slot] = (index[src], index[dst])
-    return AttackGraph._from_indices(args, index, pairs)
+        rows[index[dst]].append(index[src])
+    return AttackGraph._from_indices(args, index, _sorted_rows(rows, len(args)))
+
+
+def _sorted_rows(rows: dict[int, list[int]], size: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of arguments 0 to size - 1, each sorted and stripped of
+    duplicates, from a map of the non-empty rows as written.  A row leaves
+    the map as its tuple is made, so only one is held twice."""
+    out: list[tuple[int, ...]] = [()] * size
+    while rows:
+        i, row = rows.popitem()
+        out[i] = tuple(sorted(set(row)))
+    return tuple(out)
 
 
 # -- branch edits -------------------------------------------------------------
@@ -650,29 +665,32 @@ def generate_family(kind: str, *, size: int | None = None, seed: int | None = No
     if kind in ("chain", "unattacked-cycle", "attacked-cycle") and (not size or size < 1):
         raise FrameworkError(f"{kind} requires size >= 1")
     if kind == "chain":
+        # A(i+1) attacks Ai, at index i - 1
         return _generated([f"A{i}" for i in range(1, size + 1)],
-                          [(i, i - 1) for i in range(1, size)])
+                          [(i,) for i in range(1, size)] + [()])
     if kind == "unattacked-cycle":
+        # Ci attacks C(i+1), and Ck attacks C1
         return _generated([f"C{i}" for i in range(1, size + 1)],
-                          [(i, (i + 1) % size) for i in range(size)])
+                          [((i - 1) % size,) for i in range(size)])
     if kind == "attacked-cycle":
-        # D is 0, and cycle member Ci is i.
+        # D is 0, and cycle member Ci is i: D and Ck attack C1.
         return _generated(["D"] + [f"C{i}" for i in range(1, size + 1)],
-                          [(0, 1)] + [(i, i % size + 1) for i in range(1, size + 1)])
+                          [(), (0, size)] + [(i - 1,) for i in range(2, size + 1)])
     if kind == "spider":
         if size is not None and size < 1:
             raise FrameworkError("spider requires size >= 1")
         rng = random.Random(seed)
         branches = size if size else rng.randint(1, 4)
         args = ["A"]
-        attacks = []
+        attackers: list[tuple[int, ...]] = [()]
         for b in range(1, branches + 1):
             length = rng.randint(1, 5)
             tip = len(args)  # X{b}_1, attacking the root A at 0
             args.extend(f"X{b}_{k}" for k in range(1, length + 1))
-            attacks.append((tip, 0))
-            attacks.extend((tip + k, tip + k - 1) for k in range(1, length))
-        return _generated(args, attacks)
+            attackers[0] += (tip,)
+            attackers.extend((tip + k,) for k in range(1, length))
+            attackers.append(())
+        return _generated(args, attackers)
     if kind == "random":
         if size is None or density is None:
             raise FrameworkError("random requires size and density")
@@ -682,16 +700,15 @@ def generate_family(kind: str, *, size: int | None = None, seed: int | None = No
 
 def random_attack_graph(seed: int, size: int, density: float) -> AttackGraph:
     """Seeded digraph; every ordered pair (self-pairs included) attacks with
-    probability `density`."""
+    probability `density`, drawn attacker by attacker."""
     names = _random_names(size)
     rng = random.Random(seed)
-    attacks = [
-        (src, dst)
-        for src in range(size)
-        for dst in range(size)
-        if rng.random() < density
-    ]
-    return _generated(names, attacks)
+    attackers: list[list[int]] = [[] for _ in names]
+    for src in range(size):
+        for dst in range(size):
+            if rng.random() < density:
+                attackers[dst].append(src)
+    return _generated(names, attackers)
 
 
 def random_acyclic_graph(seed: int, size: int, density: float) -> AttackGraph:
@@ -699,13 +716,11 @@ def random_acyclic_graph(seed: int, size: int, density: float) -> AttackGraph:
     ones, so declaration order is a reverse topological order."""
     names = _random_names(size)
     rng = random.Random(seed)
-    attacks = [
-        (j, i)
+    attackers = [
+        [j for j in range(i + 1, size) if rng.random() < density]
         for i in range(size)
-        for j in range(i + 1, size)
-        if rng.random() < density
     ]
-    return _generated(names, attacks)
+    return _generated(names, attackers)
 
 
 def _random_names(size: int) -> list[str]:
@@ -715,7 +730,8 @@ def _random_names(size: int) -> list[str]:
     return [f"a{i}" for i in range(1, size + 1)]
 
 
-def _generated(args: list[str], attacks) -> AttackGraph:
-    """A generator's graph: distinct names and attacks as index pairs."""
+def _generated(args: list[str], attackers) -> AttackGraph:
+    """A generator's graph: distinct names and each one's attackers as a
+    row of indices, sorted and free of duplicates."""
     return AttackGraph._from_indices(
-        args, {name: i for i, name in enumerate(args)}, attacks)
+        args, {name: i for i, name in enumerate(args)}, attackers)

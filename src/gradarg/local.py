@@ -23,6 +23,7 @@ declaration order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
@@ -107,7 +108,10 @@ def _weaken(x):
 
 
 def _add_up(values):
-    # Left to right: since 3.12, sum() of floats compensates rounding.
+    # fsum rounds a float sum once, correctly, so the order of the values
+    # decides nothing, on any Python (sum() compensates only from 3.12 on).
+    if float in map(type, values):
+        return math.fsum(values)
     total = reduce(add, values) if values else _ZERO
     return Fraction(total) if isinstance(total, int) else total
 
@@ -127,7 +131,7 @@ def categoriser() -> LocalInstance:
     """Sum-combined instance over [0, 1] with g(x) = 1 / (1 + x).
 
     g and h take Fractions, ints and floats: exact inputs give a Fraction,
-    a float among them a float.  h adds left to right on every Python."""
+    a float among them a float, the correctly rounded sum (`math.fsum`)."""
     return LocalInstance(
         name="categoriser",
         v_min=_ZERO,

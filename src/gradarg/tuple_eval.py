@@ -127,6 +127,7 @@ def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
     times; with no depth, the first one raises CyclicGraphError before it
     is filled."""
     names, attackers_of = g.arguments, g._attackers
+    attacks = sum(map(len, attackers_of))
     # (even, odd) runs, horizons and values, by declaration index
     counts: list = [None] * len(names)
     horizon: list = [None] * len(names)
@@ -144,7 +145,7 @@ def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
                 _after(horizon[b][1] for b in attackers),
                 _after(horizon[b][0] for b in attackers),
             )
-            _check_bound(g, cut)
+            _check_bound(attacks, cut)
             runs = []
             for p, h in enumerate(cut):
                 row: dict[int, int] = {}
@@ -174,7 +175,7 @@ def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
         else:
             for m in comp:
                 horizon[m] = (cap, cap)
-        top = _check_bound(g, (h for m in comp for h in horizon[m]))
+        top = _check_bound(attacks, (h for m in comp for h in horizon[m]))
         rows = {m: [0] * (top + 1) for m in comp}
         inside = []
         for m in comp:
@@ -244,13 +245,13 @@ def _after(horizons) -> int | None:
     return 1 + min(known) if known else None
 
 
-def _check_bound(g: AttackGraph, horizons) -> int:
-    """The largest of some horizons (0 when all are exact), once it is
-    known to fit WORK_BOUND."""
+def _check_bound(attacks: int, horizons) -> int:
+    """The largest of some horizons (0 when all are exact), once its
+    product with the graph's number of attacks is known to fit WORK_BOUND."""
     longest = max((h for h in horizons if h is not None), default=0)
-    if longest * len(g._pairs) > WORK_BOUND:
+    if longest * attacks > WORK_BOUND:
         raise EvaluationBoundError(
-            f"tuple horizon {longest} over {len(g._pairs)} attacks "
+            f"tuple horizon {longest} over {attacks} attacks "
             f"exceeds the evaluation bound of {WORK_BOUND}"
         )
     return longest

@@ -181,11 +181,6 @@ class TestParsing:
         assert len(g.attacks) == n - 1
         assert peak <= 2.0 * held
 
-    def test_attacks_keep_statement_order_across_declarations(self):
-        g = parse_framework(
-            "arg(a). att(a,b). arg(b). att(b,a). att(a,b). att(a,a).")
-        assert g.attacks == (("a", "b"), ("b", "a"), ("a", "a"))
-
     def test_syntax_error_wins_over_an_undeclared_endpoint(self):
         with pytest.raises(ParseError) as err:
             parse_framework("att(a,zz). arg(a). att(a,a). foo(a).")
@@ -241,11 +236,31 @@ class TestConstructionPaths:
                 "att(a,c). arg(c). att(a,a). arg(b). att(c,b).")
         g = parse_framework(text)
         assert g.arguments == ("a", "b", "c")
-        assert g.attacks == (("b", "a"), ("a", "a"), ("a", "c"), ("c", "b"))
         _assert_same_graph(g, AttackGraph(g.arguments, g.attacks))
         _assert_same_graph(g, AttackGraph(
             ["a", "b", "a", "c", "b"],
             [("b", "a"), ("a", "a"), ("b", "a"), ("a", "c"), ("a", "a"), ("c", "b")]))
+
+    def test_the_written_order_of_attacks_is_not_kept(self):
+        # c is declared first, so declaration order is not name order
+        declarations = "arg(c). arg(a). arg(b). "
+        attacks = ["att(b,a).", "att(a,a).", "att(a,c).", "att(c,b).", "att(b,c)."]
+        texts = {
+            "given": declarations + " ".join(attacks),
+            "shuffled": declarations + " ".join(attacks[::-1]),
+            "repeated": declarations + " ".join(attacks + attacks[1::2]),
+            "attacks first": " ".join(attacks) + declarations,
+        }
+        graphs = {way: parse_framework(text) for way, text in texts.items()}
+        graphs["constructed"] = AttackGraph(
+            "cab", [tuple(a[4:7].split(",")) for a in attacks[::-1] * 2])
+        g = graphs.pop("given")
+        assert g.attacks == (("c", "b"), ("a", "c"), ("a", "a"), ("b", "c"), ("b", "a"))
+        assert [g.attackers_of(x) for x in "cab"] == [("a", "b"), ("a", "b"), ("c",)]
+        assert [g.targets_of(x) for x in "cab"] == [("b",), ("c", "a"), ("c", "a")]
+        for way, other in graphs.items():
+            assert other.arguments == g.arguments, way
+            _assert_same_graph(g, other)
 
     def test_generated_graphs(self):
         graphs = []

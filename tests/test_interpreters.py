@@ -1,8 +1,9 @@
 """The CLI prints the same bytes under every CPython from 3.10 on.
 
-Float values of the local evaluators depend on the order of float
-operations, and `sum()` of floats changed in 3.12 to compensated
-summation; tupled values hold big integer counts.  These checks run
+Float values of the local evaluators depend on how floats are rounded:
+`sum()` of floats changed in 3.12 to compensated summation, so the
+categoriser sums with `math.fsum`, which rounds correctly on every
+version; tupled values hold big integer counts.  These checks run
 `value --model categoriser` and `value --model tuples --depth 3` on
 every cyclic case of the frozen-digest set under each other CPython
 3.10+ that starts, importing the package from src/, and compare the

@@ -489,9 +489,9 @@ class TestBuiltinArithmetic:
     def test_max_based_h(self, values, want):
         assert same(max_based().h(values), want)
 
-    def test_floats_are_added_left_to_right(self):
-        # compensated summation would give 1.0
-        assert categoriser().h((0.1,) * 10) == 0.9999999999999999
+    def test_floats_are_summed_correctly_rounded(self):
+        # adding left to right would give 0.9999999999999999
+        assert categoriser().h((0.1,) * 10) == 1.0
 
     @pytest.mark.parametrize("make", [categoriser, max_based])
     def test_value_types_follow_the_graph(self, make, scan_graphs):
