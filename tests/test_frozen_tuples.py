@@ -20,7 +20,11 @@ pass.  58 keys (35 `rooted_labelling`, 22 `max_based`, 1 `categoriser`)
 were re-recorded when value maps moved from condensation order to
 declaration order, which `test_value_maps_follow_declaration_order`
 now checks directly.  Neither change moved a label or a tie group as a
-set; every `value:` and `well-defended:` key held.
+set; every `value:` and `well-defended:` key held.  13 `value:categoriser`
+keys (random cases 5, 7, 16, 17, 25, 26, 29, 35, 38, 44, 47, 101 and 103)
+were re-recorded when the categoriser's h began to sum floats with
+`math.fsum`, correctly rounded, so that the order of the attackers decides
+no value; their last digits moved, and no other key did.
 
 Regenerate (only when a change of output is intended and announced):
     PYTHONPATH=src python3 tests/test_frozen_tuples.py > tests/frozen_tuple_digests.json
