@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 parse error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import io
 import json
@@ -31,7 +32,7 @@ from .local import ConvergenceError, categoriser, rooted_labelling
 from .tuple_eval import EvaluationBoundError
 from .tuples import RenderLimitError, TupleFormatError, _natural, compare, parse_tuple_literal
 
-__all__ = ["build_parser", "entry", "main"]
+__all__ = ["INPUT_BOUND", "build_parser", "entry", "main"]
 
 # Model name to local instance; None stands for the tupled values.
 MODELS = {"categoriser": categoriser(), "labelling": rooted_labelling(), "tuples": None}
@@ -40,6 +41,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_COMPUTE = 3
+
+# Largest framework input, in bytes, that a command reads.  The densest
+# input, declarations of the shortest distinct names (`arg(ab).`), holds
+# about 900,000 arguments in 8 MiB; `value` and `well-defended` peak below
+# 400 MB on it under every model, inside a 512 MiB address space.
+INPUT_BOUND = 8 * 1024 * 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,13 +146,16 @@ _parser = functools.cache(build_parser)
 
 
 def _read_graph(path: str) -> AttackGraph:
-    if path == "-":
-        # the decoder open() gives a path: strict UTF-8, universal newlines
-        stdin = io.BytesIO(sys.stdin.buffer.read())
-        text = io.TextIOWrapper(stdin, encoding="utf-8").read()
-    else:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+    """The graph in a file, or in standard input for "-", read as bytes and
+    refused past INPUT_BOUND before any parsing, then decoded as open()
+    decodes a path: strict UTF-8, universal newlines."""
+    with (contextlib.nullcontext(sys.stdin.buffer) if path == "-"
+          else open(path, "rb")) as handle:
+        data = handle.read(INPUT_BOUND + 1)
+    if len(data) > INPUT_BOUND:
+        raise FrameworkError(f"input exceeds the bound of {INPUT_BOUND} bytes")
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    del data  # not held through the parse
     return parse_framework(text)
 
 

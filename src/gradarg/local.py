@@ -9,8 +9,8 @@ value; everything else follows v(A) = g(h(values of direct attackers)).
 Evaluation is one pass along the graph's condensation, its strongly
 connected components in dependency order, with one step rule for every
 argument outside a cycle union and a simultaneous fixpoint iteration, in
-floats, over each cycle union, for 1,000 rounds or as many as read the
-tuple side's WORK_BOUND of attacks.  Acyclic graphs are evaluated exactly
+floats, over each cycle union; the rounds of all cycle unions together
+read at most READ_BOUND attacks.  Acyclic graphs are evaluated exactly
 (Fraction arithmetic where the values are exact).  The built-in rooted
 labelling is Dung's grounded labelling on every graph, read from the
 graph's one queue pass (`AttackGraph._grounded`) that extension
@@ -34,6 +34,7 @@ from .framework import _IN, _OUT, AttackGraph
 from . import tuple_eval
 
 __all__ = [
+    "READ_BOUND",
     "ConditionStarOutcome",
     "ConvergenceError",
     "LocalInstance",
@@ -175,7 +176,12 @@ def builtin_instances() -> dict[str, LocalInstance]:
 
 
 _TOLERANCE = 1e-12  # a round moving no cycle union member this much or more ends it
-_MIN_ROUNDS = 1_000  # rounds every cycle union gets, whatever one round reads
+
+# Attack reads that the fixpoint rounds of one evaluation may make, over all
+# its cycle unions: a couple of seconds on dense unions, where reads are
+# cheapest.  Every cycle union of the fixtures, the frozen cases and the
+# benchmark's inputs settles within 80,000.
+READ_BOUND = 20_000_000
 
 
 def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]:
@@ -185,9 +191,10 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
     One pass along the condensation: an unattacked argument takes the top
     value, any other argument outside a cycle union takes g(h(values of
     its attackers)), and each cycle union iterates from the all-top start
-    until a round moves no member by 1e-12 or more, or raises
-    ConvergenceError after max(1,000, WORK_BOUND // attacks read a round) rounds;
-    h gets a tuple in `g.attackers_of` order.  Acyclic graphs evaluate
+    until a round moves no member by 1e-12 or more.  Each round reads the
+    attackers of every member, and ConvergenceError is raised before a
+    round would take the reads of all rounds past READ_BOUND.  h gets a
+    tuple in `g.attackers_of` order.  Acyclic graphs evaluate
     exactly, and raise tuple_eval.EvaluationBoundError once the exact
     values made hold more than tuple_eval.EXACT_BITS_BOUND bits; on a
     cyclic graph every numeric value is a float (the top value and each
@@ -225,19 +232,23 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
             return v
     else:
         step = lambda row: float(weaken(combine(tuple(map(read, row)))))
+    budget = READ_BOUND  # attack reads left for the rounds
     for members, looped in zip(order, cyclic):
         if looped:
-            _iterate(members, attackers, value, step)
+            budget = _iterate(members, attackers, value, step, budget)
         elif attackers[members[0]]:
             value[members[0]] = step(attackers[members[0]])
     return dict(zip(names, value))
 
 
-def _iterate(members, attackers, value, step):
-    """Jacobi rounds over one cycle union, from the all-top start in `value`."""
+def _iterate(members, attackers, value, step, budget) -> int:
+    """Jacobi rounds over one cycle union, from the all-top start in `value`,
+    while they fit a budget of attack reads; returns the budget left."""
     reads = sum(len(attackers[m]) for m in members)  # attacks one round reads
-    rounds = max(_MIN_ROUNDS, tuple_eval.WORK_BOUND // reads)
-    for _ in range(rounds):
+    rounds = 0
+    while budget >= reads:
+        budget -= reads
+        rounds += 1
         settled = True
         nxt = []
         for m in members:
@@ -247,9 +258,10 @@ def _iterate(members, attackers, value, step):
         for m, v in zip(members, nxt):
             value[m] = v
         if settled:
-            return
+            return budget
     raise ConvergenceError(f"no fixpoint on a cycle union of {len(members)} "
-                           f"arguments within {rounds} rounds of {reads} attack reads")
+                           f"arguments within {rounds} rounds of {reads} attack reads, "
+                           f"past the bound of {READ_BOUND} reads")
 
 
 # -- ordering and diagnostics --------------------------------------------------

@@ -1,6 +1,6 @@
-"""Whole-process behaviour, each case in a fresh interpreter: the
-evaluation bound under a memory limit, and output that does not depend on
-the interpreter's hash seed."""
+"""Whole-process behaviour, each case in a fresh interpreter: the input,
+evaluation and fixpoint bounds under a memory limit, and output that does
+not depend on the interpreter's hash seed."""
 
 import os
 import subprocess
@@ -13,7 +13,8 @@ import pytest
 from conftest import fixture_path
 
 import gradarg
-from gradarg import AttackGraph, generate_family, random_attack_graph
+from gradarg import READ_BOUND, AttackGraph, generate_family, random_attack_graph
+from gradarg.cli import INPUT_BOUND
 
 SRC = str(Path(gradarg.__file__).resolve().parents[1])
 MEMORY_LIMIT = 512 * 1024 * 1024
@@ -45,17 +46,18 @@ print(TotalPreorder(values).ranking())
 """
 
 
-def run_python(args, *, hash_seed="0"):
+def run_python(args, *, hash_seed="0", stdin=None):
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, stdin=stdin)
 
 
-def run_cli(argv, *, hash_seed="0", limit=None):
+def run_cli(argv, *, hash_seed="0", limit=None, stdin=None):
     if limit is None:
-        return run_python(["-m", "gradarg.cli", *argv], hash_seed=hash_seed)
+        return run_python(["-m", "gradarg.cli", *argv], hash_seed=hash_seed,
+                          stdin=stdin)
     return run_python(["-c", LIMITED_CLI.format(limit=limit), *argv],
-                      hash_seed=hash_seed)
+                      hash_seed=hash_seed, stdin=stdin)
 
 
 def write_graph(tmp_path, name, g):
@@ -85,6 +87,13 @@ def comb(teeth):
     return ("".join(f"arg(a{k}).\narg(l{k}).\n" for k in range(teeth))
             + "".join(f"att(l{k},a{k}).\n" for k in range(teeth))
             + "".join(f"att(a{k - 1},a{k}).\n" for k in range(1, teeth)))
+
+
+def complete(size):
+    """Every ordered pair of distinct arguments attacks."""
+    names = [f"a{k}" for k in range(size)]
+    return ("".join(f"arg({n}).\n" for n in names)
+            + "".join(f"att({s},{t}).\n" for s in names for t in names if s != t))
 
 
 EXACT_SHAPES = {
@@ -171,6 +180,57 @@ class TestEvaluationBound:
         peak_kib = int(done.stderr.split()[-1])
         assert peak_kib < 100 * 1024
         del ballast
+
+
+class TestInputBound:
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_an_input_past_the_bound_exits_at_once(self, tmp_path, source):
+        # NUL bytes, which do not decode as framework text: the bound is
+        # checked before the input is decoded or parsed
+        path = tmp_path / "big.apx"
+        with open(path, "wb") as handle:
+            handle.truncate(INPUT_BOUND + 1)
+        start = time.monotonic()
+        with open(path, "rb") as handle:
+            done = run_cli(["value", str(path) if source == "file" else "-"],
+                           limit=MEMORY_LIMIT, stdin=handle)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.splitlines()[0] == (
+            f"gradarg: input exceeds the bound of {INPUT_BOUND} bytes")
+        assert done.stdout == ""
+        assert elapsed < 5
+
+    def test_an_input_at_the_bound_is_parsed(self, tmp_path):
+        path = tmp_path / "padded.apx"
+        text = "arg(a).\n"
+        path.write_text(text + " " * (INPUT_BOUND - len(text)), encoding="ascii")
+        done = run_cli(["value", str(path)], limit=MEMORY_LIMIT)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "a 1\n"
+
+
+class TestLocalReadBound:
+    def test_a_dense_union_past_the_bound_fails_fast(self, tmp_path):
+        # 159,600 attack reads a round: the budget ends the rounds long
+        # before the categoriser settles
+        path = tmp_path / "complete.apx"
+        path.write_text(complete(400), encoding="utf-8")
+        start = time.monotonic()
+        done = run_cli(["value", str(path)], limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 3, done.stderr
+        assert f"past the bound of {READ_BOUND} reads" in done.stderr
+        assert done.stdout == ""
+        assert elapsed < 10
+
+    def test_a_dense_union_inside_the_bound_answers(self, tmp_path):
+        path = tmp_path / "complete.apx"
+        path.write_text(complete(200), encoding="utf-8")
+        done = run_cli(["value", str(path)], limit=MEMORY_LIMIT)
+        assert done.returncode == 0, done.stderr
+        values = [line.split()[1] for line in done.stdout.splitlines()]
+        assert len(values) == 200 and len(set(values)) == 1
 
 
 class TestEnumerationBound:

@@ -124,64 +124,40 @@ class TestCategoriserCyclic:
         assert all(0 < values[f"C{i}"] < 1 for i in (1, 2, 3))
 
     def test_non_convergence_is_reported(self, monkeypatch):
-        # a 2-cycle reads 2 attacks a round, so this bound leaves the 1,000
-        # rounds every cycle union gets
-        monkeypatch.setattr("gradarg.tuple_eval.WORK_BOUND", 100)
+        # a 2-cycle reads 2 attacks a round, so this budget allows 500 rounds
+        monkeypatch.setattr("gradarg.local.READ_BOUND", 1_000)
         graph = generate_family("unattacked-cycle", size=2)
         with pytest.raises(ConvergenceError,
-                           match="cycle union of 2 arguments within 1000 rounds of 2 attack"):
+                           match="cycle union of 2 arguments within 500 rounds of 2 attack"):
             evaluate_local(graph, FLIP)
 
-    @pytest.mark.parametrize("work, rounds", [(40_000, 2_000), (100, 1_000)])
-    def test_rounds_are_the_larger_of_the_two_limits(self, monkeypatch, work, rounds):
-        # g runs once per member and round; a 20-cycle round reads 20 attacks
-        calls = []
-        flip = dataclasses.replace(FLIP, g=lambda x: calls.append(x) or 1.0 - x)
-        monkeypatch.setattr("gradarg.tuple_eval.WORK_BOUND", work)
-        with pytest.raises(ConvergenceError, match=f"within {rounds} rounds of 20 attack"):
-            evaluate_local(generate_family("unattacked-cycle", size=20), flip)
-        assert len(calls) == rounds * 20
-
     def test_work_bound_is_exact_at_the_rounds_needed(self, monkeypatch):
-        # g(x) = 1 - 0.99x settles a 2-cycle in more than 1,000 rounds, so the
-        # work bound decides: 2 attack reads a round
+        # g(x) = 1 - 0.99x settles a 2-cycle in a few thousand rounds of 2
+        # attack reads; two such unions draw on one budget
         calls = []
         slow = dataclasses.replace(FLIP, g=lambda x: calls.append(x) or 1.0 - 0.99 * x)
-        graph = generate_family("unattacked-cycle", size=2)
-        values = evaluate_local(graph, slow)
+        one = generate_family("unattacked-cycle", size=2)
+        two = AttackGraph(["a", "b", "c", "d"],
+                          [("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")])
+        values = evaluate_local(one, slow)
         reads = len(calls)
         assert reads % 2 == 0 and reads > 2 * 1_000
-        monkeypatch.setattr("gradarg.tuple_eval.WORK_BOUND", reads)
-        assert evaluate_local(graph, slow) == values
-        monkeypatch.setattr("gradarg.tuple_eval.WORK_BOUND", reads - 1)
-        with pytest.raises(ConvergenceError):
-            evaluate_local(graph, slow)
+        doubled = evaluate_local(two, slow)
+        assert list(doubled.values()) == [values["C1"], values["C2"]] * 2
+        for graph, expected, need in ((one, values, reads), (two, doubled, 2 * reads)):
+            monkeypatch.setattr("gradarg.local.READ_BOUND", need)
+            assert evaluate_local(graph, slow) == expected
+            monkeypatch.setattr("gradarg.local.READ_BOUND", need - 1)
+            with pytest.raises(ConvergenceError):
+                evaluate_local(graph, slow)
 
-    def test_round_floor_is_exact_at_the_rounds_needed(self, monkeypatch):
-        calls = []
-        counting = LocalInstance("counting", Fraction(0), Fraction(1),
-                                 g=lambda x: calls.append(x) or categoriser().g(x),
-                                 h=categoriser().h)
-        graph = generate_family("unattacked-cycle", size=3)
-        values = evaluate_local(graph, counting)
-        rounds = len(calls) // 3
-        monkeypatch.setattr("gradarg.tuple_eval.WORK_BOUND", 0)
-        monkeypatch.setattr("gradarg.local._MIN_ROUNDS", rounds)
-        assert evaluate_local(graph, counting) == values
-        monkeypatch.setattr("gradarg.local._MIN_ROUNDS", rounds - 1)
-        with pytest.raises(ConvergenceError):
-            evaluate_local(graph, counting)
-
-    def test_a_union_reading_more_than_the_work_bound_settles(self, monkeypatch):
-        # the complete 100-argument graph: 266 rounds of 10,000 attack reads
+    def test_a_union_reading_more_than_the_work_bound_settles(self):
+        # the complete 100-argument graph: 266 rounds of 10,000 attack
+        # reads, more than the tuple side's WORK_BOUND
         names = [f"a{i}" for i in range(100)]
         complete = AttackGraph(names, [(a, b) for a in names for b in names])
         values = evaluate_local(complete, categoriser())
         assert len(set(values.values())) == 1
-        ring = generate_family("unattacked-cycle", size=1000)
-        expected = evaluate_local(ring, categoriser())
-        monkeypatch.setattr("gradarg.tuple_eval.WORK_BOUND", 999)
-        assert evaluate_local(ring, categoriser()) == expected
 
 
 class TestRootedLabelling:
