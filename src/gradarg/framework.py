@@ -131,24 +131,22 @@ class AttackGraph:
     @classmethod
     def _from_indices(cls, args, index, attackers) -> AttackGraph:
         """A graph from distinct names, their declaration index and each
-        argument's attackers as a row of indices, sorted and free of
-        duplicates; none of this is checked."""
+        argument's attackers as a tuple of indices, sorted and free of
+        duplicates, in a tuple; none of this is checked."""
         graph = cls.__new__(cls)
-        graph._store(tuple(args), index, tuple(map(tuple, attackers)))
+        graph._store(tuple(args), index, attackers)
         return graph
 
     def _store(self, args, index, attackers) -> None:
         # Each target row fills in ascending order of its targets.
-        targets: list = [[] for _ in args]
+        targets: list[list[int]] = [[] for _ in args]
         for dst, row in enumerate(attackers):
             for src in row:
                 targets[src].append(dst)
-        for src, row in enumerate(targets):
-            targets[src] = tuple(row)
         self._args = args
         self._index = index
         self._attackers = attackers
-        self._targets = tuple(targets)
+        self._targets = tuple(map(tuple, targets))
         self._condensation = self._named_condensation = None
 
     # -- basic accessors ------------------------------------------------
@@ -734,4 +732,4 @@ def _generated(args: list[str], attackers) -> AttackGraph:
     """A generator's graph: distinct names and each one's attackers as a
     row of indices, sorted and free of duplicates."""
     return AttackGraph._from_indices(
-        args, {name: i for i, name in enumerate(args)}, attackers)
+        args, {name: i for i, name in enumerate(args)}, tuple(map(tuple, attackers)))
