@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import io
 import json
 import signal
 import sys
@@ -47,6 +46,7 @@ EXIT_COMPUTE = 3
 # about 900,000 arguments in 8 MiB; `value` and `well-defended` peak below
 # 400 MB on it under every model, inside a 512 MiB address space.
 INPUT_BOUND = 8 * 1024 * 1024
+_READ_CHUNK = 64 * 1024
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,13 +149,18 @@ def _read_graph(path: str) -> AttackGraph:
     """The graph in a file, or in standard input for "-", read as bytes and
     refused past INPUT_BOUND before any parsing, then decoded as open()
     decodes a path: strict UTF-8, universal newlines."""
+    chunks = []
+    left = INPUT_BOUND + 1  # bytes still to read; none left is past the bound
     with (contextlib.nullcontext(sys.stdin.buffer) if path == "-"
           else open(path, "rb")) as handle:
-        data = handle.read(INPUT_BOUND + 1)
-    if len(data) > INPUT_BOUND:
+        # In chunks: a read of n bytes first allocates all n.
+        while left and (chunk := handle.read(min(left, _READ_CHUNK))):
+            chunks.append(chunk)
+            left -= len(chunk)
+    if not left:
         raise FrameworkError(f"input exceeds the bound of {INPUT_BOUND} bytes")
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
-    del data  # not held through the parse
+    text = b"".join(chunks).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    del chunks  # not held through the parse
     return parse_framework(text)
 
 

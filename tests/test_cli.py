@@ -344,6 +344,19 @@ class TestErrors:
         assert done[0].stderr == done[1].stderr
         assert done[0].stderr.count(b"\n") == 1
 
+    @pytest.mark.parametrize("data", [b"arg(a).\r\narg(b)\rarg(c).",
+                                      b"\r\r\n%c\rarg(a)\n\r\narg(b)x"])
+    def test_input_decodes_as_open_decodes_a_path(self, tmp_path, data):
+        # universal newlines: line and column of the error follow them
+        path = tmp_path / "input.apx"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8") as handle:
+            with pytest.raises(gradarg.ParseError) as want:
+                gradarg.parse_framework(handle.read())
+        with pytest.raises(gradarg.ParseError) as got:
+            cli._read_graph(str(path))
+        assert str(got.value) == str(want.value)
+
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
     def test_closed_standard_output_ends_quietly(self, tmp_path):
         # About 340 KB of output, far more than a pipe buffers.
