@@ -43,8 +43,9 @@ EXIT_COMPUTE = 3
 
 # Largest framework input, in bytes, that a command reads.  The densest
 # input, declarations of the shortest distinct names (`arg(ab).`), holds
-# about 900,000 arguments in 8 MiB; `value` and `well-defended` peak below
-# 400 MB on it under every model, inside a 512 MiB address space.
+# about 900,000 arguments in 8 MiB.  On it, and on 8 MiB of a chain, every
+# command but `classify` peaks at 411 MB or less, under every model, inside
+# a 512 MiB address space.
 INPUT_BOUND = 8 * 1024 * 1024
 _READ_CHUNK = 64 * 1024
 

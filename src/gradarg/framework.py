@@ -139,14 +139,16 @@ class AttackGraph:
 
     def _store(self, args, index, attackers) -> None:
         # Each target row fills in ascending order of its targets.
-        targets: list[list[int]] = [[] for _ in args]
+        targets: list = [[] for _ in args]
         for dst, row in enumerate(attackers):
             for src in row:
                 targets[src].append(dst)
+        for src, row in enumerate(targets):  # one row held twice at a time
+            targets[src] = tuple(row)
         self._args = args
         self._index = index
         self._attackers = attackers
-        self._targets = tuple(map(tuple, targets))
+        self._targets = tuple(targets)
         self._condensation = self._named_condensation = None
 
     # -- basic accessors ------------------------------------------------
