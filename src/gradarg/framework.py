@@ -665,7 +665,7 @@ def generate_family(kind: str, *, size: int | None = None, seed: int | None = No
     if kind in ("chain", "unattacked-cycle", "attacked-cycle") and (not size or size < 1):
         raise FrameworkError(f"{kind} requires size >= 1")
     if kind == "chain":
-        # A(i+1) attacks Ai, at index i - 1
+        # A(i+1), at index i, attacks Ai, at index i - 1
         return _generated([f"A{i}" for i in range(1, size + 1)],
                           [(i,) for i in range(1, size)] + [()])
     if kind == "unattacked-cycle":
