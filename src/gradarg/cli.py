@@ -22,6 +22,7 @@ from .acceptability import (
     EnumerationBoundError,
     _values,
     classification_report,
+    classify,
     preferred_extensions,
     stable_extensions,
     well_defended,
@@ -212,21 +213,29 @@ def _cmd_classify(args) -> int:
     g = _read_graph(args.path)
     models = list(dict.fromkeys(args.models or MODELS))  # repeats dropped
     valuations = {m: _values(g, MODELS[m], args.depth) for m in models}
-    report = classification_report(g, args.semantics, valuations)
+    if args.format == "text":
+        # Text lists no extension, so it forms none: the levels are folded
+        # part by part, as classify() folds them, past the extension cap.
+        level = classify(g, args.semantics)
+        defended = {m: well_defended(g, values) for m, values in valuations.items()}
+        extensions = None  # the document, which lists them, is not printed
+    else:
+        report = classification_report(g, args.semantics, valuations)
+        level, defended = report.level, report.well_defended
+        extensions = [list(e.members) for e in report.extensions]
 
     def lines():
         for name in g.arguments:
-            holders = [m for m in models if name in report.well_defended[m]]
+            holders = [m for m in models if name in defended[m]]
             tag = f" [well-defended:{','.join(holders)}]" if holders else ""
-            yield f"{name} {report.level[name]}{tag}"
+            yield f"{name} {level[name]}{tag}"
 
     document = {
         "semantics": args.semantics,
-        "extensions": [list(e.members) for e in report.extensions],
-        "levels": dict(report.level),
+        "extensions": extensions,
+        "levels": dict(level),
         "well_defended": {
-            m: [n for n in g.arguments if n in report.well_defended[m]]
-            for m in models
+            m: [n for n in g.arguments if n in defended[m]] for m in models
         },
     }
     return _emit(args, document, lines())

@@ -17,11 +17,14 @@ valid indices themselves, build through a private constructor that checks
 nothing again.
 
 Framework text is parsed by one compiled pattern, built from a single
-table of statement shapes and matched once per statement.  An attack whose
-endpoints are both declared joins its target's row as it is read; one that
-names a later declaration waits, with its names and position, until the
-whole text has matched.  Only when the pattern fails is the text walked
-token by token, and only then are line and column computed.
+table of statement shapes.  Comments are blanked first, in place, and the
+text is then read in chunks of about 64 KiB, one findall of the pattern
+each, which returns every statement of the chunk as a tuple of its names.
+An attack whose endpoints are both declared joins its target's row as it
+is read; one that names a later declaration keeps its two names until the
+whole text has matched.  Only when the pattern fails, or an endpoint is
+never declared, is the text scanned again to locate the error, and only
+then are line and column computed.
 """
 
 from __future__ import annotations
@@ -386,7 +389,10 @@ def _condense(successors, predecessors) -> tuple[tuple[int, ...], ...]:
 
     Kosaraju's algorithm, iterative: a depth-first finishing order along
     the successors, then, latest finished first, each unplaced vertex
-    collects along the predecessors the unplaced vertices that reach it."""
+    collects along the predecessors the unplaced vertices that reach it.
+    The components come out upstream first, so while one collects, a
+    predecessor already placed elsewhere is an attack entering it: the
+    collection also counts what Kahn's algorithm then waits for."""
     n = len(successors)
     seen = [False] * n
     finished: list[int] = []
@@ -407,27 +413,27 @@ def _condense(successors, predecessors) -> tuple[tuple[int, ...], ...]:
                 finished.append(v)
     comp_of = [-1] * n
     components: list[tuple[int, ...]] = []
+    waiting: list[int] = []  # attacks into each component from unplaced ones
     for root in reversed(finished):
         if comp_of[root] != -1:
             continue
         cid = len(components)
         comp_of[root] = cid
         members = [root]
+        entering = 0
         for v in members:  # the list grows while it is read
             for w in predecessors[v]:
-                if comp_of[w] == -1:
+                placed = comp_of[w]
+                if placed == -1:
                     comp_of[w] = cid
                     members.append(w)
-        components.append(tuple(sorted(members)))
+                elif placed != cid:
+                    entering += 1
+        components.append(tuple(sorted(members)) if len(members) > 1 else (root,))
+        waiting.append(entering)
     # Kahn's algorithm over the components, keyed by smallest member (which
-    # names its component).  waiting counts the attacks into each
-    # component from unplaced ones.
-    waiting = [0] * len(components)
-    for v in range(n):
-        for w in successors[v]:
-            if comp_of[w] != comp_of[v]:
-                waiting[comp_of[w]] += 1
-    ready = [comp[0] for cid, comp in enumerate(components) if not waiting[cid]]
+    # names its component).
+    ready = [comp[0] for comp, count in zip(components, waiting) if not count]
     heapq.heapify(ready)
     order = []
     while ready:
@@ -452,22 +458,29 @@ _SHAPES = {"arg": "(I).", "att": "(I,I)."}
 
 _IDENT = "[A-Za-z0-9_]+"
 _IDENT_RE = re.compile(_IDENT)  # also the constructor's check of a name
-# Unicode whitespace (`\s` and str.isspace accept the same characters) and
-# % comments running to "\n".  A comment must reach the line end, or a
-# failed statement could backtrack into it and match the text it hides.
-_BLANK = r"\s*(?:%[^\n]*(?![^\n])\s*)*"
+# A % comment runs to "\n" or the end of the text.  The parser blanks each
+# one first, a space per character, so the only blank left is Unicode
+# whitespace (`\s` and str.isspace accept the same characters), every "."
+# left ends a statement or breaks one, and no position moves.
+_COMMENT_RE = re.compile("%[^\n]*")
+_BLANK_RE = re.compile(r"\s*")
+_CHUNK = 64 * 1024  # characters a chunk holds before it runs on to its next "."
 
 
 def _token(symbol: str) -> str:
     return f"({_IDENT})" if symbol == "I" else re.escape(symbol)
 
 
-# One statement with the blank before it; the head's group is named after
-# the head and encloses the statement's identifier groups.
-_STATEMENT = re.compile(_BLANK + "(?:" + "|".join(
-    f"(?P<{head}>{head}" + "".join(_BLANK + _token(s) for s in shape) + ")"
-    for head, shape in _SHAPES.items()) + ")")
-_BLANK_RE = re.compile(_BLANK)
+# One statement, from its head, or else the first character of a rejected
+# one.  Each match is a (name, src, dst, other) tuple of which only the
+# statement's own groups are non-empty.  No blank is matched before the
+# head: findall skips a blank run a character at a time, where a leading
+# `\s*` would read the rest of the run again from every position.  A
+# rejected statement's match runs to the end of the chunk, so a chunk of
+# rubbish makes one tuple, not one per character.
+_STATEMENT = re.compile("|".join(
+    head + "".join(r"\s*" + _token(s) for s in shape)
+    for head, shape in _SHAPES.items()) + r"|(\S)[\s\S]*")
 
 
 def _error_at(text: str, pos: int, message: str) -> ParseError:
@@ -505,37 +518,53 @@ def parse_framework(text: str) -> AttackGraph:
     Identifiers are ASCII letters, digits and ``_``; any Unicode whitespace
     separates tokens, and ``%`` starts a comment running to the next
     newline.  Every attack endpoint must be declared somewhere in the text.
-    One compiled pattern matches each statement; only on failure is the
-    text walked token by token, to name and locate the error.  An attack
-    joins its target's row of attackers once both endpoints are declared;
-    the rest wait, in input order, for the whole text to match, so a
-    syntax error wins and the first undeclared endpoint is the one named.
+
+    Comments are blanked first, so no position moves.  The text is then
+    read in chunks of about 64 KiB, each ending just after a "." (no valid
+    statement straddles one), by one findall each.  An attack joins its
+    target's row of attackers once both endpoints are declared; the rest
+    keep their two names, in input order, until the whole text has
+    matched, so a syntax error wins and the first undeclared endpoint is
+    the one named.  Either error is located only once it is found, by
+    scanning the text again.
     """
+    text = _COMMENT_RE.sub(lambda comment: " " * len(comment[0]), text)
     args: list[str] = []
     index: dict[str, int] = {}
     rows: defaultdict[int, list[int]] = defaultdict(list)  # attackers, as written
-    later: list[tuple[str, str, int]] = []  # src, dst, att head
+    later: list[tuple[str, str]] = []  # attacks naming a later declaration
     pos = 0
-    while (statement := _STATEMENT.match(text, pos)) is not None:
-        pos = statement.end()
-        _, name, _, src, dst = statement.groups()
-        if name is not None:
-            if name not in index:
-                index[name] = len(args)
-                args.append(name)
-        elif src in index and dst in index:
-            rows[index[dst]].append(index[src])
-        else:
-            later.append((src, dst, statement.start("att")))
-    pos = _BLANK_RE.match(text, pos).end()
-    if pos < len(text):
-        raise _statement_error(text, pos)
-    for src, dst, head in later:
-        for end in (src, dst):
-            if end not in index:
-                raise _error_at(text, head, f"undeclared argument {end!r}")
+    while pos < len(text):
+        end = text.find(".", pos + _CHUNK) + 1 or len(text)
+        for name, src, dst, other in _STATEMENT.findall(text, pos, end):
+            if src:
+                if src in index and dst in index:
+                    rows[index[dst]].append(index[src])
+                else:
+                    later.append((src, dst))
+            elif name:
+                if name not in index:
+                    index[name] = len(args)
+                    args.append(name)
+            else:
+                rejected = next(m for m in _STATEMENT.finditer(text, pos, end) if m[4])
+                raise _statement_error(text, rejected.start())
+        pos = end
+    for src, dst in later:
+        if src not in index or dst not in index:
+            raise _undeclared(text, index)
         rows[index[dst]].append(index[src])
     return AttackGraph._from_indices(args, index, _sorted_rows(rows, len(args)))
+
+
+def _undeclared(text: str, index: dict[str, int]) -> ParseError:
+    """The error at the first attack in `text`, which has matched, that
+    names an argument missing from `index`."""
+    for statement in _STATEMENT.finditer(text):
+        for end in statement.group(2, 3):
+            if end is not None and end not in index:
+                return _error_at(text, statement.start(), f"undeclared argument {end!r}")
+    raise AssertionError("no attack names an undeclared argument")
 
 
 def _sorted_rows(rows: dict[int, list[int]], size: int) -> tuple[tuple[int, ...], ...]:

@@ -243,6 +243,20 @@ class TestClassify:
         assert document["levels"]["A"] == "uni"
         assert document["well_defended"] == {"tuples": ["A", "C1", "C2", "C3"]}
 
+    def test_text_answers_past_the_extension_cap(self, capsys, tmp_path):
+        # 14 disjoint mutual attacks have 2**14 preferred extensions: text
+        # prints levels only, JSON lists the extensions and meets the cap
+        path = tmp_path / "pairs.apx"
+        path.write_text("".join(f"arg(p{i}). att(p{i},p{i ^ 1}).\n" for i in range(28)),
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify", str(path), "--model", "labelling")
+        assert (code, err) == (0, "")
+        assert out == "".join(f"p{i} only-exi [well-defended:labelling]\n"
+                              for i in range(28))
+        code, out, err = run_cli(capsys, "classify", str(path), "--format", "json")
+        assert (code, out) == (3, "")
+        assert "enumeration bound" in err
+
     def test_repeated_models_are_listed_once(self, capsys):
         argv = ["classify", fixture_path("star3"),
                 "--model", "tuples", "--model", "labelling", "--model", "tuples"]

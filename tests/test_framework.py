@@ -26,6 +26,7 @@ from gradarg import (
     random_acyclic_graph,
     random_attack_graph,
 )
+from gradarg.framework import _CHUNK
 
 
 # Pieces of the seeded parser corpus: identifiers valid and not (ASCII
@@ -76,6 +77,29 @@ def _parse_outcome(text):
     except FrameworkError as exc:
         return [type(exc).__name__, str(exc)]
     return [list(g.arguments), [list(pair) for pair in g.attacks]]
+
+
+def _chunked_statements():
+    """Statements over three parser chunks, each with the blank before it,
+    the names each one names, and the declared names in order.  Blanks are
+    " " and "\r\n"; most attacks name an argument declared later; and a
+    comment holding "." and "%" runs across the end of the first chunk."""
+    rng = random.Random(34)
+    size = 6000
+    names = [f"a{i}" for i in range(size)]
+    statements, named = [], []
+    length = 0
+    for name in names:
+        src = names[rng.randrange(size)]
+        for statement, ends in ((f"arg({name}).", (name,)),
+                                (f"att({src}, {name} ) .", (src, name))):
+            blank = rng.choice((" ", "\r\n", "  \r\n "))
+            if length + len(blank) + len(statement) > _CHUNK - 10 > length:
+                blank = " " * (_CHUNK - 10 - length) + "% cut. 100%. here\r\n"
+            statements.append(blank + statement)
+            named.append(ends)
+            length += len(statements[-1])
+    return statements, named, names
 
 
 class TestParsing:
@@ -153,6 +177,33 @@ class TestParsing:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=10)
         assert done.stdout == "line 1, column 1048577: unknown statement 'x'\n"
+
+    def test_chunks_parse_as_their_statements_do(self):
+        statements, named, names = _chunked_statements()
+        text = "".join(statements)
+        assert len(text) > 2 * _CHUNK
+        attacks = set()
+        for k in range(0, len(statements), 4):
+            # a few statements, then a declaration of every name they name
+            declared = "".join(f"arg({name})." for ends in named[k:k + 4] for name in ends)
+            attacks.update(parse_framework("".join(statements[k:k + 4]) + declared).attacks)
+        _assert_same_graph(parse_framework(text), AttackGraph(names, sorted(attacks)))
+
+    @pytest.mark.parametrize("bad, at, message", [
+        ("att(a1;a2).", 6, "expected ',', found ';'"),
+        ("att(a1,zz).", 0, "undeclared argument 'zz'"),
+    ])
+    def test_an_error_in_a_later_chunk_keeps_its_position(self, bad, at, message):
+        statements, _, _ = _chunked_statements()
+        k = len(statements) * 3 // 4
+        text = "".join(statements[:k]) + "\r\n " + bad + "".join(statements[k:])
+        pos = len("".join(statements[:k])) + 3 + at
+        assert pos > 2 * _CHUNK
+        line = text.count("\n", 0, pos) + 1
+        column = pos - text.rfind("\n", 0, pos)
+        with pytest.raises(ParseError) as err:
+            parse_framework(text)
+        assert str(err.value) == f"line {line}, column {column}: {message}"
 
     def test_outcomes_match_the_frozen_corpus_digest(self):
         digest = hashlib.sha256()

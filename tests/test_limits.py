@@ -205,9 +205,38 @@ class TestInputBound:
         path = tmp_path / "padded.apx"
         text = "arg(a).\n"
         path.write_text(text + " " * (INPUT_BOUND - len(text)), encoding="ascii")
+        start = time.monotonic()
         done = run_cli(["value", str(path)], limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
         assert done.returncode == 0, done.stderr
         assert done.stdout == "a 1\n"
+        assert elapsed < 10
+
+    @pytest.mark.parametrize("rubbish", ["x", "x "])
+    def test_rubbish_at_the_bound_is_a_parse_error(self, tmp_path, rubbish):
+        # no "." after the first statement: the parser reads the rest as
+        # one chunk, and must not keep a match per rejected character
+        path = tmp_path / "rubbish.apx"
+        text = "arg(a).\n"
+        path.write_text(text + rubbish * ((INPUT_BOUND - len(text)) // len(rubbish)),
+                        encoding="ascii")
+        done = run_cli(["value", str(path)], limit=MEMORY_LIMIT)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("gradarg: parse error: line 2, column 1: ")
+        assert int(done.stderr.split()[-1]) < 100 * 1024  # peak KiB
+
+    def test_a_bad_token_after_a_long_blank_run_is_located(self, tmp_path):
+        path = tmp_path / "padded.apx"
+        text = "arg(a).\n"
+        blank = INPUT_BOUND - len(text) - 1
+        path.write_text(text + " " * blank + "x", encoding="ascii")
+        start = time.monotonic()
+        done = run_cli(["value", str(path)], limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.splitlines()[0] == (
+            f"gradarg: parse error: line 2, column {blank + 1}: unknown statement 'x'")
+        assert elapsed < 10
 
 
 class TestLocalReadBound:
@@ -235,12 +264,13 @@ class TestLocalReadBound:
 
 class TestEnumerationBound:
     def test_too_many_extensions_fail_fast(self, tmp_path):
-        # 30 disjoint mutual attacks have 2**30 preferred extensions
+        # 30 disjoint mutual attacks have 2**30 preferred extensions, which
+        # the JSON report lists
         names = [f"p{i}" for i in range(60)]
         pairs = AttackGraph(names, [(names[i], names[i ^ 1]) for i in range(60)])
         path = write_graph(tmp_path, "pairs", pairs)
         start = time.monotonic()
-        done = run_cli(["classify", path], limit=MEMORY_LIMIT)
+        done = run_cli(["classify", path, "--format", "json"], limit=MEMORY_LIMIT)
         elapsed = time.monotonic() - start
         assert done.returncode == 3, done.stderr
         assert "enumeration bound" in done.stderr

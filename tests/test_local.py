@@ -465,6 +465,23 @@ class TestBuiltinArithmetic:
     def test_max_based_h(self, values, want):
         assert same(max_based().h(values), want)
 
+    @pytest.mark.parametrize("make", [categoriser, max_based])
+    def test_exact_g_is_one_over_one_more(self, make):
+        # Fraction equality compares numerator and denominator, so each
+        # equal result is also in lowest terms with a positive denominator.
+        g = make().g
+        rng = random.Random(34)
+        seeded = [Fraction(rng.randrange(10**rng.randint(1, 30)),
+                           rng.randrange(1, 10**rng.randint(1, 30)))
+                  for _ in range(200)]
+        for x in [0, 1, 12345, Fraction(0), Fraction(1), *seeded]:
+            assert same(g(x), Fraction(1) / (1 + x)), x
+        x = Fraction(0)
+        for _ in range(2000):  # ratios of consecutive Fibonacci numbers
+            want = Fraction(1) / (1 + x)
+            x = g(x)
+            assert same(x, want)
+
     def test_floats_are_summed_correctly_rounded(self):
         # adding left to right would give 0.9999999999999999
         assert categoriser().h((0.1,) * 10) == 1.0
