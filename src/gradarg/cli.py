@@ -45,8 +45,8 @@ EXIT_COMPUTE = 3
 # Largest framework input, in bytes, that a command reads.  The densest
 # input, declarations of the shortest distinct names (`arg(ab).`), holds
 # about 900,000 arguments in 8 MiB.  On it, and on 8 MiB of a chain, every
-# command but `classify` peaks at 411 MB or less, under every model, inside
-# a 512 MiB address space.
+# command peaks at 425 MB or less, under every model, inside a 512 MiB
+# address space.
 INPUT_BOUND = 8 * 1024 * 1024
 _READ_CHUNK = 64 * 1024
 
@@ -212,16 +212,17 @@ def _cmd_solve(args) -> int:
 def _cmd_classify(args) -> int:
     g = _read_graph(args.path)
     models = list(dict.fromkeys(args.models or MODELS))  # repeats dropped
-    valuations = {m: _values(g, MODELS[m], args.depth) for m in models}
+    # One value map at a time: each is dropped once its set is taken.
+    defended = {m: well_defended(g, _values(g, MODELS[m], args.depth))
+                for m in models}
     if args.format == "text":
         # Text lists no extension, so it forms none: the levels are folded
         # part by part, as classify() folds them, past the extension cap.
         level = classify(g, args.semantics)
-        defended = {m: well_defended(g, values) for m, values in valuations.items()}
         extensions = None  # the document, which lists them, is not printed
     else:
-        report = classification_report(g, args.semantics, valuations)
-        level, defended = report.level, report.well_defended
+        report = classification_report(g, args.semantics)
+        level = report.level
         extensions = [list(e.members) for e in report.extensions]
 
     def lines():

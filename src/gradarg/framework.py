@@ -9,12 +9,12 @@ deterministic graph-family generators.
 A graph is its attack relation as two rows per argument, on declaration
 indices: its attackers and its targets, each row sorted and free of
 duplicates, so the order in which attacks were written is not kept.  Its
-condensation (strongly connected components in dependency order) is
-computed once, on the same indices.  The evaluators read both directly;
-names appear only at the API edge.  The public constructor checks every
-name and endpoint; the parser and the seeded generators, which produce
-valid indices themselves, build through a private constructor that checks
-nothing again.
+condensation (strongly connected components in a dependency order, each
+attacker's component before its target's) is computed once, on the same
+indices.  The evaluators read both directly; names appear only at the API
+edge.  The public constructor checks every name and endpoint; the parser
+and the seeded generators, which produce valid indices themselves, build
+through a private constructor that checks nothing again.
 
 Framework text is parsed by one compiled pattern, built from a single
 table of statement shapes.  Comments are blanked first, in place, and the
@@ -29,7 +29,6 @@ then are line and column computed.
 
 from __future__ import annotations
 
-import heapq
 import random
 import re
 from collections import defaultdict, deque
@@ -96,14 +95,16 @@ class Mcycle:
 class AttackGraph:
     """An immutable set of named arguments plus a binary attack relation.
 
-    Arguments keep their declaration order, which fixes every ordering
-    this package exposes (reports, serialization, iteration).  The graph
-    is its attack relation, stored once on declaration indices:
+    Arguments keep their declaration order, which fixes the orderings
+    this package exposes (reports, serialization, iteration), all but the
+    dependency orders of `condensation()` and `topological_order()`.  The
+    graph is its attack relation, stored once on declaration indices:
     `_attackers[i]` and `_targets[i]` are tuples of indices, sorted and
     free of duplicates, so a graph does not remember how its attacks were
-    written.  `_components()` is the condensation, computed once, and
-    `_grounded()` the grounded labelling that the rooted labelling and
-    extension enumeration read.  Names appear only at the API edge.
+    written.  `_components()` is the condensation, in a dependency order,
+    computed once, and `_grounded()` the grounded labelling that the
+    rooted labelling and extension enumeration read.  Names appear only at
+    the API edge.
 
     `AttackGraph(arguments, attacks)` checks every name and endpoint; a
     name must be an identifier of the framework format.  The
@@ -312,12 +313,10 @@ class AttackGraph:
         return len(component) > 1 or component[0] in self._attackers[component[0]]
 
     def condensation(self) -> tuple[tuple[str, ...], ...]:
-        """Strongly connected components in dependency order.
-
-        Every attacker's component precedes its target's; among components
-        whose attackers are all placed, the one holding the earliest
-        declared argument comes first.  Members keep declaration order.
-        A name view of `_components()`, built once.
+        """Strongly connected components in a dependency order: every
+        attacker's component precedes its target's.  Nothing more is
+        promised of the order of the components; members keep declaration
+        order.  A name view of `_components()`, built once.
         """
         if self._named_condensation is None:
             self._named_condensation = tuple(map(self._names, self._components()))
@@ -383,20 +382,20 @@ class AttackGraph:
 
 def _condense(successors, predecessors) -> tuple[tuple[int, ...], ...]:
     """Strongly connected components of the digraph on 0..n-1 given by
-    successor lists and the matching predecessor lists, in dependency
-    order: among components whose predecessors are all placed, the one
-    with the smallest member comes first.  Members are sorted.
+    successor lists and the matching predecessor lists, in a dependency
+    order: every predecessor's component comes first.  Members are sorted.
 
     Kosaraju's algorithm, iterative: a depth-first finishing order along
-    the successors, then, latest finished first, each unplaced vertex
-    collects along the predecessors the unplaced vertices that reach it.
-    The components come out upstream first, so while one collects, a
-    predecessor already placed elsewhere is an attack entering it: the
-    collection also counts what Kahn's algorithm then waits for."""
+    the successors, its roots taken latest first, then, latest finished
+    first, each unplaced vertex collects along the predecessors the
+    unplaced vertices that reach it.  The components come out upstream
+    first.  With the roots taken latest first, isolated vertices, and
+    disjoint chains each numbered along its edges, come out in ascending
+    order."""
     n = len(successors)
     seen = [False] * n
     finished: list[int] = []
-    for root in range(n):
+    for root in range(n - 1, -1, -1):
         if seen[root]:
             continue
         seen[root] = True
@@ -411,43 +410,19 @@ def _condense(successors, predecessors) -> tuple[tuple[int, ...], ...]:
             else:
                 work.pop()
                 finished.append(v)
-    comp_of = [-1] * n
     components: list[tuple[int, ...]] = []
-    waiting: list[int] = []  # attacks into each component from unplaced ones
-    for root in reversed(finished):
-        if comp_of[root] != -1:
+    for root in reversed(finished):  # placing a vertex clears its mark
+        if not seen[root]:
             continue
-        cid = len(components)
-        comp_of[root] = cid
+        seen[root] = False
         members = [root]
-        entering = 0
         for v in members:  # the list grows while it is read
             for w in predecessors[v]:
-                placed = comp_of[w]
-                if placed == -1:
-                    comp_of[w] = cid
+                if seen[w]:
+                    seen[w] = False
                     members.append(w)
-                elif placed != cid:
-                    entering += 1
         components.append(tuple(sorted(members)) if len(members) > 1 else (root,))
-        waiting.append(entering)
-    # Kahn's algorithm over the components, keyed by smallest member (which
-    # names its component).
-    ready = [comp[0] for comp, count in zip(components, waiting) if not count]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        cid = comp_of[heapq.heappop(ready)]
-        comp = components[cid]
-        order.append(comp)
-        for v in comp:
-            for w in successors[v]:
-                dep = comp_of[w]
-                if dep != cid:
-                    waiting[dep] -= 1
-                    if not waiting[dep]:
-                        heapq.heappush(ready, components[dep][0])
-    return tuple(order)
+    return tuple(components)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -266,6 +266,27 @@ class TestClassify:
         code, out, _ = run_cli(capsys, *argv, "--format", "json")
         assert list(json.loads(out)["well_defended"]) == ["tuples", "labelling"]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_one_value_map_is_held_at_a_time(self, capsys, monkeypatch, fmt):
+        # each model's well-defended set is taken before the next model's
+        # values are made, so no two value maps are alive at once
+        calls = []
+        values, defended = cli._values, cli.well_defended
+
+        def logged_values(*args):
+            calls.append("values")
+            return values(*args)
+
+        def logged_defended(*args):
+            calls.append("well_defended")
+            return defended(*args)
+
+        monkeypatch.setattr(cli, "_values", logged_values)
+        monkeypatch.setattr(cli, "well_defended", logged_defended)
+        code, _, err = run_cli(capsys, "classify", fixture_path("star3"), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert calls == ["values", "well_defended"] * len(MODELS)
+
 
 class TestWellDefended:
     def test_lists_members_in_declaration_order(self, capsys):

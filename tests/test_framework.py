@@ -531,26 +531,18 @@ class TestCondensation:
                 map(set, g.strongly_connected_components()), key=min
             )
 
-    def test_topological_order_takes_the_earliest_ready_argument(self):
+    def test_topological_order_is_a_dependency_order(self):
         for seed in range(40):
             g = random_acyclic_graph(seed, 3 + seed % 9, 0.35)
-            waiting = {a: len(g.attackers_of(a)) for a in g.arguments}
-            expected = []
-            while len(expected) < len(g):
-                nxt = min((a for a in g.arguments if waiting[a] == 0), key=g.index_of)
-                expected.append(nxt)
-                waiting[nxt] = -1
-                for t in g.targets_of(nxt):
-                    waiting[t] -= 1
-            assert g.topological_order() == tuple(expected)
+            _assert_condensation(g)
+            _assert_dependency_order(g, [(a,) for a in g.topological_order()])
 
-    def test_cyclic_order_takes_the_earliest_ready_component(self):
+    def test_cyclic_order_is_a_dependency_order(self):
         cyclic = 0
         for seed in range(60):
             g = random_attack_graph(seed, 4 + seed % 12, 0.2)
-            expected = _reach_condensation(g)
-            cyclic += any(len(comp) > 1 for comp in expected)
-            assert g.condensation() == expected
+            cyclic += any(len(comp) > 1 for comp in _reach_condensation(g))
+            _assert_condensation(g)
         assert cyclic >= 30
 
     def test_large_graphs_match_the_reach_oracle(self):
@@ -573,9 +565,8 @@ class TestCondensation:
                 i, j = sorted(rng.sample(range(len(blocks)), 2))
                 attacks.append((rng.choice(blocks[i]), rng.choice(blocks[j])))
             g = AttackGraph(sorted(names, key=lambda n: int(n[1:])), attacks)
-            expected = _reach_condensation(g)
-            assert sum(len(comp) > 1 for comp in expected) >= 5
-            assert g.condensation() == expected
+            assert sum(len(comp) > 1 for comp in _reach_condensation(g)) >= 5
+            _assert_condensation(g)
 
     @pytest.mark.parametrize("cycle_first", [True, False])
     def test_a_long_cycle_fed_by_a_long_chain(self, cycle_first):
@@ -589,9 +580,8 @@ class TestCondensation:
 
 
 def _reach_condensation(g):
-    """The condensation by reach sets: components are the mutually reaching
-    arguments, placed once all their attackers are, earliest declared
-    first."""
+    """The components by reach sets: each argument's component is the set
+    of arguments that it reaches and that reach it."""
     reach = {}
     for a in g.arguments:
         seen, todo = {a}, [a]
@@ -601,21 +591,26 @@ def _reach_condensation(g):
                     seen.add(t)
                     todo.append(t)
         reach[a] = seen
-    components = {
-        tuple(b for b in g.arguments if b in reach[a] and a in reach[b])
-        for a in g.arguments
-    }
-    expected = []
-    placed = set()
-    while components:
-        ready = [comp for comp in components
-                 if all(b in placed or b in comp
-                        for m in comp for b in g.attackers_of(m))]
-        nxt = min(ready, key=lambda comp: g.index_of(comp[0]))
-        expected.append(nxt)
-        placed.update(nxt)
-        components.remove(nxt)
-    return tuple(expected)
+    return {frozenset(b for b in reach[a] if a in reach[b]) for a in g.arguments}
+
+
+def _assert_dependency_order(g, order):
+    """`order`, a sequence of groups of arguments, holds every argument
+    once and puts no attack's target in a group before its source's."""
+    position = {m: k for k, group in enumerate(order) for m in group}
+    members = [m for group in order for m in group]
+    assert sorted(members) == sorted(position) == sorted(g.arguments)
+    assert all(position[src] <= position[dst] for src, dst in g.attacks)
+
+
+def _assert_condensation(g):
+    """The condensation has the reach oracle's components, in a dependency
+    order, with members in declaration order."""
+    order = g.condensation()
+    assert set(map(frozenset, order)) == _reach_condensation(g)
+    _assert_dependency_order(g, order)
+    for comp in order:
+        assert list(comp) == sorted(comp, key=g.index_of)
 
 
 class TestSerialization:

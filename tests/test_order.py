@@ -5,8 +5,9 @@ order, with its attacks in their given and in reversed order; seeded
 rewritings of graphs on four arguments and of `scan_graph_stream(7)`
 shuffle both.  Each writing must parse to a graph with the same value maps
 (categoriser, labelling, max_based, tuples at depth 10), well-defended
-sets and acceptance levels under both semantics, compared as maps and
-sets keyed by name."""
+sets, acceptance levels under both semantics and condensation components,
+compared as maps and sets keyed by name; each writing's condensation must
+also be in a dependency order."""
 
 import itertools
 import random
@@ -47,7 +48,16 @@ def outcome(g):
         out[f"well-defended:{name}"] = well_defended(g, values)
     for semantics in ("preferred", "stable"):
         out[f"levels:{semantics}"] = classify(g, semantics)
+    out["components"] = components(g)
     return out
+
+
+def components(g):
+    """The condensation's components as sets of names, after asserting
+    that no attack runs from a later component to an earlier one."""
+    position = {m: k for k, comp in enumerate(g.condensation()) for m in comp}
+    assert all(position[src] <= position[dst] for src, dst in g.attacks)
+    return set(map(frozenset, g.condensation()))
 
 
 def assert_same_outcome(writings):
