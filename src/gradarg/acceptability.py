@@ -3,18 +3,19 @@
 Preferred and stable extensions are enumerated exactly.  They start from
 the graph's grounded labelling (`AttackGraph._grounded`, one linear pass,
 the same one the rooted labelling reads on a cyclic graph); the arguments
-it leaves undecided are numbered once, then searched one weakly connected
-part of their subgraph at a time, and within a part one strongly connected
-component at a time, in dependency order, over each component's
-conflict-free sets (bitmasks over that numbering).  The extensions are
-every combination of one labelling per part, formed once at the end over
-declaration indices.  The cost is exponential only in the largest
-undecided component, which `ENUMERATION_BOUND` caps, and a fixed cap on
-the number of extensions, and on the labellings of one part, stops lists
-that would outgrow memory.  Acceptance levels grade each argument by how
-the extensions treat it, and read only the AND and the OR of their IN
-bitmasks.  The parts combine freely, so those are the OR of each part's
-AND and of each part's OR: levels fold the parts and never form the
+it leaves undecided are searched one weakly connected part of their
+subgraph at a time, each part numbered on its own, and within a part one
+strongly connected component at a time, in dependency order, over each
+component's conflict-free sets (bitmasks over the part's numbering, so
+none is wider than its part).  The extensions are every combination of
+one labelling per part, formed once at the end as lists of declaration
+indices.  The cost is exponential only in the largest undecided
+component, which `ENUMERATION_BOUND` caps, and a fixed cap on the number
+of extensions, and on the labellings of one part, stops lists that would
+outgrow memory.  Acceptance levels grade each argument by how the
+extensions treat it, and read only whether it is in every extension or
+in some.  The parts combine freely, so those are each part's AND and OR
+of its IN masks, folded per argument: levels never form the
 extensions.  Well-defendedness instead compares an argument against its
 direct attackers in a valuation's preorder, and a seeded scan hunts for
 graphs where the two notions come apart.  Each scan trial classifies its
@@ -27,6 +28,7 @@ valuation.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -35,6 +37,7 @@ from typing import Callable, Iterator, Mapping
 
 from .framework import (
     _IN,
+    _OUT,
     AttackGraph,
     _condense,
     _generated,
@@ -89,6 +92,9 @@ LEVELS = ("uni", "cleanly", "only-exi", "not-accepted")
 # extension; "uni" additionally requires membership in all of them.
 CLEAN_LEVELS = frozenset({"uni", "cleanly"})
 
+# A grounded label's level: IN is in every extension (2), OUT in none (0).
+_GROUNDED_LEVEL = bytes.maketrans(bytes([_IN, _OUT]), bytes([2, 0]))
+
 
 class EnumerationBoundError(ValueError):
     """An undecided component or the extension list is too large for exact
@@ -125,25 +131,6 @@ def defends(g: AttackGraph, members, name: str) -> bool:
         g.index_of(m)
     g.index_of(name)
     return all(g.direct_attackers(b) & chosen for b in g.attackers_of(name))
-
-
-def _weak_parts(components, targets, attackers) -> list[list[tuple[int, ...]]]:
-    """The components grouped by weakly connected part of the undecided
-    subgraph, each part keeping dependency order."""
-    part: dict[int, int] = {}  # undecided argument -> part number
-    grouped: list[list[tuple[int, ...]]] = []
-    for comp in components:
-        if comp[0] not in part:  # a new part: search its undecided neighbours
-            part[comp[0]] = len(grouped)
-            grouped.append([])
-            queue = [comp[0]]
-            for v in queue:
-                for u in (*targets[v], *attackers[v]):
-                    if u not in part:
-                        part[u] = part[v]
-                        queue.append(u)
-        grouped[part[comp[0]]].append(comp)
-    return grouped
 
 
 def _mask(indices) -> int:
@@ -196,98 +183,83 @@ def _component_labellings(comp, inside, att, tgt, forced, eligible, stable):
 
 def _searched_parts(g: AttackGraph, stable: bool):
     """The labellings of each weakly connected part of the undecided
-    subgraph, as (grounded, undecided, parts), or None when some part has
-    no stable labelling, so no extension exists.
+    subgraph, as (label, [(members, found), ...]), or None when some part
+    has no stable labelling, so no extension exists.
 
-    `grounded` is the grounded labelling's IN set as a mask over
-    declaration indices.  Every complete labelling extends the grounded
-    one, and each undecided argument's decided attackers are OUT, so only
-    the subgraph of the undecided arguments is searched, with them
-    numbered once, 0 to u - 1 in declaration order (`undecided` maps that
-    numbering back): every mask of the search, such as `att[j]` and
-    `tgt[j]` (argument j's undecided attackers and targets), is over that
-    numbering.  Its weakly connected parts do not constrain each other:
-    each part is searched alone, and `parts` holds each one's list of IN
-    masks.  The extensions are every combination of one labelling per
-    part.  A part with no stable labelling empties the answer even beside
-    a part past the cap.
+    `label` is the grounded labelling by declaration index.  Every complete
+    labelling extends it, and each undecided argument's decided attackers
+    are OUT, so only the undecided arguments are searched, one weakly
+    connected part at a time: the parts do not constrain each other.  Each
+    part's `members` are its declaration indices, sorted, and `local`
+    numbers them 0 to k - 1 in that order.  Every mask of the part's
+    search, such as `att[j]` and `tgt[j]` (member j's undecided attackers
+    and targets), and each IN mask in `found`, is over that numbering, so
+    no mask is wider than its part.  The extensions are every combination
+    of one labelling per part.  A part with no stable labelling empties the
+    answer even beside a part past the cap.
     """
     label = g._grounded()
-    grounded = 0
-    undecided = []
+    targets_of, attackers_of = g._targets, g._attackers
+    local = [-1] * len(label)  # an undecided argument's number in its part
+    parts = []
+    largest = 0
     for a, lab in enumerate(label):
-        if lab == _IN:
-            grounded |= 1 << a
-        elif not lab:
-            undecided.append(a)
-    if not undecided:
-        return grounded, undecided, []
-    pos = {a: j for j, a in enumerate(undecided)}
-    targets, attackers, tgt, att = [], [], [], []
-    for a in undecided:
-        ts = [pos[t] for t in g._targets[a] if t in pos]
-        bs = [pos[b] for b in g._attackers[a] if b in pos]
-        targets.append(ts)
-        attackers.append(bs)
-        tgt.append(_mask(ts))
-        att.append(_mask(bs))
-    components = _condense(targets, attackers)
-    largest = max(map(len, components))
+        if lab or local[a] >= 0:
+            continue
+        local[a] = 0
+        members = [a]
+        for v in members:  # the list grows while it is read
+            for u in (*targets_of[v], *attackers_of[v]):
+                if not label[u] and local[u] < 0:
+                    local[u] = 0
+                    members.append(u)
+        members.sort()
+        for j, v in enumerate(members):
+            local[v] = j
+        # an undecided neighbour is in this part, so numbered; a decided one is -1
+        targets = [[j for t in targets_of[v] if (j := local[t]) >= 0] for v in members]
+        attackers = [[j for b in attackers_of[v] if (j := local[b]) >= 0] for v in members]
+        components = _condense(targets, attackers)
+        largest = max(largest, *map(len, components))
+        parts.append((members, list(map(_mask, attackers)), list(map(_mask, targets)),
+                      components))
     if largest > ENUMERATION_BOUND:
         raise EnumerationBoundError(
             f"an undecided component of {largest} arguments exceeds the "
             f"enumeration bound of {ENUMERATION_BOUND}")
-    parts = []
-    for part in _weak_parts(components, targets, attackers):
+    searched = []
+    for members, att, tgt, components in parts:
         try:
-            found = _part_masks(part, att, tgt, stable)
+            found = _part_masks(components, att, tgt, stable)
         except EnumerationBoundError if stable else ():
             found = None  # too many: raised below unless a later part has none
         if found == []:
             return None
-        parts.append(found)
-    if None in parts:
+        searched.append((members, found))
+    if any(found is None for _, found in searched):
         raise _cap_error()
-    return grounded, undecided, parts
+    return label, searched
 
 
-def _declared(undecided: list[int], mask: int) -> int:
-    """A mask over the undecided numbering, over declaration indices."""
-    declared = 0
-    for j in _bits(mask):
-        declared |= 1 << undecided[j]
-    return declared
+def _chosen(members: list[int], mask: int) -> list[int]:
+    """The members whose bits, in their part's numbering, `mask` sets: its
+    binary digits read lowest first, in time linear in the part."""
+    return [v for v, bit in zip(members, bin(mask)[:1:-1]) if bit == "1"]
 
 
-def _extension_masks(search) -> list[int]:
-    """IN sets of the preferred (or stable) labellings, as bitmasks over
+def _extension_sets(search) -> list[list[int]]:
+    """IN sets of the preferred (or stable) labellings, as lists of
     declaration indices: every combination of one labelling per part of a
     `_searched_parts` result, unless there are more than the cap."""
     if search is None:
         return []
-    grounded, undecided, parts = search
-    if math.prod(map(len, parts)) > _EXTENSION_CAP:
+    label, parts = search
+    if math.prod(len(found) for _, found in parts) > _EXTENSION_CAP:
         raise _cap_error()
-    masks = [0]
-    for found in parts:
-        masks = [mask | chosen for mask in masks for chosen in found]
-    return [grounded | _declared(undecided, mask) for mask in masks]
-
-
-def _level_masks(search) -> tuple[int, int]:
-    """The AND and the OR of the extensions' IN masks, over declaration
-    indices, from a `_searched_parts` result without forming the
-    extensions: the parts are disjoint and combine freely, so the AND is
-    the OR of each part's AND, and the OR the OR of each part's OR."""
-    if search is None:
-        return 0, 0
-    grounded, undecided, parts = search
-    everywhere = somewhere = 0
-    for found in parts:
-        everywhere |= functools.reduce(operator.and_, found)
-        somewhere |= functools.reduce(operator.or_, found)
-    return (grounded | _declared(undecided, everywhere),
-            grounded | _declared(undecided, somewhere))
+    grounded = [a for a, lab in enumerate(label) if lab == _IN]
+    options = [[_chosen(members, mask) for mask in found] for members, found in parts]
+    return [[*grounded, *itertools.chain.from_iterable(combination)]
+            for combination in itertools.product(*options)]
 
 
 def _cap_error() -> EnumerationBoundError:
@@ -296,8 +268,8 @@ def _cap_error() -> EnumerationBoundError:
 
 
 def _part_masks(components, att, tgt, stable: bool) -> list[int]:
-    """IN sets, over the undecided numbering, of the IN-maximal complete (or
-    stable) labellings of one weakly connected part of the undecided
+    """IN sets, over the part's own numbering, of the IN-maximal complete
+    (or stable) labellings of one weakly connected part of the undecided
     subgraph, given as its components in dependency order.
 
     Preferred semantics is SCC-recursive: each partial labelling is
@@ -343,22 +315,20 @@ def _part_masks(components, att, tgt, stable: bool) -> list[int]:
     return [in_mask for in_mask, _ in partial]
 
 
-def _sorted_extensions(g: AttackGraph, masks) -> list[Extension]:
+def _sorted_extensions(g: AttackGraph, sets) -> list[Extension]:
     names = g.arguments
-    extensions = [
-        Extension(tuple(names[i] for i in _bits(mask))) for mask in masks
-    ]
+    extensions = [Extension(tuple(names[i] for i in sorted(members))) for members in sets]
     return sorted(extensions, key=lambda e: (len(e.members), sorted(e.members)))
 
 
 def preferred_extensions(g: AttackGraph) -> list[Extension]:
     """Maximal admissible sets, sorted by size then member names."""
-    return _sorted_extensions(g, _extension_masks(_searched_parts(g, stable=False)))
+    return _sorted_extensions(g, _extension_sets(_searched_parts(g, stable=False)))
 
 
 def stable_extensions(g: AttackGraph) -> list[Extension]:
     """Conflict-free sets attacking every outside argument (may be empty)."""
-    return _sorted_extensions(g, _extension_masks(_searched_parts(g, stable=True)))
+    return _sorted_extensions(g, _extension_sets(_searched_parts(g, stable=True)))
 
 
 def _check_semantics(semantics: str) -> None:
@@ -379,20 +349,33 @@ def classify(g: AttackGraph, semantics: str = "preferred") -> dict[str, str]:
     but a direct attacker also appears in one; not-accepted: in none.
     The levels are folded part by part, so they need no extension list.
     """
-    return _levels(g, *_level_masks(_semantics_search(g, semantics)))
+    return _levels(g, _semantics_search(g, semantics))
 
 
-def _levels(g: AttackGraph, everywhere: int, somewhere: int) -> dict[str, str]:
-    """Levels read from the AND of the extensions' IN masks, which holds the
-    arguments in every extension, and their OR, which holds those in some
-    extension."""
+def _levels(g: AttackGraph, search) -> dict[str, str]:
+    """Levels from a `_searched_parts` result without forming the
+    extensions.  The parts are disjoint and combine freely, so an argument
+    is in every extension when it is grounded IN or its part's AND of IN
+    masks holds it, and in some when its part's OR does.  Those fold into
+    one byte per declaration index: 2 for every extension, 1 for some, 0
+    for none."""
+    if search is None:  # no extension, so every argument is in none
+        level, parts = bytearray(len(g.arguments)), ()
+    else:
+        label, parts = search
+        level = bytearray(label).translate(_GROUNDED_LEVEL)
+    for members, found in parts:
+        for v in _chosen(members, functools.reduce(operator.or_, found)):
+            level[v] = 1
+        for v in _chosen(members, functools.reduce(operator.and_, found)):
+            level[v] = 2
     levels = {}
-    for i, (name, attackers) in enumerate(zip(g.arguments, g._attackers)):
-        if everywhere >> i & 1:
+    for name, lev, attackers in zip(g.arguments, level, g._attackers):
+        if lev == 2:
             levels[name] = "uni"
-        elif not somewhere >> i & 1:
+        elif not lev:
             levels[name] = "not-accepted"
-        elif any(somewhere >> b & 1 for b in attackers):
+        elif any(level[b] for b in attackers):
             levels[name] = "only-exi"
         else:
             levels[name] = "cleanly"
@@ -450,8 +433,8 @@ def classification_report(
 ) -> AcceptabilityReport:
     """Bundle extensions, levels, and per-valuation well-defended sets."""
     search = _semantics_search(g, semantics)
-    extensions = tuple(_sorted_extensions(g, _extension_masks(search)))
-    level = _levels(g, *_level_masks(search))
+    extensions = tuple(_sorted_extensions(g, _extension_sets(search)))
+    level = _levels(g, search)
     defended = {
         name: well_defended(g, values)
         for name, values in (valuations or {}).items()

@@ -408,6 +408,33 @@ class TestEnumeration:
             preferred_extensions(g)
         assert len(searched) == 1
 
+    def test_masks_are_no_wider_than_their_part(self, monkeypatch):
+        # two mutual pairs and an odd 3-cycle, declared interleaved: each
+        # part's search is numbered over its own members only
+        g = AttackGraph(
+            ["a1", "c1", "b1", "a2", "c2", "b2", "c3"],
+            [("a1", "b1"), ("b1", "a1"), ("a2", "b2"), ("b2", "a2"),
+             ("c1", "c2"), ("c2", "c3"), ("c3", "c1")])
+        sizes = []
+        search = acceptability._part_masks
+
+        def checked(components, att, tgt, stable):
+            size = sum(map(len, components))  # the part's member count
+            assert len(att) == len(tgt) == size
+            assert all(v < size for comp in components for v in comp)
+            found = search(components, att, tgt, stable)
+            assert all(mask.bit_length() <= size for mask in (*att, *tgt, *found))
+            sizes.append(size)
+            return found
+
+        monkeypatch.setattr(acceptability, "_part_masks", checked)
+        assert len(preferred_extensions(g)) == 4
+        assert sorted(sizes) == [2, 2, 3]
+        assert classify(g, "preferred") == {
+            "a1": "only-exi", "b1": "only-exi", "a2": "only-exi", "b2": "only-exi",
+            "c1": "not-accepted", "c2": "not-accepted", "c3": "not-accepted"}
+        assert stable_extensions(g) == []
+
 
 class TestClassify:
     def test_tiny_cases(self):

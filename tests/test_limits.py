@@ -89,6 +89,20 @@ def comb(teeth):
             + "".join(f"att(a{k - 1},a{k}).\n" for k in range(1, teeth)))
 
 
+def mutual_pairs(budget):
+    """Disjoint mutual attacks a_k <-> b_k, as many as fit in `budget`
+    bytes, and their number."""
+    chunks, size, pairs = [], 0, 0
+    while True:
+        a, b = f"a{pairs}", f"b{pairs}"
+        chunk = f"arg({a}).\narg({b}).\natt({a},{b}).\natt({b},{a}).\n"
+        if size + len(chunk) > budget:
+            return "".join(chunks), pairs
+        chunks.append(chunk)
+        size += len(chunk)
+        pairs += 1
+
+
 def complete(size):
     """Every ordered pair of distinct arguments attacks."""
     names = [f"a{k}" for k in range(size)]
@@ -286,6 +300,40 @@ class TestEnumerationBound:
         assert done.returncode == 0, done.stderr
         assert len(done.stdout.splitlines()) == size
         assert elapsed < 20
+
+
+class TestDisjointMutualAttacks:
+    """8 MiB of disjoint mutual attacks: about 126,000 undecided parts of
+    two arguments each, every one searched in its own numbering.  On a
+    2-core virtual machine with Python 3.11, text `classify` took about 7 s
+    and `solve` about 4 s."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, tmp_path_factory):
+        text, pairs = mutual_pairs(INPUT_BOUND)
+        path = tmp_path_factory.mktemp("pairs") / "pairs.apx"
+        path.write_text(text, encoding="ascii")
+        return str(path), pairs
+
+    def test_text_classify_answers(self, pairs):
+        path, count = pairs
+        start = time.monotonic()
+        done = run_cli(["classify", path, "--model", "labelling"], limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 0, done.stderr
+        assert len(done.stdout.splitlines()) == 2 * count
+        assert elapsed < 40
+
+    def test_solve_stops_at_the_extension_cap(self, pairs):
+        path, _ = pairs
+        start = time.monotonic()
+        done = run_cli(["solve", path], limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith(
+            "gradarg: more than 10000 extensions exceed the enumeration bound\n")
+        assert done.stdout == ""
+        assert elapsed < 40
 
 
 # Every argument of a complete graph with self-attacks has about 10**L
