@@ -4,32 +4,32 @@ Preferred and stable extensions are enumerated exactly.  They start from
 the graph's grounded labelling (`AttackGraph._grounded`, one linear pass,
 the same one the rooted labelling reads on a cyclic graph); the arguments
 it leaves undecided are searched one weakly connected part of their
-subgraph at a time, each part numbered on its own, and within a part one
-strongly connected component at a time, in dependency order, over each
-component's conflict-free sets (bitmasks over the part's numbering, so
-none is wider than its part).  The extensions are every combination of
-one labelling per part, formed once at the end as lists of declaration
-indices.  The cost is exponential only in the largest undecided
-component, which `ENUMERATION_BOUND` caps, and a fixed cap on the number
-of extensions, and on the labellings of one part, stops lists that would
-outgrow memory.  Acceptance levels grade each argument by how the
-extensions treat it, and read only whether it is in every extension or
-in some.  The parts combine freely, so those are each part's AND and OR
-of its IN masks, folded per argument: levels never form the
-extensions.  Well-defendedness instead compares an argument against its
-direct attackers in a valuation's preorder, and a seeded scan hunts for
-graphs where the two notions come apart.  Each scan trial classifies its
-graph first and computes the valuation only when a missing witness can
-still occur: an unattacked argument is well-defended vacuously, so a
-clean argument that is not well-defended needs an attacker, whatever the
-valuation.
+subgraph at a time, each part numbered on its own.  A part is walked
+depth first over one label per member, one strongly connected component
+at a time in dependency order, over each component's conflict-free sets
+(bitmasks over the component's own numbering, so none is wider than its
+component).  The extensions are every combination of one labelling per
+part, formed once at the end as lists of declaration indices.  The cost
+is exponential only in the largest undecided component, which
+`ENUMERATION_BOUND` caps, and a fixed cap on the number of extensions,
+and on the partial labellings at any depth of a part's walk, stops
+work that would outgrow memory.  Acceptance levels grade each argument
+by how the extensions treat it, and read only whether it is in every
+extension or in some.  The parts combine freely, so those are each
+part's AND and OR of its IN masks, folded per argument: levels never
+form the extensions.  Well-defendedness instead compares an argument
+against its direct attackers in a valuation's preorder, and a seeded
+scan hunts for graphs where the two notions come apart.  Each scan trial
+classifies its graph first and computes the valuation only when a
+missing witness can still occur: an unattacked argument is well-defended
+vacuously, so a clean argument that is not well-defended needs an
+attacker, whatever the valuation.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
@@ -82,8 +82,9 @@ ENUMERATION_BOUND = 25
 # in distinct maximal conflict-free sets (two admissible sets inside one
 # conflict-free set have an admissible union), and a graph of n vertices
 # has at most 3^(n/3) maximal independent sets (Moon & Moser 1965), 8,748
-# for n = 25.  The lists kept along the way are the preferred or stable
-# lists of subgraphs, so no graph of at most 25 arguments reaches the cap.
+# for n = 25.  The partial labellings counted at each depth of a part's
+# walk are the preferred or stable labellings of the subgraph upstream of
+# that depth, so no graph of at most 25 arguments reaches the cap.
 _EXTENSION_CAP = 10_000
 
 LEVELS = ("uni", "cleanly", "only-exi", "not-accepted")
@@ -94,6 +95,9 @@ CLEAN_LEVELS = frozenset({"uni", "cleanly"})
 
 # A grounded label's level: IN is in every extension (2), OUT in none (0).
 _GROUNDED_LEVEL = bytes.maketrans(bytes([_IN, _OUT]), bytes([2, 0]))
+
+# A label's binary digit in an IN mask: 1 for IN, 0 for OUT and undecided.
+_IN_DIGIT = bytes.maketrans(bytes([0, _IN, _OUT]), b"010")
 
 
 class EnumerationBoundError(ValueError):
@@ -133,46 +137,32 @@ def defends(g: AttackGraph, members, name: str) -> bool:
     return all(g.direct_attackers(b) & chosen for b in g.attackers_of(name))
 
 
-def _mask(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _component_labellings(comp, inside, att, tgt, forced, eligible, stable):
-    """IN-maximal complete labellings of component `comp` (mask `inside`), as
-    (IN, OUT) masks, given its upstream labels: `forced` members have an
+def _component_labellings(att, tgt, forced, eligible, stable):
+    """IN-maximal complete labellings of one component, as (IN, OUT) masks
+    over its own numbering, given member v's attackers `att[v]` and targets
+    `tgt[v]` inside it and its upstream labels: `forced` members have an
     IN attacker upstream, `eligible` ones have every upstream attacker OUT
     and alone may be IN.  A conflict-free IN set gives a complete labelling
     when its members are exactly the eligible ones whose attackers are all
     OUT; a member outside it is OUT when attacked by IN, else undecided."""
-    ready_tests = [(1 << v, att[v] & inside) for v in _bits(eligible)]
+    size = len(att)
+    ready_tests = [(1 << v, att[v]) for v in range(size) if eligible >> v & 1]
     found = []
     stack = [(0, 0, forced)]
     while stack:
-        j, chosen, out = stack.pop()
-        if j == len(comp):
-            out &= inside
+        v, chosen, out = stack.pop()
+        if v == size:
             ready = 0
             for bit, attacked_by in ready_tests:
                 if not attacked_by & ~out:
                     ready |= bit
-            if ready == chosen and (not stable or chosen | out == inside):
+            if ready == chosen and (not stable or (chosen | out).bit_count() == size):
                 found.append((chosen, out))
             continue
-        stack.append((j + 1, chosen, out))
-        v = comp[j]
+        stack.append((v + 1, chosen, out))
         bit = 1 << v
         if eligible & bit and not att[v] & (chosen | bit) and not tgt[v] & chosen:
-            stack.append((j + 1, chosen | bit, out | tgt[v]))
+            stack.append((v + 1, chosen | bit, out | tgt[v]))
     found.sort(key=lambda labelling: -labelling[0].bit_count())
     maximal: list[tuple[int, int]] = []
     for chosen, out in found:
@@ -191,12 +181,11 @@ def _searched_parts(g: AttackGraph, stable: bool):
     are OUT, so only the undecided arguments are searched, one weakly
     connected part at a time: the parts do not constrain each other.  Each
     part's `members` are its declaration indices, sorted, and `local`
-    numbers them 0 to k - 1 in that order.  Every mask of the part's
-    search, such as `att[j]` and `tgt[j]` (member j's undecided attackers
-    and targets), and each IN mask in `found`, is over that numbering, so
-    no mask is wider than its part.  The extensions are every combination
-    of one labelling per part.  A part with no stable labelling empties the
-    answer even beside a part past the cap.
+    numbers them 0 to k - 1 in that order.  Member j's undecided attackers,
+    `attackers[j]`, and each IN mask in `found` are in that numbering; the
+    search numbers each component on its own.  The extensions are every
+    combination of one labelling per part.  A part with no stable
+    labelling empties the answer even beside a part past the cap.
     """
     label = g._grounded()
     targets_of, attackers_of = g._targets, g._attackers
@@ -217,20 +206,19 @@ def _searched_parts(g: AttackGraph, stable: bool):
         for j, v in enumerate(members):
             local[v] = j
         # an undecided neighbour is in this part, so numbered; a decided one is -1
-        targets = [[j for t in targets_of[v] if (j := local[t]) >= 0] for v in members]
         attackers = [[j for b in attackers_of[v] if (j := local[b]) >= 0] for v in members]
-        components = _condense(targets, attackers)
+        components = _condense(
+            [[j for t in targets_of[v] if (j := local[t]) >= 0] for v in members], attackers)
         largest = max(largest, *map(len, components))
-        parts.append((members, list(map(_mask, attackers)), list(map(_mask, targets)),
-                      components))
+        parts.append((members, attackers, components))
     if largest > ENUMERATION_BOUND:
         raise EnumerationBoundError(
             f"an undecided component of {largest} arguments exceeds the "
             f"enumeration bound of {ENUMERATION_BOUND}")
     searched = []
-    for members, att, tgt, components in parts:
+    for members, attackers, components in parts:
         try:
-            found = _part_masks(components, att, tgt, stable)
+            found = _part_masks(components, attackers, stable)
         except EnumerationBoundError if stable else ():
             found = None  # too many: raised below unless a later part has none
         if found == []:
@@ -254,8 +242,10 @@ def _extension_sets(search) -> list[list[int]]:
     if search is None:
         return []
     label, parts = search
-    if math.prod(len(found) for _, found in parts) > _EXTENSION_CAP:
-        raise _cap_error()
+    count = 1
+    for _, found in parts:  # each part has a labelling, so the count only grows
+        if (count := count * len(found)) > _EXTENSION_CAP:
+            raise _cap_error()
     grounded = [a for a, lab in enumerate(label) if lab == _IN]
     options = [[_chosen(members, mask) for mask in found] for members, found in parts]
     return [[*grounded, *itertools.chain.from_iterable(combination)]
@@ -267,52 +257,72 @@ def _cap_error() -> EnumerationBoundError:
         f"more than {_EXTENSION_CAP} extensions exceed the enumeration bound")
 
 
-def _part_masks(components, att, tgt, stable: bool) -> list[int]:
+def _part_masks(components, attackers, stable: bool) -> list[int]:
     """IN sets, over the part's own numbering, of the IN-maximal complete
     (or stable) labellings of one weakly connected part of the undecided
-    subgraph, given as its components in dependency order.
+    subgraph, given as its components in dependency order and each
+    member's undecided attackers.
 
     Preferred semantics is SCC-recursive: each partial labelling is
     extended by the IN-maximal complete labellings of the next component
     given the labels upstream of it.  Stable labellings are the preferred
     ones without an undecided member, so the stable search drops any
-    component labelling that has one.
+    component labelling that has one.  The walk is depth first over one
+    label per member.  A component reads only its upstream attackers'
+    labels, which the walk has set on its way down, so no stale label is
+    read.  Each component is searched in its own numbering, once per
+    distinct (forced, eligible) key, so only the IN masks returned are
+    wider than a component.  Passing the cap at any depth raises.
     """
-    def labellings(table, *key):  # key: the component's (forced, eligible)
-        comp, inside, _, options = table
+    label = bytearray(len(attackers))  # _IN, _OUT or 0, undecided
+    options = {}  # (component, forced, eligible): its (IN, OUT) masks
+
+    def labellings(c):  # component c's, under the labels upstream of it
+        comp = components[c]
+        forced = live = 0  # live: some upstream attacker is IN or undecided
+        for i, v in enumerate(comp):
+            for b in attackers[v]:
+                if label[b] != _OUT and b not in comp:
+                    live |= 1 << i
+                    if label[b] == _IN:
+                        forced |= 1 << i
+        key = c, forced, (1 << len(comp)) - 1 & ~live
         if key not in options:
-            options[key] = _component_labellings(comp, inside, att, tgt, *key, stable)
+            att, tgt = [0] * len(comp), [0] * len(comp)
+            for i, v in enumerate(comp):
+                for b in attackers[v]:
+                    if b in comp:
+                        j = comp.index(b)
+                        att[i] |= 1 << j
+                        tgt[j] |= 1 << i
+            options[key] = _component_labellings(att, tgt, *key[1:], stable)
         return options[key]
 
-    tables = []
-    for comp in components:
-        inside = _mask(comp)
-        upstream = [(1 << v, att[v] & ~inside) for v in comp]
-        table = (comp, inside, upstream, {})
-        # Under stable semantics a component with no undecided attacker outside
-        # itself has the same labellings whatever precedes it: if it has none,
-        # the answer is empty, found before any product can pass the cap.
-        if stable and not any(up for _, up in upstream) and not labellings(table, 0, inside):
-            return []
-        tables.append(table)
-    # (IN, OUT) masks.  OUT holds undecided arguments only: the decided
-    # attackers of an undecided argument are all OUT and need no test.
-    partial = [(0, 0)]
-    for table in tables:
-        extended = []
-        for in_mask, out_mask in partial:
-            forced = eligible = 0
-            for bit, up in table[2]:
-                if up & in_mask:
-                    forced |= bit
-                elif not up & ~out_mask:
-                    eligible |= bit
-            extended.extend((in_mask | chosen, out_mask | out)
-                            for chosen, out in labellings(table, forced, eligible))
-            if len(extended) > _EXTENSION_CAP:
+    # Under stable semantics a component with no undecided attacker outside
+    # itself has the same labellings whatever precedes it: if it has none,
+    # the answer is empty, found before the walk can pass the cap.
+    if stable:
+        for c, comp in enumerate(components):
+            if all(b in comp for v in comp for b in attackers[v]) and not labellings(c):
+                return []
+    found = []
+    taken = [0] * len(components)  # labellings taken at each depth
+    walk = [iter(labellings(0))]
+    while walk:
+        c = len(walk) - 1
+        for chosen, out in walk[-1]:
+            taken[c] += 1
+            if taken[c] > _EXTENSION_CAP:
                 raise _cap_error()
-        partial = extended
-    return [in_mask for in_mask, _ in partial]
+            for i, v in enumerate(components[c]):
+                label[v] = _IN if chosen >> i & 1 else _OUT if out >> i & 1 else 0
+            if c + 1 < len(components):
+                walk.append(iter(labellings(c + 1)))
+                break  # down to the next component, back here when it is done
+            found.append(int(label.translate(_IN_DIGIT)[::-1], 2))
+        else:
+            walk.pop()
+    return found
 
 
 def _sorted_extensions(g: AttackGraph, sets) -> list[Extension]:

@@ -44,8 +44,10 @@ EXIT_COMPUTE = 3
 
 # Largest framework input, in bytes, that a command reads.  The densest
 # input, declarations of the shortest distinct names (`arg(ab).`), holds
-# about 860,000 arguments in 8 MiB.  On it, on 8 MiB of a chain and on
-# 8 MiB of disjoint mutual attacks (about 126,000 undecided parts), every
+# about 860,000 arguments in 8 MiB.  On it, on 8 MiB of a chain, of
+# disjoint mutual attacks (about 126,000 undecided parts) and of a 3-cycle
+# feeding a chain (one undecided part of about 242,000 components: `solve`
+# about 4 s, `classify --model labelling` about 5 s, under 270 MB), every
 # command peaks at 425 MB or less, under every model, inside a 512 MiB
 # address space.
 INPUT_BOUND = 8 * 1024 * 1024

@@ -40,7 +40,7 @@ from gradarg import (
     well_defended,
 )
 from gradarg import acceptability
-from gradarg.acceptability import CLEAN_LEVELS
+from gradarg.acceptability import CLEAN_LEVELS, ENUMERATION_BOUND
 from gradarg.cli import main
 
 
@@ -408,32 +408,71 @@ class TestEnumeration:
             preferred_extensions(g)
         assert len(searched) == 1
 
-    def test_masks_are_no_wider_than_their_part(self, monkeypatch):
-        # two mutual pairs and an odd 3-cycle, declared interleaved: each
-        # part's search is numbered over its own members only
+    def test_the_cap_counts_the_partial_labellings_of_a_part(self, monkeypatch):
+        # 14 mutual attacks a_i <-> b_i, every a_i attacking u, then u -> t,
+        # a0 -> t and t -> t: one part with 8,193 stable extensions (t is
+        # OUT only when u or a0 is IN), yet 2**14 partial labellings after
+        # the 14th pair pass the cap, so the search raises.  ROADMAP item
+        # 2(b)'s node budget will replace this rule; until then a count of
+        # the extensions alone must not change the answer.
+        pairs = [(f"a{i}", f"b{i}") for i in range(14)]
         g = AttackGraph(
+            [*itertools.chain(*pairs), "u", "t"],
+            [*pairs, *((b, a) for a, b in pairs), *((a, "u") for a, _ in pairs),
+             ("u", "t"), ("a0", "t"), ("t", "t")])
+        message = "more than 10000 extensions exceed the enumeration bound"
+        with pytest.raises(EnumerationBoundError, match=message):
+            stable_extensions(g)
+        with pytest.raises(EnumerationBoundError, match=message):
+            classify(g, "stable")
+        monkeypatch.setattr(acceptability, "_EXTENSION_CAP", 2**14)
+        assert len(stable_extensions(g)) == 2**13 + 1
+
+    def test_masks_are_no_wider_than_their_component(self, monkeypatch):
+        # two mutual pairs and an odd 3-cycle, declared interleaved, then a
+        # 3-cycle feeding a chain, one part of six components: each
+        # component is searched in its own numbering, and only the IN masks
+        # a part's search returns are as wide as the part
+        interleaved = AttackGraph(
             ["a1", "c1", "b1", "a2", "c2", "b2", "c3"],
             [("a1", "b1"), ("b1", "a1"), ("a2", "b2"), ("b2", "a2"),
              ("c1", "c2"), ("c2", "c3"), ("c3", "c1")])
-        sizes = []
-        search = acceptability._part_masks
+        fed_chain = AttackGraph(
+            ["c1", "c2", "c3", "x1", "x2", "x3", "x4", "x5"],
+            [("c1", "c2"), ("c2", "c3"), ("c3", "c1"), ("c1", "x1"),
+             ("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x5")])
+        widths, sizes = [], []
+        search, part_search = acceptability._component_labellings, acceptability._part_masks
 
-        def checked(components, att, tgt, stable):
-            size = sum(map(len, components))  # the part's member count
-            assert len(att) == len(tgt) == size
-            assert all(v < size for comp in components for v in comp)
-            found = search(components, att, tgt, stable)
-            assert all(mask.bit_length() <= size for mask in (*att, *tgt, *found))
-            sizes.append(size)
+        def searched(att, tgt, forced, eligible, stable):
+            assert len(att) == len(tgt) <= ENUMERATION_BOUND
+            found = search(att, tgt, forced, eligible, stable)
+            masks = (*att, *tgt, forced, eligible, *itertools.chain(*found))
+            assert all(mask.bit_length() <= len(att) for mask in masks)
+            widths.append(len(att))
             return found
 
-        monkeypatch.setattr(acceptability, "_part_masks", checked)
-        assert len(preferred_extensions(g)) == 4
-        assert sorted(sizes) == [2, 2, 3]
-        assert classify(g, "preferred") == {
+        def part(components, attackers, stable):
+            assert sorted(itertools.chain(*components)) == list(range(len(attackers)))
+            found = part_search(components, attackers, stable)
+            assert all(mask.bit_length() <= len(attackers) for mask in found)
+            sizes.append(len(attackers))
+            return found
+
+        monkeypatch.setattr(acceptability, "_component_labellings", searched)
+        monkeypatch.setattr(acceptability, "_part_masks", part)
+        assert len(preferred_extensions(interleaved)) == 4
+        assert sorted(sizes) == sorted(widths) == [2, 2, 3]
+        assert classify(interleaved, "preferred") == {
             "a1": "only-exi", "b1": "only-exi", "a2": "only-exi", "b2": "only-exi",
             "c1": "not-accepted", "c2": "not-accepted", "c3": "not-accepted"}
-        assert stable_extensions(g) == []
+        assert stable_extensions(interleaved) == []
+        sizes.clear()
+        widths.clear()
+        assert preferred_extensions(fed_chain) == [Extension(())]
+        assert sizes == [8] and sorted(widths) == [1, 1, 1, 1, 1, 3]
+        assert classify(fed_chain, "preferred") == dict.fromkeys(
+            fed_chain.arguments, "not-accepted")
 
 
 class TestClassify:
