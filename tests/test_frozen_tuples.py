@@ -24,7 +24,12 @@ set; every `value:` and `well-defended:` key held.  13 `value:categoriser`
 keys (random cases 5, 7, 16, 17, 25, 26, 29, 35, 38, 44, 47, 101 and 103)
 were re-recorded when the categoriser's h began to sum floats with
 `math.fsum`, correctly rounded, so that the order of the attackers decides
-no value; their last digits moved, and no other key did.
+no value; their last digits moved, and no other key did.  Keys
+`<case>@well-defended:tuples@<depth>` freeze `well-defended --model
+tuples` at `--depth` 1..12, and keys `scan:tuples@<seed>` the reports of
+`compatibility_scan("tuples", seed=<seed>, trials=100)` for seeds 0..19;
+both were recorded from the code that unrolled every tupled value to the
+full depth before comparing any.
 
 Regenerate (only when a change of output is intended and announced):
     PYTHONPATH=src python3 tests/test_frozen_tuples.py > tests/frozen_tuple_digests.json
@@ -46,7 +51,7 @@ from conftest import FIXTURES  # noqa: E402
 import pytest  # noqa: E402
 
 from gradarg import AttackGraph, parse_framework, random_attack_graph  # noqa: E402
-from gradarg.acceptability import ENUMERATION_BOUND  # noqa: E402
+from gradarg.acceptability import ENUMERATION_BOUND, compatibility_scan  # noqa: E402
 from gradarg.cli import main  # noqa: E402
 from gradarg.local import TotalPreorder, builtin_instances, evaluate_local  # noqa: E402
 
@@ -56,6 +61,12 @@ TUPLE_COMMANDS = {
     str(depth): ["value", "--model", "tuples", "--depth", str(depth)]
     for depth in DEPTHS
 }
+DEFENDED_COMMANDS = {
+    f"well-defended:tuples@{depth}":
+        ["well-defended", "--model", "tuples", "--depth", str(depth)]
+    for depth in DEPTHS
+}
+SCAN_SEEDS = range(20)
 LOCAL_COMMANDS = {
     f"{command}:{model}": [command, "--model", model]
     for command in ("value", "well-defended")
@@ -147,7 +158,7 @@ def digests(workdir: Path) -> dict[str, str]:
     for index, (case, text) in enumerate(cases().items()):
         path = workdir / f"case{index}.apx"
         path.write_text(text)
-        commands = {**TUPLE_COMMANDS, **LOCAL_COMMANDS}
+        commands = {**TUPLE_COMMANDS, **DEFENDED_COMMANDS, **LOCAL_COMMANDS}
         g = parse_framework(text)
         if len(g) <= ENUMERATION_BOUND:
             commands.update(CLASSIFY_COMMANDS)
@@ -157,7 +168,16 @@ def digests(workdir: Path) -> dict[str, str]:
         for name, instance in builtin_instances().items():
             out[f"{case}@ranking:{name}"] = _sha256_json(
                 TotalPreorder(evaluate_local(g, instance)).ranking())
+    for seed in SCAN_SEEDS:
+        out[f"scan:tuples@{seed}"] = _sha256_json(
+            _scan_document(compatibility_scan("tuples", seed=seed, trials=100)))
     return out
+
+
+def _scan_document(report) -> list:
+    witnesses = [None if w is None else [w.direction, w.graph.serialize(), w.argument, w.trial]
+                 for w in (report.cleanly_not_defended, report.defended_not_cleanly)]
+    return [report.valuation, report.trials_used, *witnesses]
 
 
 def _kinds(g: AttackGraph) -> set[str]:
