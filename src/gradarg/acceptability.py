@@ -18,8 +18,12 @@ by how the extensions treat it, and read only whether it is in every
 extension or in some.  The parts combine freely, so those are each
 part's AND and OR of its IN masks, folded per argument: levels never
 form the extensions.  Well-defendedness instead compares an argument
-against its direct attackers in a valuation's preorder, and a seeded
-scan hunts for graphs where the two notions come apart.  Each scan trial
+against its direct attackers in a valuation's preorder.  Tupled values
+are compared unrolled once first: counts do not depend on the depth and
+no horizon shrinks as it grows, so a comparison exact there is the same
+at any depth, and the values are unrolled to the depth asked for only
+when a verdict is left open.  A seeded scan hunts for graphs where the
+two notions come apart.  Each scan trial
 classifies its graph first and computes the valuation only when a
 missing witness can still occur: an unattacked argument is well-defended
 vacuously, so a clean argument that is not well-defended needs an
@@ -51,7 +55,7 @@ from .local import (
     builtin_instances,
     evaluate_local,
 )
-from .tuple_eval import evaluate_cyclic
+from .tuple_eval import EvaluationBoundError, evaluate_cyclic
 from .tuples import TupledValue, Verdict, compare
 
 __all__ = [
@@ -407,10 +411,10 @@ def well_defended(g: AttackGraph, values: Mapping[str, object]) -> frozenset[str
     if missing is not None:
         raise ValueError(f"no value for argument {missing!r}")
     strictly_better = valuation_preference({a: values[a] for a in names})
-    return frozenset(
+    return frozenset(  # no value is strictly better than itself
         a
-        for a, attackers in zip(names, g._attackers)
-        if not any(strictly_better(names[b], a) for b in attackers)
+        for i, (a, attackers) in enumerate(zip(names, g._attackers))
+        if not any(strictly_better(names[b], a) for b in attackers if b != i)
     )
 
 
@@ -547,6 +551,44 @@ def _values(g: AttackGraph, instance: LocalInstance | None, depth: int = 10) -> 
     return evaluate_local(g, instance)
 
 
+def _defended(g: AttackGraph, instance: LocalInstance | None, depth: int = 10) -> frozenset[str]:
+    """`well_defended(g, _values(g, instance, depth))`; on a cyclic graph
+    the tupled values are unrolled to `depth` only when the ones unrolled
+    once leave a verdict open."""
+    if instance is None and depth > 1 and not g.is_well_founded():
+        try:
+            values = evaluate_cyclic(g, 1)
+        except EvaluationBoundError:
+            pass  # the full pass raises it again, with its own horizon
+        else:
+            defended = _settled(g, values)
+            del values  # one value map at a time
+            if defended is not None:
+                return defended
+    return well_defended(g, _values(g, instance, depth))
+
+
+def _settled(g: AttackGraph, values) -> frozenset[str] | None:
+    """The well-defended set under tupled values when exact comparisons
+    settle every argument: out at an exact strictly better attacker, in
+    when every comparison is exact.  None when one is left open."""
+    names, defended = g.arguments, []
+    for a, (name, attackers) in enumerate(zip(names, g._attackers)):
+        value, undecided = values[name], False
+        for b in attackers:
+            if b == a:  # compare(v, v) is equivalent, never strictly better
+                continue
+            outcome = compare(values[names[b]], value)
+            if outcome.exact and outcome.verdict is Verdict.FIRST_BETTER:
+                break
+            undecided = undecided or not outcome.exact
+        else:
+            if undecided:
+                return None
+            defended.append(name)
+    return frozenset(defended)
+
+
 def _resolve_valuation(valuation) -> tuple[str, LocalInstance | None]:
     if isinstance(valuation, LocalInstance):
         return valuation.name, valuation
@@ -575,7 +617,8 @@ def compatibility_scan(
     well-defended vacuously, whatever the valuation), and a
     defended-not-cleanly one needs an argument that is not clean.  So a
     valuation error is raised only on a trial that could still yield a
-    witness; a trial whose valuation does not converge is skipped.
+    witness; a trial whose valuation does not converge is skipped.  Tupled
+    values are unrolled 10 times only when a verdict is open at depth 1.
 
     Stops early once a witness of each kind is found; the report records
     how many graphs were inspected and carries the witnesses themselves.
@@ -597,10 +640,9 @@ def compatibility_scan(
         ):
             continue
         try:
-            values = _values(g, instance)
+            defended = _defended(g, instance)
         except ConvergenceError:
             continue
-        defended = well_defended(g, values)
         for a, is_clean in zip(g.arguments, clean):
             if is_clean and a not in defended and clean_witness is None:
                 clean_witness = Witness("cleanly-not-defended", g, a, trial)

@@ -20,12 +20,12 @@ import sys
 
 from .acceptability import (
     EnumerationBoundError,
+    _defended,
     _values,
     classification_report,
     classify,
     preferred_extensions,
     stable_extensions,
-    well_defended,
 )
 from .framework import AttackGraph, FrameworkError, ParseError, parse_framework
 from .local import ConvergenceError, categoriser, rooted_labelling
@@ -216,8 +216,7 @@ def _cmd_classify(args) -> int:
     g = _read_graph(args.path)
     models = list(dict.fromkeys(args.models or MODELS))  # repeats dropped
     # One value map at a time: each is dropped once its set is taken.
-    defended = {m: well_defended(g, _values(g, MODELS[m], args.depth))
-                for m in models}
+    defended = {m: _defended(g, MODELS[m], args.depth) for m in models}
     if args.format == "text":
         # Text lists no extension, so it forms none: the levels are folded
         # part by part, as classify() folds them, past the extension cap.
@@ -247,8 +246,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_well_defended(args) -> int:
     g = _read_graph(args.path)
-    values = _values(g, MODELS[args.model], args.depth)
-    defended = well_defended(g, values)
+    defended = _defended(g, MODELS[args.model], args.depth)
     names = [n for n in g.arguments if n in defended]
     return _emit(args, {"model": args.model, "well_defended": names}, names)
 

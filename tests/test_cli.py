@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from conftest import FIXTURES
 
 import gradarg
 from gradarg import generate_family, random_attack_graph
-from gradarg import cli
+from gradarg import acceptability, cli, evaluate_cyclic
 from gradarg.cli import MODELS, build_parser, main
 
 CYCLE3 = "arg(a). arg(b). arg(c). att(a,b). att(b,c). att(c,a)."
@@ -121,8 +122,8 @@ class TestValue:
 
     def test_values_and_their_text_are_not_held_whole_at_once(self, tmp_path,
                                                                monkeypatch):
-        # Evaluating alone, well-defended holds every value at once; value
-        # may add the text of one value, not a copy of all of it.
+        # value may add to the values the text of one value, not a copy of
+        # all of it
         self.check_value_peak(tmp_path, monkeypatch, "text")
 
     def test_values_and_their_json_are_not_held_whole_at_once(self, tmp_path,
@@ -136,22 +137,29 @@ class TestValue:
         path.write_text(SEEDED.serialize(), encoding="utf-8")
         assert max(map(len, SEEDED.condensation())) >= 40
 
-        def traced_peak(command):
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                return run(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def command(name):
             with open(os.devnull, "w", encoding="utf-8") as sink:
                 monkeypatch.setattr(sys, "stdout", sink)
-                tracemalloc.start()
                 try:
-                    code = main([command, str(path), "--model", "tuples",
+                    return main([name, str(path), "--model", "tuples",
                                  "--depth", "10", "--format", fmt])
-                    return code, tracemalloc.get_traced_memory()[1]
                 finally:
-                    tracemalloc.stop()
                     monkeypatch.undo()
 
-        value_code, value_peak = traced_peak("value")
-        defended_code, defended_peak = traced_peak("well-defended")
+        _, evaluation_peak = traced_peak(lambda: evaluate_cyclic(SEEDED, 10))
+        value_code, value_peak = traced_peak(lambda: command("value"))
+        defended_code, defended_peak = traced_peak(lambda: command("well-defended"))
         assert (value_code, defended_code) == (0, 0)
-        assert value_peak <= 1.25 * defended_peak
+        assert value_peak <= 1.25 * evaluation_peak
+        # every verdict is settled at depth 1, so no depth-10 value is made
+        assert defended_peak < value_peak / 2
 
 
 class TestCompare:
@@ -267,25 +275,36 @@ class TestClassify:
         assert list(json.loads(out)["well_defended"]) == ["tuples", "labelling"]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_one_value_map_is_held_at_a_time(self, capsys, monkeypatch, fmt):
-        # each model's well-defended set is taken before the next model's
-        # values are made, so no two value maps are alive at once
-        calls = []
-        values, defended = cli._values, cli.well_defended
+    def test_one_value_map_is_held_at_a_time(self, capsys, monkeypatch, tmp_path, fmt):
+        # each model's well-defended set is taken before the next value map
+        # is made, and on the pair the tuples' depth-1 map, whose equal
+        # values leave the verdicts open, is dropped before the depth-10 one
+        alive, made = set(), []
 
-        def logged_values(*args):
-            calls.append("values")
-            return values(*args)
+        class ValueMap(dict):  # unlike a dict, weakly referable
+            pass
 
-        def logged_defended(*args):
-            calls.append("well_defended")
-            return defended(*args)
+        def tracked(evaluate):
+            def evaluated(*args):
+                values = ValueMap(evaluate(*args))
+                made.append(len(alive))
+                alive.add(len(made))
+                weakref.finalize(values, alive.discard, len(made))
+                return values
+            return evaluated
 
-        monkeypatch.setattr(cli, "_values", logged_values)
-        monkeypatch.setattr(cli, "well_defended", logged_defended)
-        code, _, err = run_cli(capsys, "classify", fixture_path("star3"), "--format", fmt)
-        assert (code, err) == (0, "")
-        assert calls == ["values", "well_defended"] * len(MODELS)
+        for name in ("evaluate_cyclic", "evaluate_local"):
+            monkeypatch.setattr(acceptability, name,
+                                tracked(getattr(acceptability, name)))
+        pair = tmp_path / "pair.apx"
+        pair.write_text("arg(e1). arg(e2). att(e1,e2). att(e2,e1).\n")
+        for path, maps in ((fixture_path("star3"), len(MODELS)),
+                           (str(pair), len(MODELS) + 1)):
+            made.clear()
+            code, _, err = run_cli(capsys, "classify", path, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert made == [0] * maps
+            assert not alive
 
 
 class TestWellDefended:

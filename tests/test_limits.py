@@ -3,6 +3,7 @@ evaluation and fixpoint bounds under a memory limit, and output that does
 not depend on the interpreter's hash seed."""
 
 import os
+import random
 import subprocess
 import sys
 import time
@@ -13,7 +14,8 @@ import pytest
 from conftest import fixture_path
 
 import gradarg
-from gradarg import READ_BOUND, AttackGraph, generate_family, random_attack_graph
+from gradarg import (READ_BOUND, AttackGraph, compare, evaluate_cyclic, generate_family,
+                     random_attack_graph, well_defended)
 from gradarg.cli import INPUT_BOUND
 
 SRC = str(Path(gradarg.__file__).resolve().parents[1])
@@ -210,6 +212,67 @@ class TestEvaluationBound:
         peak_kib = int(done.stderr.split()[-1])
         assert peak_kib < 100 * 1024
         del ballast
+
+
+def chorded_union(size=500, seed=0):
+    """A ring of `size` members plus as many random chords, its first
+    member attacked by one leaf: at depth 10 a horizon of 10 * size + 1."""
+    rng = random.Random(seed)
+    attacks = {(f"u{k}", f"u{(k + 1) % size}") for k in range(size)}
+    while len(attacks) < 2 * size:
+        s, t = rng.sample(range(size), 2)
+        attacks.add((f"u{s}", f"u{t}"))
+    return AttackGraph(["l", *(f"u{k}" for k in range(size))],
+                       [("l", "u0"), *sorted(attacks)])
+
+
+class TestSettledAtDepthOne:
+    """`well-defended` compares tupled values unrolled once before it
+    unrolls them to --depth, so where every verdict is exact at depth 1 it
+    answers past the evaluation bound of the depth asked for.  On a 2-core
+    virtual machine with Python 3.11 the whole process took about 0.5 s,
+    0.27 s of it in the depth-1 evaluation and its comparisons."""
+
+    BOUND_ERROR = ("gradarg: tuple horizon 5001 over {} attacks "
+                   "exceeds the evaluation bound of 2000000\n")
+
+    def test_value_is_still_bounded(self, tmp_path):
+        path = write_graph(tmp_path, "union", chorded_union())
+        done = run_cli(["value", path, "--model", "tuples"], limit=MEMORY_LIMIT)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr.splitlines()[0] + "\n" == self.BOUND_ERROR.format(1001)
+
+    def test_well_defended_answers(self, tmp_path):
+        g = chorded_union()
+        path = write_graph(tmp_path, "union", g)
+        start = time.monotonic()
+        done = run_cli(["well-defended", path, "--model", "tuples"], limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 0, done.stderr
+        values = evaluate_cyclic(g, 2)  # depth 2 fits the bound, and settles
+        assert all(compare(values[b], values[a]).exact for b, a in g.attacks)
+        expected = well_defended(g, values)
+        assert done.stdout.split() == [a for a in g.arguments if a in expected]
+        assert elapsed < 20
+
+    def test_classify_stops_at_the_enumeration_bound(self, tmp_path):
+        path = write_graph(tmp_path, "union", chorded_union())
+        done = run_cli(["classify", path, "--model", "tuples"], limit=MEMORY_LIMIT)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr.splitlines()[0] == (
+            "gradarg: an undecided component of 499 arguments exceeds the "
+            "enumeration bound of 25")
+
+    def test_an_open_verdict_unrolls_to_the_depth(self, tmp_path):
+        # e1 and e2 have equal values at every depth: compared at a horizon,
+        # their verdict is open
+        g = chorded_union()
+        g = AttackGraph([*g.arguments, "e1", "e2"],
+                        [*g.attacks, ("e1", "e2"), ("e2", "e1")])
+        path = write_graph(tmp_path, "union-pair", g)
+        done = run_cli(["well-defended", path, "--model", "tuples"])
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == self.BOUND_ERROR.format(1003)
 
 
 class TestInputBound:
