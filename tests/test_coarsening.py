@@ -10,6 +10,7 @@ stream, seeded random graphs of 3 to 30 arguments and the frozen
 hand-built shapes, at depths 2 to 12.
 """
 
+import functools
 import itertools
 
 import pytest
@@ -32,6 +33,7 @@ from gradarg.acceptability import _defended
 DEPTHS = range(2, 13)
 
 
+@functools.cache  # both tests read it
 def sweep():
     return [g for n in range(1, 5) for g in canonical_graphs(n)]
 
