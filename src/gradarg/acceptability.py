@@ -18,16 +18,16 @@ by how the extensions treat it, and read only whether it is in every
 extension or in some.  The parts combine freely, so those are each
 part's AND and OR of its IN masks, folded per argument: levels never
 form the extensions.  Well-defendedness instead compares an argument
-against its direct attackers in a valuation's preorder.  Tupled values
+with its direct attackers by one comparator, `valuation_preference`,
+whose outcomes carry their exactness; one loop reads the well-defended
+set and the arguments an inexact comparison leaves open.  Tupled values
 are compared unrolled once first: counts do not depend on the depth and
-no horizon shrinks as it grows, so a comparison exact there is the same
-at any depth, and the values are unrolled to the depth asked for only
-when a verdict is left open.  A seeded scan hunts for graphs where the
-two notions come apart.  Each scan trial
-classifies its graph first and computes the valuation only when a
-missing witness can still occur: an unattacked argument is well-defended
-vacuously, so a clean argument that is not well-defended needs an
-attacker, whatever the valuation.
+no horizon shrinks as it grows, so an exact comparison there holds at
+any depth, and the values are unrolled to the depth asked for only when
+a verdict is open.  A seeded scan hunts for graphs where the two notions
+come apart.  Each scan trial classifies its graph first and computes the
+valuation only when a missing witness can still occur: a clean argument
+that is not well-defended has an attacker.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .local import (
     evaluate_local,
 )
 from .tuple_eval import EvaluationBoundError, evaluate_cyclic
-from .tuples import TupledValue, Verdict, compare
+from .tuples import ComparisonOutcome, TupledValue, Verdict, compare
 
 __all__ = [
     "ENUMERATION_BOUND",
@@ -102,6 +102,11 @@ _GROUNDED_LEVEL = bytes.maketrans(bytes([_IN, _OUT]), bytes([2, 0]))
 
 # A label's binary digit in an IN mask: 1 for IN, 0 for OUT and undecided.
 _IN_DIGIT = bytes.maketrans(bytes([0, _IN, _OUT]), b"010")
+
+# Better, worse and tie from an order, keyed by whether the values are floats.
+_ORDER_OUTCOMES = {floats: tuple(ComparisonOutcome(verdict, not floats) for verdict in
+                                 (Verdict.FIRST_BETTER, Verdict.SECOND_BETTER, Verdict.EQUIVALENT))
+                   for floats in (False, True)}
 
 
 class EnumerationBoundError(ValueError):
@@ -406,30 +411,45 @@ def well_defended(g: AttackGraph, values: Mapping[str, object]) -> frozenset[str
     some argument raises ValueError naming the first such argument, in
     declaration order; values of other names are ignored.
     """
+    return _verdicts(g, values)[0]
+
+
+def _verdicts(g: AttackGraph, values: Mapping[str, object]) -> tuple[frozenset, frozenset]:
+    """(well-defended set, open set): out at the first strictly preferred
+    attacker but itself, open when in after an inexact comparison."""
     names = g.arguments
     missing = next((a for a in names if a not in values), None)
     if missing is not None:
         raise ValueError(f"no value for argument {missing!r}")
-    strictly_better = valuation_preference({a: values[a] for a in names})
-    return frozenset(  # no value is strictly better than itself
-        a
-        for i, (a, attackers) in enumerate(zip(names, g._attackers))
-        if not any(strictly_better(names[b], a) for b in attackers if b != i)
-    )
+    preference = valuation_preference({a: values[a] for a in names})
+    defended, open_ = [], []
+    for a, (name, attackers) in enumerate(zip(names, g._attackers)):
+        exact = True
+        for b in attackers:
+            if b != a:
+                outcome = preference(names[b], name)
+                if outcome.verdict is Verdict.FIRST_BETTER:
+                    break
+                exact = exact and outcome.exact
+        else:
+            defended.append(name)
+            if not exact:
+                open_.append(name)
+    return frozenset(defended), frozenset(open_)
 
 
-def valuation_preference(values: Mapping[str, object]) -> Callable[[str, str], bool]:
-    """Strict-preference test over argument names for a value mapping.
+def valuation_preference(values: Mapping[str, object]) -> Callable[[str, str], ComparisonOutcome]:
+    """The first argument name's `ComparisonOutcome` against the second's.
 
-    Tupled values compare with the cautious two-stage algorithm; scalar and
-    label values through their total order.
+    Tupled values compare by the cautious two-stage `compare`, numbers and
+    labels by their total order: exactly, except floats, which come with
+    no error bound.  Every outcome is truthy: test its verdict.
     """
     if values and all(isinstance(v, TupledValue) for v in values.values()):
-        return (
-            lambda a, b: compare(values[a], values[b]).verdict
-            is Verdict.FIRST_BETTER
-        )
-    return TotalPreorder(values).strictly_better
+        return lambda a, b: compare(values[a], values[b])
+    rank = TotalPreorder(values)._ranks  # of one kind: all floats or none
+    better, worse, tie = _ORDER_OUTCOMES[isinstance(next(iter(values.values()), None), float)]
+    return lambda a, b: better if rank[a] > rank[b] else worse if rank[a] < rank[b] else tie
 
 
 @dataclass(frozen=True)
@@ -557,36 +577,13 @@ def _defended(g: AttackGraph, instance: LocalInstance | None, depth: int = 10) -
     once leave a verdict open."""
     if instance is None and depth > 1 and not g.is_well_founded():
         try:
-            values = evaluate_cyclic(g, 1)
+            defended, open_ = _verdicts(g, evaluate_cyclic(g, 1))
         except EvaluationBoundError:
             pass  # the full pass raises it again, with its own horizon
         else:
-            defended = _settled(g, values)
-            del values  # one value map at a time
-            if defended is not None:
+            if not open_:
                 return defended
     return well_defended(g, _values(g, instance, depth))
-
-
-def _settled(g: AttackGraph, values) -> frozenset[str] | None:
-    """The well-defended set under tupled values when exact comparisons
-    settle every argument: out at an exact strictly better attacker, in
-    when every comparison is exact.  None when one is left open."""
-    names, defended = g.arguments, []
-    for a, (name, attackers) in enumerate(zip(names, g._attackers)):
-        value, undecided = values[name], False
-        for b in attackers:
-            if b == a:  # compare(v, v) is equivalent, never strictly better
-                continue
-            outcome = compare(values[names[b]], value)
-            if outcome.exact and outcome.verdict is Verdict.FIRST_BETTER:
-                break
-            undecided = undecided or not outcome.exact
-        else:
-            if undecided:
-                return None
-            defended.append(name)
-    return frozenset(defended)
 
 
 def _resolve_valuation(valuation) -> tuple[str, LocalInstance | None]:

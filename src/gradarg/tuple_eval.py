@@ -94,7 +94,8 @@ def _exact_bound_error() -> EvaluationBoundError:
 def evaluate_acyclic(g: AttackGraph) -> dict[str, TupledValue]:
     """Exact tupled values; every component is a finite multiset except the
     all-zero tuple on unattacked arguments.  Raises CyclicGraphError at the
-    first cycle union, in dependency order."""
+    first cycle union, in dependency order, and EvaluationBoundError once
+    the exact parities take more than EXACT_BITS_BOUND bits."""
     return _walk_values(g, None)
 
 
@@ -104,10 +105,10 @@ def evaluate_cyclic(g: AttackGraph, depth: int = 10) -> dict[str, TupledValue]:
 
     Components known to be infinite come back as truncated tuples whose
     certified horizon is derived from the unroll depth; everything
-    untouched by a cycle stays exact.  Raises EvaluationBoundError at the
-    first strongly connected component, in dependency order, with a
-    horizon whose product with the number of attacks exceeds WORK_BOUND,
-    before filling that component's counts.
+    untouched by a cycle stays exact.  Raises EvaluationBoundError once the
+    exact parities filled take more than EXACT_BITS_BOUND bits, and at the
+    first strongly connected component, in dependency order, whose horizon
+    times the number of attacks exceeds WORK_BOUND, before its counts.
     """
     depth = operator.index(depth)
     if depth < 1:
