@@ -103,6 +103,9 @@ _GROUNDED_LEVEL = bytes.maketrans(bytes([_IN, _OUT]), bytes([2, 0]))
 # A label's binary digit in an IN mask: 1 for IN, 0 for OUT and undecided.
 _IN_DIGIT = bytes.maketrans(bytes([0, _IN, _OUT]), b"010")
 
+# The attacker and target masks, inside its component, of a lone member.
+_LONE = (0,)
+
 # Better, worse and tie from an order, keyed by whether the values are floats.
 _ORDER_OUTCOMES = {floats: tuple(ComparisonOutcome(verdict, not floats) for verdict in
                                  (Verdict.FIRST_BETTER, Verdict.SECOND_BETTER, Verdict.EQUIVALENT))
@@ -199,6 +202,11 @@ def _searched_parts(g: AttackGraph, stable: bool):
     label = g._grounded()
     targets_of, attackers_of = g._targets, g._attackers
     local = [-1] * len(label)  # an undecided argument's number in its part
+
+    def condensed(members, attackers):  # the part's condensation, in its numbering
+        return _condense(
+            [[j for t in targets_of[v] if (j := local[t]) >= 0] for v in members], attackers)
+
     parts = []
     largest = 0
     for a, lab in enumerate(label):
@@ -216,18 +224,21 @@ def _searched_parts(g: AttackGraph, stable: bool):
             local[v] = j
         # an undecided neighbour is in this part, so numbered; a decided one is -1
         attackers = [[j for b in attackers_of[v] if (j := local[b]) >= 0] for v in members]
-        components = _condense(
-            [[j for t in targets_of[v] if (j := local[t]) >= 0] for v in members], attackers)
-        largest = max(largest, *map(len, components))
-        parts.append((members, attackers, components))
+        # Only a part larger than the bound can hold a component past it;
+        # any other is condensed just before its search, so the
+        # condensations of many small parts are never all held at once.
+        part = condensed(members, attackers) if len(members) > ENUMERATION_BOUND else None
+        if part:  # it holds a cycle union: each undecided argument has an undecided attacker
+            largest = max(largest, *map(len, part[1]))
+        parts.append((members, attackers, part))
     if largest > ENUMERATION_BOUND:
         raise EnumerationBoundError(
             f"an undecided component of {largest} arguments exceeds the "
             f"enumeration bound of {ENUMERATION_BOUND}")
     searched = []
-    for members, attackers, components in parts:
+    for members, attackers, part in parts:
         try:
-            found = _part_masks(components, attackers, stable)
+            found = _part_masks(*(part or condensed(members, attackers)), attackers, stable)
         except EnumerationBoundError if stable else ():
             found = None  # too many: raised below unless a later part has none
         if found == []:
@@ -266,11 +277,12 @@ def _cap_error() -> EnumerationBoundError:
         f"more than {_EXTENSION_CAP} extensions exceed the enumeration bound")
 
 
-def _part_masks(components, attackers, stable: bool) -> list[int]:
+def _part_masks(order, unions, attackers, stable: bool) -> list[int]:
     """IN sets, over the part's own numbering, of the IN-maximal complete
     (or stable) labellings of one weakly connected part of the undecided
-    subgraph, given as its components in dependency order and each
-    member's undecided attackers.
+    subgraph, given as its `_condense` result, `order` and `unions`, and
+    each member's undecided attackers: a non-negative entry of the order
+    is a component of that one member, and entry ~k is cycle union k.
 
     Preferred semantics is SCC-recursive: each partial labelling is
     extended by the IN-maximal complete labellings of the next component
@@ -281,41 +293,44 @@ def _part_masks(components, attackers, stable: bool) -> list[int]:
     labels, which the walk has set on its way down, so no stale label is
     read.  Each component is searched in its own numbering, once per
     distinct (forced, eligible) key, so only the IN masks returned are
-    wider than a component.  Passing the cap at any depth raises.
+    wider than a component.  The key is one pass over the component's
+    upstream rows, each member's bit with its attackers outside the
+    component: each cycle union's rows and masks are made once, before the
+    walk (which visits every component at least once), and a lone
+    member's one row is its attacker row.  Passing the cap at any depth
+    raises.
     """
     label = bytearray(len(attackers))  # _IN, _OUT or 0, undecided
+    shapes = [_union_shape(comp, attackers) for comp in unions]
     options = {}  # (component, forced, eligible): its (IN, OUT) masks
 
     def labellings(c):  # component c's, under the labels upstream of it
-        comp = components[c]
+        x = order[c]
+        # a lone member does not attack itself: its one row is its attackers
+        upstream, att, tgt = shapes[~x] if x < 0 else (((1, attackers[x]),), _LONE, _LONE)
         forced = live = 0  # live: some upstream attacker is IN or undecided
-        for i, v in enumerate(comp):
-            for b in attackers[v]:
-                if label[b] != _OUT and b not in comp:
-                    live |= 1 << i
+        for bit, outside in upstream:
+            for b in outside:
+                if label[b] != _OUT:
+                    live |= bit
                     if label[b] == _IN:
-                        forced |= 1 << i
-        key = c, forced, (1 << len(comp)) - 1 & ~live
+                        forced |= bit
+                        break
+        key = c, forced, (1 << len(att)) - 1 & ~live
         if key not in options:
-            att, tgt = [0] * len(comp), [0] * len(comp)
-            for i, v in enumerate(comp):
-                for b in attackers[v]:
-                    if b in comp:
-                        j = comp.index(b)
-                        att[i] |= 1 << j
-                        tgt[j] |= 1 << i
             options[key] = _component_labellings(att, tgt, *key[1:], stable)
         return options[key]
 
     # Under stable semantics a component with no undecided attacker outside
     # itself has the same labellings whatever precedes it: if it has none,
-    # the answer is empty, found before the walk can pass the cap.
+    # the answer is empty, found before the walk can pass the cap.  Every
+    # lone member has one: it is undecided, so not all its attackers are OUT.
     if stable:
-        for c, comp in enumerate(components):
-            if all(b in comp for v in comp for b in attackers[v]) and not labellings(c):
+        for c, x in enumerate(order):
+            if x < 0 and not shapes[~x][0] and not labellings(c):
                 return []
     found = []
-    taken = [0] * len(components)  # labellings taken at each depth
+    taken = [0] * len(order)  # labellings taken at each depth
     walk = [iter(labellings(0))]
     while walk:
         c = len(walk) - 1
@@ -323,15 +338,36 @@ def _part_masks(components, attackers, stable: bool) -> list[int]:
             taken[c] += 1
             if taken[c] > _EXTENSION_CAP:
                 raise _cap_error()
-            for i, v in enumerate(components[c]):
+            x = order[c]
+            for i, v in enumerate((x,) if x >= 0 else unions[~x]):
                 label[v] = _IN if chosen >> i & 1 else _OUT if out >> i & 1 else 0
-            if c + 1 < len(components):
+            if c + 1 < len(order):
                 walk.append(iter(labellings(c + 1)))
                 break  # down to the next component, back here when it is done
             found.append(int(label.translate(_IN_DIGIT)[::-1], 2))
         else:
             walk.pop()
     return found
+
+
+def _union_shape(comp, attackers):
+    """A cycle union in its own numbering, members `comp` numbered 0 to
+    k - 1: each member's (bit, attackers outside the union) row, for the
+    members that have such attackers, and the attacker and target masks
+    of each member inside the union."""
+    upstream, att, tgt = [], [0] * len(comp), [0] * len(comp)
+    for i, v in enumerate(comp):
+        outside = []
+        for b in attackers[v]:
+            if b in comp:
+                j = comp.index(b)
+                att[i] |= 1 << j
+                tgt[j] |= 1 << i
+            else:
+                outside.append(b)
+        if outside:
+            upstream.append((1 << i, outside))
+    return upstream, att, tgt
 
 
 def _sorted_extensions(g: AttackGraph, sets) -> list[Extension]:

@@ -43,13 +43,15 @@ EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 
 # Largest framework input, in bytes, that a command reads.  The densest
-# input, declarations of the shortest distinct names (`arg(ab).`), holds
-# about 860,000 arguments in 8 MiB.  On it, on 8 MiB of a chain, of
-# disjoint mutual attacks (about 126,000 undecided parts) and of a 3-cycle
-# feeding a chain (one undecided part of about 242,000 components: `solve`
-# about 4 s, `classify --model labelling` about 5 s, under 270 MB), every
-# command peaks at 425 MB or less, under every model, inside a 512 MiB
-# address space.
+# input, declarations of the shortest distinct names (`arg(a).` on), holds
+# 740,239 arguments in 8 MiB.  On it, on 8 MiB of a chain, of disjoint
+# mutual attacks (125,767 undecided parts) and of a 3-cycle feeding a
+# chain (one undecided part of 242,275 components), every command peaks at
+# 344 MB or less (VmHWM, KiB / 1,024), under every model, inside a 512 MiB
+# address space.  The largest peaks are `classify` of all three models on
+# the declarations, 339 MB in text and 344 MB in JSON; under one model,
+# `value`, `well-defended` and `classify` stay within 280 MB on every shape
+# but the mutual attacks, where the tuples model exits 3 at 307 MB.
 INPUT_BOUND = 8 * 1024 * 1024
 _READ_CHUNK = 64 * 1024
 

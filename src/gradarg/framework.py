@@ -11,10 +11,15 @@ indices: its attackers and its targets, each row sorted and free of
 duplicates, so the order in which attacks were written is not kept.  Its
 condensation (strongly connected components in a dependency order, each
 attacker's component before its target's) is computed once, on the same
-indices.  The evaluators read both directly; names appear only at the API
-edge.  The public constructor checks every name and endpoint; the parser
-and the seeded generators, which produce valid indices themselves, build
-through a private constructor that checks nothing again.
+indices, as one flat order: an `array('q')` with an entry per component,
+an argument outside every cycle union by its own index and cycle union k
+by ~k, whose sorted members are kept apart.  So the order costs 8 bytes an
+argument, and only the cycle unions hold tuples.  The evaluators read the
+rows and the order directly; names appear only at the API edge, and the
+named components of `condensation()` are built only when asked for.  The
+public constructor checks every name and endpoint; the parser and the
+seeded generators, which produce valid indices themselves, build through
+a private constructor that checks nothing again.
 
 Framework text is parsed by one compiled pattern, built from a single
 table of statement shapes.  Comments are blanked first, in place, and the
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import random
 import re
+from array import array
 from collections import defaultdict, deque
 from dataclasses import dataclass
 
@@ -101,10 +107,10 @@ class AttackGraph:
     graph is its attack relation, stored once on declaration indices:
     `_attackers[i]` and `_targets[i]` are tuples of indices, sorted and
     free of duplicates, so a graph does not remember how its attacks were
-    written.  `_components()` is the condensation, in a dependency order,
-    computed once, and `_grounded()` the grounded labelling that the
-    rooted labelling and extension enumeration read.  Names appear only at
-    the API edge.
+    written.  `_components()` is the condensation, a flat dependency order
+    plus the cycle unions' members, computed once, and `_grounded()` the
+    grounded labelling that the rooted labelling and extension enumeration
+    read.  Names appear only at the API edge.
 
     `AttackGraph(arguments, attacks)` checks every name and endpoint; a
     name must be an identifier of the framework format.  The
@@ -283,8 +289,9 @@ class AttackGraph:
 
     # -- cycle structure ---------------------------------------------------
 
-    def _components(self) -> tuple[tuple[int, ...], ...]:
-        """The condensation on declaration indices, computed once."""
+    def _components(self) -> tuple[array, tuple[tuple[int, ...], ...]]:
+        """The condensation on declaration indices, computed once: the
+        flat dependency order and the cycle unions of `_condense`."""
         if self._condensation is None:
             self._condensation = _condense(self._targets, self._attackers)
         return self._condensation
@@ -309,17 +316,17 @@ class AttackGraph:
                         queue.append(t)
         return label
 
-    def _is_cyclic(self, component: tuple[int, ...]) -> bool:
-        return len(component) > 1 or component[0] in self._attackers[component[0]]
-
     def condensation(self) -> tuple[tuple[str, ...], ...]:
         """Strongly connected components in a dependency order: every
         attacker's component precedes its target's.  Nothing more is
         promised of the order of the components; members keep declaration
-        order.  A name view of `_components()`, built once.
+        order.  A name view of `_components()`, built once, when first asked.
         """
         if self._named_condensation is None:
-            self._named_condensation = tuple(map(self._names, self._components()))
+            order, unions = self._components()
+            args = self._args
+            self._named_condensation = tuple([
+                (args[x],) if x >= 0 else self._names(unions[~x]) for x in order])
         return self._named_condensation
 
     def strongly_connected_components(self) -> list[tuple[str, ...]]:
@@ -330,27 +337,25 @@ class AttackGraph:
         """Maximal interconnected cycle unions: the non-trivial strongly
         connected components (more than one member, or a self-attacker)."""
         out = []
-        for comp in sorted(self._components()):
-            if self._is_cyclic(comp):
-                inside = set(comp)
-                inputs = [m for m in comp if not inside.issuperset(self._attackers[m])]
-                out.append(Mcycle(self._names(comp), self._names(inputs)))
+        for comp in sorted(self._components()[1]):
+            inside = set(comp)
+            inputs = [m for m in comp if not inside.issuperset(self._attackers[m])]
+            out.append(Mcycle(self._names(comp), self._names(inputs)))
         return out
 
     def is_well_founded(self) -> bool:
         """True exactly when the graph has no cycle."""
-        return not any(map(self._is_cyclic, self._components()))
+        return not self._components()[1]
 
     def has_odd_cycle(self) -> bool:
         """True when some elementary cycle has odd length: an odd closed
         walk exists iff a union's first member reaches itself at odd
         parity, and an odd closed walk always contains an odd cycle."""
-        for comp in self._components():
-            if self._is_cyclic(comp):
-                reached = self._shortest_walks([(0, comp[0], 0)], (1, 0),
-                                               self._targets, set(comp))
-                if (comp[0], 1) in reached:
-                    return True
+        for comp in self._components()[1]:
+            reached = self._shortest_walks([(0, comp[0], 0)], (1, 0),
+                                           self._targets, set(comp))
+            if (comp[0], 1) in reached:
+                return True
         return False
 
     def topological_order(self) -> tuple[str, ...]:
@@ -360,7 +365,7 @@ class AttackGraph:
         """
         if not self.is_well_founded():
             raise FrameworkError("graph contains a cycle; no topological order")
-        return self._names(comp[0] for comp in self._components())
+        return self._names(self._components()[0])
 
     # -- text formats -------------------------------------------------------
 
@@ -380,10 +385,16 @@ class AttackGraph:
         return "\n".join(lines) + "\n"
 
 
-def _condense(successors, predecessors) -> tuple[tuple[int, ...], ...]:
+def _condense(successors, predecessors) -> tuple[array, tuple[tuple[int, ...], ...]]:
     """Strongly connected components of the digraph on 0..n-1 given by
     successor lists and the matching predecessor lists, in a dependency
-    order: every predecessor's component comes first.  Members are sorted.
+    order: every predecessor's component comes first.
+
+    Returns the pair (order, unions).  `order` is an `array('q')` with one
+    entry per component, in that order: a vertex outside every cycle union
+    is its own index, and cycle union k (more than one member, or a vertex
+    that is its own predecessor) is the entry ~k, whose members, sorted,
+    are `unions[k]`.  So the order costs 8 bytes a vertex.
 
     Kosaraju's algorithm, iterative: a depth-first finishing order along
     the successors, its roots taken latest first, then, latest finished
@@ -395,11 +406,12 @@ def _condense(successors, predecessors) -> tuple[tuple[int, ...], ...]:
     n = len(successors)
     seen = [False] * n
     finished: list[int] = []
+    work: list = []  # the depth-first path, each vertex with its successors left
     for root in range(n - 1, -1, -1):
         if seen[root]:
             continue
         seen[root] = True
-        work = [(root, iter(successors[root]))]
+        work.append((root, iter(successors[root])))
         while work:
             v, later = work[-1]
             for w in later:
@@ -410,7 +422,8 @@ def _condense(successors, predecessors) -> tuple[tuple[int, ...], ...]:
             else:
                 work.pop()
                 finished.append(v)
-    components: list[tuple[int, ...]] = []
+    order: list[int] = []
+    unions: list[tuple[int, ...]] = []
     for root in reversed(finished):  # placing a vertex clears its mark
         if not seen[root]:
             continue
@@ -421,8 +434,12 @@ def _condense(successors, predecessors) -> tuple[tuple[int, ...], ...]:
                 if seen[w]:
                     seen[w] = False
                     members.append(w)
-        components.append(tuple(sorted(members)) if len(members) > 1 else (root,))
-    return tuple(components)
+        if len(members) > 1 or root in predecessors[root]:
+            order.append(~len(unions))
+            unions.append(tuple(sorted(members)))
+        else:
+            order.append(root)
+    return array("q", order), tuple(unions)
 
 
 # -- parsing ----------------------------------------------------------------

@@ -191,9 +191,11 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
     """Value of every argument under the instance, listed in declaration
     order.
 
-    One pass along the condensation: an unattacked argument takes the top
-    value, any other argument outside a cycle union takes g(h(values of
-    its attackers)), and each cycle union iterates from the all-top start
+    One pass along the condensation's flat order, which names an argument
+    outside every cycle union by its index and a cycle union by the
+    complement of its number: an unattacked argument takes the top value,
+    any other argument outside a cycle union takes g(h(values of its
+    attackers)), and each cycle union iterates from the all-top start
     until a round moves no member by 1e-12 or more.  Each round reads the
     attackers of every member, and ConvergenceError is raised before a
     round would take the reads of all rounds past READ_BOUND.  h gets a
@@ -209,10 +211,9 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
     names = g.arguments
     if (instance.v_max, instance.g, instance.h) == ("+", _label_g, _label_h):
         return dict(zip(names, map(_ROOTED_LABEL.__getitem__, g._grounded())))
-    order = g._components()
-    cyclic = list(map(g._is_cyclic, order))
+    order, unions = g._components()
     top, combine, weaken = instance.v_max, instance.h, instance.g
-    exact = not any(cyclic)
+    exact = not unions
     if not exact:
         if isinstance(top, str):
             raise UndecidableError(
@@ -236,11 +237,11 @@ def evaluate_local(g: AttackGraph, instance: LocalInstance) -> dict[str, object]
     else:
         step = lambda row: float(weaken(combine(tuple(map(read, row)))))
     budget = READ_BOUND  # attack reads left for the rounds
-    for members, looped in zip(order, cyclic):
-        if looped:
-            budget = _iterate(members, attackers, value, step, budget)
-        elif attackers[members[0]]:
-            value[members[0]] = step(attackers[members[0]])
+    for x in order:
+        if x < 0:
+            budget = _iterate(unions[~x], attackers, value, step, budget)
+        elif attackers[x]:
+            value[x] = step(attackers[x])
     return dict(zip(names, value))
 
 

@@ -119,10 +119,12 @@ def evaluate_cyclic(g: AttackGraph, depth: int = 10) -> dict[str, TupledValue]:
 
 
 def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
-    """One pass along the condensation: each strongly connected component
-    takes its horizons from its attackers' horizons and count rows, checks
-    them against WORK_BOUND, then fills count[x][L], each parity cut at its
-    own horizon (None marks an exact parity) and kept as its own runs.
+    """One pass along the condensation's flat order (an argument outside
+    every cycle union by its index, cycle union k by ~k): each strongly
+    connected component takes its horizons from its attackers' horizons
+    and count rows, checks them against WORK_BOUND, then fills
+    count[x][L], each parity cut at its own horizon (None marks an exact
+    parity) and kept as its own runs.
     The runs of exact parities, their count bits and a fixed charge each,
     are held to EXACT_BITS_BOUND.  Each cycle union is unrolled `depth`
     times; with no depth, the first one raises CyclicGraphError before it
@@ -134,9 +136,9 @@ def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
     horizon: list = [None] * len(names)
     values: list = [None] * len(names)
     made = 0  # bits of the exact parities' counts so far
-    for comp in g._components():
-        if not g._is_cyclic(comp):
-            x = comp[0]
+    order, unions = g._components()
+    for x in order:
+        if x >= 0:
             attackers = attackers_of[x]
             if not attackers:
                 counts[x], horizon[x] = (((0, 1),), ()), (None, None)
@@ -165,6 +167,7 @@ def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
             continue
         if depth is None:
             raise CyclicGraphError("graph contains a cycle; use evaluate_cyclic")
+        comp = unions[~x]
         members = set(comp)
         cap = depth * len(comp)
         entries = [

@@ -452,9 +452,12 @@ class TestEnumeration:
             widths.append(len(att))
             return found
 
-        def part(components, attackers, stable):
-            assert sorted(itertools.chain(*components)) == list(range(len(attackers)))
-            found = part_search(components, attackers, stable)
+        def part(order, unions, attackers, stable):
+            # one entry per component: a member's index, or ~k for union k
+            assert sorted(~x for x in order if x < 0) == list(range(len(unions)))
+            members = [x for x in order if x >= 0] + [*itertools.chain(*unions)]
+            assert sorted(members) == list(range(len(attackers)))
+            found = part_search(order, unions, attackers, stable)
             assert all(mask.bit_length() <= len(attackers) for mask in found)
             sizes.append(len(attackers))
             return found

@@ -578,6 +578,22 @@ class TestCondensation:
         g = AttackGraph(cycle + chain if cycle_first else chain + cycle, attacks)
         assert g.condensation() == tuple((x,) for x in reversed(chain)) + (tuple(cycle),)
 
+    @pytest.mark.parametrize("shape", ["isolated", "chain"])
+    def test_the_condensation_holds_8_bytes_an_argument(self, shape):
+        # an argument outside every cycle union is one entry of a flat
+        # order, not a component tuple of its own
+        n = 100_000
+        g = (AttackGraph([f"a{i}" for i in range(n)]) if shape == "isolated"
+             else generate_family("chain", size=n))
+        tracemalloc.start()
+        try:
+            g._components()  # kept by the graph
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 16 * n
+        assert g.is_well_founded() and len(g.condensation()) == n
+
 
 def _reach_condensation(g):
     """The components by reach sets: each argument's component is the set

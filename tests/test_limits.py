@@ -2,8 +2,10 @@
 evaluation and fixpoint bounds under a memory limit, and output that does
 not depend on the interpreter's hash seed."""
 
+import itertools
 import os
 import random
+import string
 import subprocess
 import sys
 import time
@@ -103,6 +105,20 @@ def mutual_pairs(budget):
         chunks.append(chunk)
         size += len(chunk)
         pairs += 1
+
+
+def shortest_declarations(budget):
+    """Declarations of distinct names, one a line, the shortest first
+    (`arg(a).`, ..., `arg(z).`, `arg(aa).`, ...), as many as fit in
+    `budget` bytes, and their number."""
+    chunks, size = [], 0
+    for length in itertools.count(1):
+        for letters in itertools.product(string.ascii_lowercase, repeat=length):
+            chunk = f"arg({''.join(letters)}).\n"
+            if size + len(chunk) > budget:
+                return "".join(chunks), len(chunks)
+            chunks.append(chunk)
+            size += len(chunk)
 
 
 def fed_chain(budget):
@@ -379,6 +395,25 @@ class TestEnumerationBound:
         assert done.returncode == 0, done.stderr
         assert len(done.stdout.splitlines()) == size
         assert elapsed < 20
+
+
+class TestDensestInput:
+    """8 MiB of the shortest distinct declarations: 740,239 arguments, each
+    its own component of the condensation, which holds one 8-byte entry
+    for each.  On a 2-core virtual machine with Python 3.11,
+    `value --model categoriser` took about 3 s and peaked at about 278 MB."""
+
+    def test_categoriser_value_answers(self, tmp_path):
+        text, count = shortest_declarations(INPUT_BOUND)
+        path = tmp_path / "densest.apx"
+        path.write_text(text, encoding="ascii")
+        done = run_cli(["value", str(path), "--model", "categoriser"], limit=MEMORY_LIMIT)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == count == 740_239
+        assert lines[0] == "a 1" and {line.split()[1] for line in lines} == {"1"}
+        peak_kib = int(done.stderr.split()[-1])
+        assert peak_kib < 300 * 1024
 
 
 class TestDisjointMutualAttacks:
