@@ -296,9 +296,8 @@ def _part_masks(order, unions, attackers, stable: bool) -> list[int]:
     wider than a component.  The key is one pass over the component's
     upstream rows, each member's bit with its attackers outside the
     component: each cycle union's rows and masks are made once, before the
-    walk (which visits every component at least once), and a lone
-    member's one row is its attacker row.  Passing the cap at any depth
-    raises.
+    walk, and a lone member's one row is its attacker row.  Passing the
+    cap at any depth raises.
     """
     label = bytearray(len(attackers))  # _IN, _OUT or 0, undecided
     shapes = [_union_shape(comp, attackers) for comp in unions]
