@@ -13,7 +13,8 @@ part, formed once at the end as lists of declaration indices.  The cost
 is exponential only in the largest undecided component, which
 `ENUMERATION_BOUND` caps, and a fixed cap on the number of extensions,
 and on the partial labellings at any depth of a part's walk, stops
-work that would outgrow memory.  Acceptance levels grade each argument
+work that would outgrow memory, as `LISTING_BOUND` does for the members
+the extensions would list in all.  Acceptance levels grade each argument
 by how the extensions treat it, and read only whether it is in every
 extension or in some.  The parts combine freely, so those are each
 part's AND and OR of its IN masks, folded per argument: levels never
@@ -43,6 +44,7 @@ from .framework import (
     _IN,
     _OUT,
     AttackGraph,
+    BoundError,
     _condense,
     _generated,
     random_acyclic_graph,
@@ -60,6 +62,7 @@ from .tuples import ComparisonOutcome, TupledValue, Verdict, compare
 
 __all__ = [
     "ENUMERATION_BOUND",
+    "LISTING_BOUND",
     "AcceptabilityReport",
     "EnumerationBoundError",
     "Extension",
@@ -91,6 +94,12 @@ ENUMERATION_BOUND = 25
 # that depth, so no graph of at most 25 arguments reaches the cap.
 _EXTENSION_CAP = 10_000
 
+# The most members that an extension list holds, summed over its
+# extensions: 8 bytes each in the name tuples, 128 MiB at the bound.  With
+# the sort keys, `solve` and JSON `classify` peaked at 311 MB or less on
+# listings at the bound, inside a 512 MiB address space.
+LISTING_BOUND = 2**24
+
 LEVELS = ("uni", "cleanly", "only-exi", "not-accepted")
 
 # The first two levels both imply that no direct attacker sits in any
@@ -112,7 +121,7 @@ _ORDER_OUTCOMES = {floats: tuple(ComparisonOutcome(verdict, not floats) for verd
                    for floats in (False, True)}
 
 
-class EnumerationBoundError(ValueError):
+class EnumerationBoundError(ValueError, BoundError):
     """An undecided component or the extension list is too large for exact
     enumeration."""
 
@@ -255,10 +264,13 @@ def _chosen(members: list[int], mask: int) -> list[int]:
     return [v for v, bit in zip(members, bin(mask)[:1:-1]) if bit == "1"]
 
 
-def _extension_sets(search) -> list[list[int]]:
-    """IN sets of the preferred (or stable) labellings, as lists of
-    declaration indices: every combination of one labelling per part of a
-    `_searched_parts` result, unless there are more than the cap."""
+def _sorted_extensions(g: AttackGraph, search) -> list[Extension]:
+    """The IN sets of the preferred (or stable) labellings: every
+    combination of one labelling per part of a `_searched_parts` result,
+    sorted by size, then by their sorted member names.  Raises
+    EnumerationBoundError before any is formed when there are more than
+    the cap, or when they would list more than LISTING_BOUND members in
+    all."""
     if search is None:
         return []
     label, parts = search
@@ -266,10 +278,24 @@ def _extension_sets(search) -> list[list[int]]:
     for _, found in parts:  # each part has a labelling, so the count only grows
         if (count := count * len(found)) > _EXTENSION_CAP:
             raise _cap_error()
-    grounded = [a for a, lab in enumerate(label) if lab == _IN]
+    # Every extension lists the grounded IN set, and each labelling of a
+    # part is in count / len(found) of them.
+    listed = count * label.count(_IN) + sum(
+        count // len(found) * sum(mask.bit_count() for mask in found) for _, found in parts)
+    if listed > LISTING_BOUND:
+        raise EnumerationBoundError(
+            f"{count} extensions of {listed} members in all exceed the "
+            f"enumeration bound of {LISTING_BOUND} listed members")
+    names = g.arguments
+    grounded = [a for a, lab in enumerate(label) if lab == _IN]  # in every extension
     options = [[_chosen(members, mask) for mask in found] for members, found in parts]
-    return [[*grounded, *itertools.chain.from_iterable(combination)]
+    # Two extensions of one size compare by their sorted names as the
+    # members outside the grounded IN set do, so only those are sorted for
+    # the key.
+    rest = [[*itertools.chain.from_iterable(combination)]
             for combination in itertools.product(*options)]
+    rest.sort(key=lambda own: (len(own), sorted(map(names.__getitem__, own))))
+    return [Extension(tuple(map(names.__getitem__, sorted(grounded + own)))) for own in rest]
 
 
 def _cap_error() -> EnumerationBoundError:
@@ -369,20 +395,14 @@ def _union_shape(comp, attackers):
     return upstream, att, tgt
 
 
-def _sorted_extensions(g: AttackGraph, sets) -> list[Extension]:
-    names = g.arguments
-    extensions = [Extension(tuple(names[i] for i in sorted(members))) for members in sets]
-    return sorted(extensions, key=lambda e: (len(e.members), sorted(e.members)))
-
-
 def preferred_extensions(g: AttackGraph) -> list[Extension]:
     """Maximal admissible sets, sorted by size then member names."""
-    return _sorted_extensions(g, _extension_sets(_searched_parts(g, stable=False)))
+    return _sorted_extensions(g, _searched_parts(g, stable=False))
 
 
 def stable_extensions(g: AttackGraph) -> list[Extension]:
     """Conflict-free sets attacking every outside argument (may be empty)."""
-    return _sorted_extensions(g, _extension_sets(_searched_parts(g, stable=True)))
+    return _sorted_extensions(g, _searched_parts(g, stable=True))
 
 
 def _check_semantics(semantics: str) -> None:
@@ -502,7 +522,7 @@ def classification_report(
 ) -> AcceptabilityReport:
     """Bundle extensions, levels, and per-valuation well-defended sets."""
     search = _semantics_search(g, semantics)
-    extensions = tuple(_sorted_extensions(g, _extension_sets(search)))
+    extensions = tuple(_sorted_extensions(g, search))
     level = _levels(g, search)
     defended = {
         name: well_defended(g, values)

@@ -17,9 +17,10 @@ import functools
 import json
 import signal
 import sys
+from fractions import Fraction
+from operator import attrgetter, itemgetter
 
 from .acceptability import (
-    EnumerationBoundError,
     _defended,
     _values,
     classification_report,
@@ -27,12 +28,12 @@ from .acceptability import (
     preferred_extensions,
     stable_extensions,
 )
-from .framework import AttackGraph, FrameworkError, ParseError, parse_framework
-from .local import ConvergenceError, categoriser, rooted_labelling
-from .tuple_eval import EvaluationBoundError
-from .tuples import RenderLimitError, TupleFormatError, _natural, compare, parse_tuple_literal
+from .framework import AttackGraph, BoundError, FrameworkError, ParseError, parse_framework
+from .local import categoriser, rooted_labelling
+from .tuples import (RenderLimitError, TupledValue, TupleFormatError, _natural, compare,
+                     parse_tuple_literal)
 
-__all__ = ["INPUT_BOUND", "build_parser", "entry", "main"]
+__all__ = ["INPUT_BOUND", "InputBoundError", "build_parser", "entry", "main"]
 
 # Model name to local instance; None stands for the tupled values.
 MODELS = {"categoriser": categoriser(), "labelling": rooted_labelling(), "tuples": None}
@@ -47,13 +48,22 @@ EXIT_COMPUTE = 3
 # 740,239 arguments in 8 MiB.  On it, on 8 MiB of a chain, of disjoint
 # mutual attacks (125,767 undecided parts) and of a 3-cycle feeding a
 # chain (one undecided part of 242,275 components), every command peaks at
-# 344 MB or less (VmHWM, KiB / 1,024), under every model, inside a 512 MiB
+# 340 MB or less (VmHWM, KiB / 1,024), under every model, inside a 512 MiB
 # address space.  The largest peaks are `classify` of all three models on
-# the declarations, 339 MB in text and 344 MB in JSON; under one model,
+# the declarations, 340 MB in text and 339 MB in JSON; under one model,
 # `value`, `well-defended` and `classify` stay within 280 MB on every shape
-# but the mutual attacks, where the tuples model exits 3 at 307 MB.
+# but the mutual attacks, where the tuples model exits 3 at 303 MB.
+# `value` peaks highest on the declarations: 204 MB under the categoriser
+# and 215 MB under the tuples model.
 INPUT_BOUND = 8 * 1024 * 1024
 _READ_CHUNK = 64 * 1024
+
+_COUNT = itemgetter(1)  # of a (length, count) run
+_NUMERATOR, _DENOMINATOR = attrgetter("numerator"), attrgetter("denominator")
+
+
+class InputBoundError(FrameworkError, BoundError):
+    """The input is longer than INPUT_BOUND bytes."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,18 +175,19 @@ def _read_graph(path: str) -> AttackGraph:
             chunks.append(chunk)
             left -= len(chunk)
     if not left:
-        raise FrameworkError(f"input exceeds the bound of {INPUT_BOUND} bytes")
+        raise InputBoundError(f"input exceeds the bound of {INPUT_BOUND} bytes")
     text = b"".join(chunks).decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     del chunks  # not held through the parse
     return parse_framework(text)
 
 
-def _emit(args, document, lines) -> int:
-    """Print a command's result: its fields as one JSON document, headed by
-    the command name, or its lines.  Neither is joined into one string
-    first: a large tuple output would be held twice more at its peak."""
+def _emit(args, fields, lines) -> int:
+    """Print a command's result: the fields that `fields()` returns as one
+    JSON document, headed by the command name, or its lines.  Only the form
+    printed is built, and neither is joined into one string first: a large
+    tuple output would be held twice more at its peak."""
     if args.format == "json":
-        json.dump({"command": args.command, **document}, sys.stdout, indent=2)
+        json.dump({"command": args.command, **fields()}, sys.stdout, indent=2)
         sys.stdout.write("\n")
     else:
         sys.stdout.writelines(f"{line}\n" for line in lines)
@@ -186,14 +197,40 @@ def _emit(args, document, lines) -> int:
 def _cmd_value(args) -> int:
     g = _read_graph(args.path)
     values = _values(g, MODELS[args.model], args.depth)
-    # Each value is dropped once its text is made; all are rendered before
-    # anything is printed, so a value that cannot be rendered prints nothing.
-    try:
-        shown = {name: str(values.pop(name)) for name in g.arguments}
-    except ValueError:  # an integer past the int-to-str digit limit
-        raise RenderLimitError("a value has too many decimal digits to print") from None
-    return _emit(args, {"model": args.model, "values": shown},
-                 (f"{name} {text}" for name, text in shown.items()))
+    _check_printable(g, values.values())
+    # Each value is dropped once its text is made; a text line is written
+    # as it is made.
+    shown = ((name, str(values.pop(name))) for name in g.arguments)
+    return _emit(args, lambda: {"model": args.model, "values": dict(shown)},
+                 (f"{name} {text}" for name, text in shown))
+
+
+def _check_printable(g: AttackGraph, values) -> None:
+    """Raise RenderLimitError when an integer that a value of `g` prints,
+    a branch count or a Fraction's numerator or denominator, has more
+    decimal digits than the interpreter's int-to-str limit allows.  It is
+    checked before anything is printed, so such a value prints nothing.
+    `values` is one value map's values, all of one kind."""
+    # the limit (0 for none) is missing from CPython 3.10.0-3.10.6
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        return
+    kinds = set(map(type, values))
+    if Fraction in kinds:
+        largest = max(max(map(abs, map(_NUMERATOR, values))), max(map(_DENOMINATOR, values)))
+    elif TupledValue in kinds:
+        # A count of walks of length L is at most d ** L, with d the most
+        # attackers of any argument, so only a run tuple whose longest
+        # length passes `reach` can hold a count of more than 3 * limit bits.
+        reach = 3 * limit // (max(map(len, g._attackers)).bit_length() or 1)
+        largest = max((max(map(_COUNT, runs)) for value in values
+                       for runs in (value.even.runs, value.odd.runs)
+                       if runs and runs[-1][0] > reach), default=0)
+    else:
+        return  # floats and labels print no long integer
+    # 2 ** (3 * limit) < 10 ** limit: only a longer int can have too many digits
+    if largest.bit_length() > 3 * limit and largest >= 10 ** limit:
+        raise RenderLimitError("a value has too many decimal digits to print")
 
 
 def _cmd_compare(args) -> int:
@@ -201,7 +238,7 @@ def _cmd_compare(args) -> int:
     second = parse_tuple_literal(args.second)
     outcome = compare(first, second)
     word = "exact" if outcome.exact else "inexact"
-    return _emit(args, {"verdict": outcome.verdict.value, "exact": outcome.exact},
+    return _emit(args, lambda: {"verdict": outcome.verdict.value, "exact": outcome.exact},
                  [f"{outcome.verdict.value} ({word})"])
 
 
@@ -209,8 +246,8 @@ def _cmd_solve(args) -> int:
     g = _read_graph(args.path)
     extensions = (preferred_extensions(g) if args.semantics == "preferred"
                   else stable_extensions(g))
-    return _emit(args, {"semantics": args.semantics,
-                        "extensions": [list(e.members) for e in extensions]},
+    return _emit(args, lambda: {"semantics": args.semantics,
+                                "extensions": [e.members for e in extensions]},
                  (e.render() for e in extensions))
 
 
@@ -227,7 +264,7 @@ def _cmd_classify(args) -> int:
     else:
         report = classification_report(g, args.semantics)
         level = report.level
-        extensions = [list(e.members) for e in report.extensions]
+        extensions = [e.members for e in report.extensions]
 
     def lines():
         for name in g.arguments:
@@ -235,28 +272,30 @@ def _cmd_classify(args) -> int:
             tag = f" [well-defended:{','.join(holders)}]" if holders else ""
             yield f"{name} {level[name]}{tag}"
 
-    document = {
-        "semantics": args.semantics,
-        "extensions": extensions,
-        "levels": dict(level),
-        "well_defended": {
-            m: [n for n in g.arguments if n in defended[m]] for m in models
-        },
-    }
-    return _emit(args, document, lines())
+    def fields():
+        return {
+            "semantics": args.semantics,
+            "extensions": extensions,
+            "levels": level,
+            "well_defended": {
+                m: [n for n in g.arguments if n in defended[m]] for m in models
+            },
+        }
+
+    return _emit(args, fields, lines())
 
 
 def _cmd_well_defended(args) -> int:
     g = _read_graph(args.path)
     defended = _defended(g, MODELS[args.model], args.depth)
     names = [n for n in g.arguments if n in defended]
-    return _emit(args, {"model": args.model, "well_defended": names}, names)
+    return _emit(args, lambda: {"model": args.model, "well_defended": names}, names)
 
 
 def _cmd_export_dot(args) -> int:
     g = _read_graph(args.path)
     dot = g.to_dot()
-    return _emit(args, {"dot": dot}, [dot.rstrip("\n")])
+    return _emit(args, lambda: {"dot": dot}, [dot.rstrip("\n")])
 
 
 _COMMANDS = {
@@ -279,8 +318,7 @@ def main(argv=None) -> int:
     except (ParseError, TupleFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"gradarg: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConvergenceError, EnumerationBoundError, EvaluationBoundError,
-            FrameworkError, RenderLimitError) as exc:
+    except BoundError as exc:
         print(f"gradarg: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

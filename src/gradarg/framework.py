@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "AttackGraph",
+    "BoundError",
     "BranchEdit",
     "EditError",
     "FrameworkError",
@@ -56,6 +57,12 @@ __all__ = [
 ]
 
 _IN, _OUT = 1, 2  # grounded labels; 0 is undecided
+
+
+class BoundError(Exception):
+    """Base class of the errors raised where a computation would pass a
+    stated bound: on the input, the work, the values or their printing.
+    Each also keeps a base of its own kind; the CLI exits 3 on any."""
 
 
 class FrameworkError(Exception):

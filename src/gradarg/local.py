@@ -30,7 +30,7 @@ from functools import partial, reduce
 from operator import add
 from typing import Callable, Mapping
 
-from .framework import _IN, _OUT, AttackGraph
+from .framework import _IN, _OUT, AttackGraph, BoundError
 from . import tuple_eval
 
 __all__ = [
@@ -57,7 +57,7 @@ _LABEL_RANK = {label: i for i, label in enumerate(LABELS)}
 _ROOTED_LABEL = {0: "?", _IN: "+", _OUT: "-"}  # by grounded label
 
 
-class ConvergenceError(ArithmeticError):
+class ConvergenceError(ArithmeticError, BoundError):
     """A cycle union's fixpoint iteration did not settle within its rounds."""
 
 

@@ -37,7 +37,8 @@ An argument's counts are kept as the pair (even runs, odd runs) of
 ascending (length, count) runs, the very tuples its value holds.  A
 singleton fills each parity from its attackers' runs of the other parity;
 a cycle union fills rows indexed by length, and each member's runs of a
-parity are a stride-2 slice of its row.
+parity are a stride-2 slice of its row, paired with lengths that all the
+union's members share.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import operator
 from itertools import compress
 
-from .framework import AttackGraph
+from .framework import AttackGraph, BoundError
 from .tuples import LEAF_VALUE, GradTuple, TupledValue
 
 __all__ = [
@@ -81,7 +82,7 @@ class CyclicGraphError(ValueError):
     """evaluate_acyclic was handed a graph with a cycle."""
 
 
-class EvaluationBoundError(ValueError):
+class EvaluationBoundError(ValueError, BoundError):
     """The horizons are too long to evaluate within WORK_BOUND, or the
     exact values too large for EXACT_BITS_BOUND."""
 
@@ -167,50 +168,60 @@ def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
             continue
         if depth is None:
             raise CyclicGraphError("graph contains a cycle; use evaluate_cyclic")
-        comp = unions[~x]
-        members = set(comp)
-        cap = depth * len(comp)
-        entries = [
-            (j, [b for b in attackers_of[j] if b not in members]) for j in comp
-        ]
-        entries = [(j, outside) for (j, outside) in entries if outside]
-        if entries:
-            _entered_horizons(g, comp, entries, cap, counts, horizon)
-        else:
-            for m in comp:
-                horizon[m] = (cap, cap)
-        top = _check_bound(attacks, (h for m in comp for h in horizon[m]))
-        rows = {m: [0] * (top + 1) for m in comp}
-        inside = []
-        for m in comp:
-            row = rows[m]
-            row[0] = 0 if entries else 1  # unattacked members start rooted walks
-            within = []
-            for b in attackers_of[m]:
-                if b in members:
-                    within.append(rows[b])
-                    continue
-                for runs in counts[b]:
-                    for length, c in runs:
-                        if length >= top:
-                            break
-                        row[length + 1] += c
-            inside.append((row, within))
-        for length in range(1, top + 1):
-            before = length - 1
-            for row, within in inside:
-                total = row[length]
-                for r in within:
-                    total += r[before]
-                row[length] = total
-        for m in comp:
-            row = rows[m]
-            end = max(h for h in horizon[m] if h is not None)
-            even, odd = row[2:end + 1:2], row[1:end + 1:2]
-            counts[m] = (tuple(compress(zip(range(2, end + 1, 2), even), even)),
-                         tuple(compress(zip(range(1, end + 1, 2), odd), odd)))
-            values[m] = _tupled(counts[m], horizon[m])
+        _walk_union(g, unions[~x], depth, attacks, counts, horizon, values)
     return dict(zip(names, values))
+
+
+def _walk_union(g: AttackGraph, comp, depth, attacks, counts, horizon, values) -> None:
+    """Set the counts, horizons and values of one cycle union's members,
+    unrolled `depth` times, from rows indexed by walk length.  Each
+    member's runs of a parity pair a stride-2 slice of its row with one
+    list of lengths that all the members share; the rows end with the
+    call, before the next component fills."""
+    attackers_of = g._attackers
+    members = set(comp)
+    cap = depth * len(comp)
+    entries = [
+        (j, [b for b in attackers_of[j] if b not in members]) for j in comp
+    ]
+    entries = [(j, outside) for (j, outside) in entries if outside]
+    if entries:
+        _entered_horizons(g, comp, entries, cap, counts, horizon)
+    else:
+        for m in comp:
+            horizon[m] = (cap, cap)
+    top = _check_bound(attacks, (h for m in comp for h in horizon[m]))
+    rows = {m: [0] * (top + 1) for m in comp}
+    inside = []
+    for m in comp:
+        row = rows[m]
+        row[0] = 0 if entries else 1  # unattacked members start rooted walks
+        within = []
+        for b in attackers_of[m]:
+            if b in members:
+                within.append(rows[b])
+                continue
+            for runs in counts[b]:
+                for length, c in runs:
+                    if length >= top:
+                        break
+                    row[length + 1] += c
+        inside.append((row, within))
+    for length in range(1, top + 1):
+        before = length - 1
+        for row, within in inside:
+            total = row[length]
+            for r in within:
+                total += r[before]
+            row[length] = total
+    lengths = list(range(top + 1))  # one int per length, shared by the members' runs
+    for m in comp:
+        row = rows[m]
+        end = max(h for h in horizon[m] if h is not None)
+        even, odd = row[2:end + 1:2], row[1:end + 1:2]
+        counts[m] = (tuple(compress(zip(lengths[2:end + 1:2], even), even)),
+                     tuple(compress(zip(lengths[1:end + 1:2], odd), odd)))
+        values[m] = _tupled(counts[m], horizon[m])
 
 
 def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
+from .framework import BoundError
+
 __all__ = [
     "EMPTY",
     "LEAF_VALUE",
@@ -50,7 +52,7 @@ class TupleFormatError(ValueError):
     """Raised for malformed tuple literals or unrepresentable operations."""
 
 
-class RenderLimitError(ValueError):
+class RenderLimitError(ValueError, BoundError):
     """`gradarg value` met a value with an integer (a branch count, numerator
     or denominator) past the interpreter's integer-to-string digit limit;
     `render` and `str` raise that limit's plain ValueError."""

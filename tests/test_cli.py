@@ -464,6 +464,16 @@ class TestErrors:
             assert "--depth" in err
             assert "Traceback" not in err
 
+    def test_every_bound_error_keeps_its_own_base(self):
+        # the CLI exits 3 on any BoundError; callers still catch each error
+        # by the base it had
+        for error, base in [(gradarg.ConvergenceError, ArithmeticError),
+                            (gradarg.EnumerationBoundError, ValueError),
+                            (gradarg.EvaluationBoundError, ValueError),
+                            (gradarg.RenderLimitError, ValueError),
+                            (cli.InputBoundError, gradarg.FrameworkError)]:
+            assert issubclass(error, gradarg.BoundError) and issubclass(error, base)
+
     def test_oversized_graph_is_a_computation_error(self, capsys, tmp_path):
         big = generate_family("unattacked-cycle", size=26)
         path = tmp_path / "big.apx"

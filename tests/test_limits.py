@@ -3,6 +3,7 @@ evaluation and fixpoint bounds under a memory limit, and output that does
 not depend on the interpreter's hash seed."""
 
 import itertools
+import json
 import os
 import random
 import string
@@ -16,8 +17,8 @@ import pytest
 from conftest import fixture_path
 
 import gradarg
-from gradarg import (READ_BOUND, AttackGraph, compare, evaluate_cyclic, generate_family,
-                     random_attack_graph, well_defended)
+from gradarg import (LISTING_BOUND, READ_BOUND, AttackGraph, compare, evaluate_cyclic,
+                     generate_family, random_attack_graph, well_defended)
 from gradarg.cli import INPUT_BOUND
 
 SRC = str(Path(gradarg.__file__).resolve().parents[1])
@@ -50,18 +51,23 @@ print(TotalPreorder(values).ranking())
 """
 
 
-def run_python(args, *, hash_seed="0", stdin=None):
-    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+def run_python(args, *, hash_seed="0", stdin=None, env=()):
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed, **dict(env))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120, stdin=stdin)
 
 
-def run_cli(argv, *, hash_seed="0", limit=None, stdin=None):
+def run_cli(argv, *, hash_seed="0", limit=None, stdin=None, env=()):
     if limit is None:
         return run_python(["-m", "gradarg.cli", *argv], hash_seed=hash_seed,
-                          stdin=stdin)
+                          stdin=stdin, env=env)
     return run_python(["-c", LIMITED_CLI.format(limit=limit), *argv],
-                      hash_seed=hash_seed, stdin=stdin)
+                      hash_seed=hash_seed, stdin=stdin, env=env)
+
+
+def peak_kib(done) -> int:
+    """The peak RSS, in KiB, that a LIMITED_CLI run reports last."""
+    return int(done.stderr.split()[-1])
 
 
 def write_graph(tmp_path, name, g):
@@ -135,6 +141,21 @@ def fed_chain(budget):
         size += len(chunk)
         last = f"x{links}"
         links += 1
+
+
+def pairs_beside_unattacked(pairs, unattacked):
+    """Disjoint mutual attacks p_k <-> q_k beside unattacked arguments z_k,
+    which every extension holds."""
+    return ("".join(f"arg(p{k}).\narg(q{k}).\natt(p{k},q{k}).\natt(q{k},p{k}).\n"
+                    for k in range(pairs))
+            + "".join(f"arg(z{k}).\n" for k in range(unattacked)))
+
+
+def leaf_chain(links):
+    """A leaf x0 attacking x1, which attacks x2, and so on: the categoriser
+    values x_k by a ratio of Fibonacci numbers of about 0.21 k digits."""
+    return ("".join(f"arg(x{k}).\n" for k in range(links + 1))
+            + "".join(f"att(x{k},x{k + 1}).\n" for k in range(links)))
 
 
 def complete(size):
@@ -218,15 +239,13 @@ class TestEvaluationBound:
                        limit=MEMORY_LIMIT)
         assert done.returncode == 0, done.stderr
         assert len(done.stdout.splitlines()) == size
-        peak_kib = int(done.stderr.split()[-1])
-        assert peak_kib < 100 * 1024
+        assert peak_kib(done) < 100 * 1024
 
     def test_the_reported_peak_is_the_child_s_own(self):
         ballast = b"x" * (160 * 1024 * 1024)  # written, so resident here
         done = run_cli(["value", str(fixture_path("example1"))], limit=MEMORY_LIMIT)
         assert done.returncode == 0, done.stderr
-        peak_kib = int(done.stderr.split()[-1])
-        assert peak_kib < 100 * 1024
+        assert peak_kib(done) < 100 * 1024
         del ballast
 
 
@@ -332,7 +351,7 @@ class TestInputBound:
         done = run_cli(["value", str(path)], limit=MEMORY_LIMIT)
         assert done.returncode == 2, done.stderr
         assert done.stderr.startswith("gradarg: parse error: line 2, column 1: ")
-        assert int(done.stderr.split()[-1]) < 100 * 1024  # peak KiB
+        assert peak_kib(done) < 100 * 1024
 
     def test_a_bad_token_after_a_long_blank_run_is_located(self, tmp_path):
         path = tmp_path / "padded.apx"
@@ -386,6 +405,24 @@ class TestEnumerationBound:
         assert done.stdout == ""
         assert elapsed < 20
 
+    @pytest.mark.parametrize("argv", [["solve"], ["classify", "--format", "json"]],
+                             ids=" ".join)
+    def test_a_long_extension_listing_fails_fast(self, tmp_path, argv):
+        # 8,192 preferred extensions, inside the cap, each listing 5,013
+        # members: the listing is refused before any extension is formed
+        path = tmp_path / "pairs.apx"
+        path.write_text(pairs_beside_unattacked(13, 5000), encoding="ascii")
+        start = time.monotonic()
+        done = run_cli([*argv, str(path)], limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.splitlines()[0] == (
+            "gradarg: 8192 extensions of 41066496 members in all exceed the "
+            f"enumeration bound of {LISTING_BOUND} listed members")
+        assert done.stdout == ""
+        assert peak_kib(done) < 100 * 1024
+        assert elapsed < 5
+
     def test_small_undecided_components_of_a_large_graph_classify(self, tmp_path):
         size = 800
         path = write_graph(tmp_path, "large", random_attack_graph(5, size, 2 / size))
@@ -400,20 +437,28 @@ class TestEnumerationBound:
 class TestDensestInput:
     """8 MiB of the shortest distinct declarations: 740,239 arguments, each
     its own component of the condensation, which holds one 8-byte entry
-    for each.  On a 2-core virtual machine with Python 3.11,
-    `value --model categoriser` took about 3 s and peaked at about 278 MB."""
+    for each.  `value` checks every value before it prints and then writes
+    each line as it renders it.  On a 2-core virtual machine with Python
+    3.11, `value` took about 4 s and peaked at about 205 MB under the
+    categoriser and 215 MB under the tuples model."""
 
     def test_categoriser_value_answers(self, tmp_path):
+        self.check_value(tmp_path, "categoriser", "1")
+
+    def test_tuples_value_answers(self, tmp_path):
+        self.check_value(tmp_path, "tuples", "[(0,...),()]")
+
+    @staticmethod
+    def check_value(tmp_path, model, shown):
         text, count = shortest_declarations(INPUT_BOUND)
         path = tmp_path / "densest.apx"
         path.write_text(text, encoding="ascii")
-        done = run_cli(["value", str(path), "--model", "categoriser"], limit=MEMORY_LIMIT)
+        done = run_cli(["value", str(path), "--model", model], limit=MEMORY_LIMIT)
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert len(lines) == count == 740_239
-        assert lines[0] == "a 1" and {line.split()[1] for line in lines} == {"1"}
-        peak_kib = int(done.stderr.split()[-1])
-        assert peak_kib < 300 * 1024
+        assert lines[0] == f"a {shown}" and {line.split()[1] for line in lines} == {shown}
+        assert peak_kib(done) < 240 * 1024
 
 
 class TestDisjointMutualAttacks:
@@ -509,6 +554,17 @@ class TestUnprintableCounts:
         assert done.stderr.startswith("gradarg: ")
         assert len(done.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_a_printable_value_declared_first_is_not_printed(self, tmp_path, output):
+        # z, unattacked and declared first, is a leaf; the counts of the
+        # complete graph's members that follow cannot be printed
+        g = AttackGraph(["z", *NAMES], [(a, b) for a in NAMES for b in NAMES])
+        path = write_graph(tmp_path, "leaf-first", g)
+        done = run_cli(["value", path, "--model", "tuples", "--depth", "500",
+                        "--format", output])
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "gradarg: a value has too many decimal digits to print\n"
+
     def test_well_defended_needs_no_printing(self, tmp_path):
         path = write_graph(tmp_path, "complete", COMPLETE)
         done = run_cli(["well-defended", path, "--model", "tuples", "--depth", "500"])
@@ -526,6 +582,25 @@ class TestUnprintableLocalValues:
         assert done.returncode == 3, done.stderr
         assert done.stdout == ""
         assert done.stderr == "gradarg: a value has too many decimal digits to print\n"
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_values_are_checked_before_any_is_printed(self, tmp_path, output):
+        # x0, declared first, prints 1; under a limit of 640 digits the
+        # values past about x3060 cannot be printed
+        path = tmp_path / "chain.apx"
+        path.write_text(leaf_chain(3500), encoding="ascii")
+        argv = ["value", str(path), "--model", "categoriser", "--format", output]
+        done = run_cli(argv, env={"PYTHONINTMAXSTRDIGITS": "640"})
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "gradarg: a value has too many decimal digits to print\n"
+        done = run_cli(argv, env={"PYTHONINTMAXSTRDIGITS": "0"})
+        assert done.returncode == 0, done.stderr
+        if output == "json":
+            shown = list(json.loads(done.stdout)["values"].items())
+        else:
+            shown = [tuple(line.split(" ")) for line in done.stdout.splitlines()]
+        assert [name for name, _ in shown] == [f"x{k}" for k in range(3501)]
+        assert shown[0][1] == "1" and len(shown[-1][1].partition("/")[0]) > 640
 
 
 CYCLIC = random_attack_graph(9, 30, 0.08)
