@@ -19,14 +19,15 @@ by how the extensions treat it, and read only whether it is in every
 extension or in some.  The parts combine freely, so those are each
 part's AND and OR of its IN masks, folded per argument: levels never
 form the extensions.  Well-defendedness instead compares an argument
-with its direct attackers by one comparator, `valuation_preference`,
-whose outcomes carry their exactness; one loop reads the well-defended
-set and the arguments an inexact comparison leaves open.  Tupled values
-are compared unrolled once first: counts do not depend on the depth and
-no horizon shrinks as it grows, so an exact comparison there holds at
-any depth, and the values are unrolled to the depth asked for only when
-a verdict is open.  A seeded scan hunts for graphs where the two notions
-come apart.  Each scan trial classifies its graph first and computes the
+with its direct attackers by one comparator, `valuation_preference`
+(by index inside), whose outcomes carry their exactness; one loop reads
+the well-defended set and the open set, bytes by index, as the levels
+are, until named.  Tupled values are compared unrolled once first:
+counts do not depend on the depth and no horizon shrinks as it grows, so
+an exact comparison there holds at any depth, and the values are
+unrolled to the depth asked for only when a verdict is open.  A seeded scan hunts for graphs where the two notions
+come apart, skipping a graph it has drawn before and searching each
+part shape once.  Each trial classifies its graph first and computes the
 valuation only when a missing witness can still occur: a clean argument
 that is not well-defended has an attacker.
 """
@@ -53,7 +54,7 @@ from .framework import (
 from .local import (
     ConvergenceError,
     LocalInstance,
-    TotalPreorder,
+    _ranked,
     builtin_instances,
     evaluate_local,
 )
@@ -102,12 +103,13 @@ LISTING_BOUND = 2**24
 
 LEVELS = ("uni", "cleanly", "only-exi", "not-accepted")
 
-# The first two levels both imply that no direct attacker sits in any
-# extension; "uni" additionally requires membership in all of them.
-CLEAN_LEVELS = frozenset({"uni", "cleanly"})
-
 # A grounded label's level: IN is in every extension (2), OUT in none (0).
 _GROUNDED_LEVEL = bytes.maketrans(bytes([_IN, _OUT]), bytes([2, 0]))
+
+# A folded level (2 every extension, 1 some, 0 none) as its LEVELS index.
+_LEVEL_INDEX = bytes.maketrans(b"\0\1\2", b"\3\1\0")
+
+_OPEN = 2  # the `_verdicts` byte of well-defended after an inexact comparison
 
 # A label's binary digit in an IN mask: 1 for IN, 0 for OUT and undecided.
 _IN_DIGIT = bytes.maketrans(bytes([0, _IN, _OUT]), b"010")
@@ -192,7 +194,7 @@ def _component_labellings(att, tgt, forced, eligible, stable):
     return maximal
 
 
-def _searched_parts(g: AttackGraph, stable: bool):
+def _searched_parts(g: AttackGraph, stable: bool, searched_shapes: dict | None = None):
     """The labellings of each weakly connected part of the undecided
     subgraph, as (label, [(members, found), ...]), or None when some part
     has no stable labelling, so no extension exists.
@@ -207,6 +209,8 @@ def _searched_parts(g: AttackGraph, stable: bool):
     search numbers each component on its own.  The extensions are every
     combination of one labelling per part.  A part with no stable
     labelling empties the answer even beside a part past the cap.
+    A part's labellings depend only on its attacker rows, so a
+    `searched_shapes` dict, under one semantics, keeps `found` by those.
     """
     label = g._grounded()
     targets_of, attackers_of = g._targets, g._attackers
@@ -244,12 +248,22 @@ def _searched_parts(g: AttackGraph, stable: bool):
         raise EnumerationBoundError(
             f"an undecided component of {largest} arguments exceeds the "
             f"enumeration bound of {ENUMERATION_BOUND}")
+
+    def search(members, attackers, part):
+        try:
+            return _part_masks(*(part or condensed(members, attackers)), attackers, stable)
+        except EnumerationBoundError if stable else ():
+            return None  # too many: raised below unless a later part has none
+
     searched = []
     for members, attackers, part in parts:
-        try:
-            found = _part_masks(*(part or condensed(members, attackers)), attackers, stable)
-        except EnumerationBoundError if stable else ():
-            found = None  # too many: raised below unless a later part has none
+        if searched_shapes is None:
+            found = search(members, attackers, part)
+        else:
+            shape = tuple(map(tuple, attackers))
+            if shape not in searched_shapes:
+                searched_shapes[shape] = search(members, attackers, part)
+            found = searched_shapes[shape]
         if found == []:
             return None
         searched.append((members, found))
@@ -423,36 +437,36 @@ def classify(g: AttackGraph, semantics: str = "preferred") -> dict[str, str]:
     but a direct attacker also appears in one; not-accepted: in none.
     The levels are folded part by part, so they need no extension list.
     """
-    return _levels(g, _semantics_search(g, semantics))
+    return _named_levels(g, _levels(g, _semantics_search(g, semantics)))
 
 
-def _levels(g: AttackGraph, search) -> dict[str, str]:
+def _named_levels(g: AttackGraph, levels: bytearray) -> dict[str, str]:
+    return dict(zip(g.arguments, map(LEVELS.__getitem__, levels)))
+
+
+def _levels(g: AttackGraph, search) -> bytearray:
     """Levels from a `_searched_parts` result without forming the
-    extensions.  The parts are disjoint and combine freely, so an argument
-    is in every extension when it is grounded IN or its part's AND of IN
-    masks holds it, and in some when its part's OR does.  Those fold into
-    one byte per declaration index: 2 for every extension, 1 for some, 0
-    for none."""
+    extensions, one byte per declaration index: the level's index in
+    LEVELS, so 0 and 1 are the clean levels.  The parts are disjoint and
+    combine freely, so an argument is in every extension when it is
+    grounded IN or its part's AND of IN masks holds it, and in some when
+    its part's OR does."""
     if search is None:  # no extension, so every argument is in none
         level, parts = bytearray(len(g.arguments)), ()
     else:
         label, parts = search
-        level = bytearray(label).translate(_GROUNDED_LEVEL)
-    for members, found in parts:
+        level = bytearray(label.translate(_GROUNDED_LEVEL))
+    for members, found in parts:  # 2 for every extension, 1 for some, 0 for none
         for v in _chosen(members, functools.reduce(operator.or_, found)):
             level[v] = 1
         for v in _chosen(members, functools.reduce(operator.and_, found)):
             level[v] = 2
-    levels = {}
-    for name, lev, attackers in zip(g.arguments, level, g._attackers):
-        if lev == 2:
-            levels[name] = "uni"
-        elif not lev:
-            levels[name] = "not-accepted"
-        elif any(level[b] for b in attackers):
-            levels[name] = "only-exi"
-        else:
-            levels[name] = "cleanly"
+    levels = level.translate(_LEVEL_INDEX)
+    read, attackers = level.__getitem__, g._attackers
+    for members, _ in parts:  # only a part's member is in some extension but not all
+        for v in members:
+            if level[v] == 1 and any(map(read, attackers[v])):
+                levels[v] = 2  # only-exi
     return levels
 
 
@@ -466,31 +480,30 @@ def well_defended(g: AttackGraph, values: Mapping[str, object]) -> frozenset[str
     some argument raises ValueError naming the first such argument, in
     declaration order; values of other names are ignored.
     """
-    return _verdicts(g, values)[0]
-
-
-def _verdicts(g: AttackGraph, values: Mapping[str, object]) -> tuple[frozenset, frozenset]:
-    """(well-defended set, open set): out at the first strictly preferred
-    attacker but itself, open when in after an inexact comparison."""
     names = g.arguments
     missing = next((a for a in names if a not in values), None)
     if missing is not None:
         raise ValueError(f"no value for argument {missing!r}")
-    preference = valuation_preference({a: values[a] for a in names})
-    defended, open_ = [], []
-    for a, (name, attackers) in enumerate(zip(names, g._attackers)):
+    return frozenset(itertools.compress(names, _verdicts(g, [values[a] for a in names])))
+
+
+def _verdicts(g: AttackGraph, values: list) -> bytearray:
+    """Well-defendedness from the values by declaration index, one byte
+    each: 0 out, at the first strictly preferred attacker but itself, 1 in
+    and _OPEN in after an inexact comparison."""
+    preference = _preference(values)
+    verdicts = bytearray(len(values))
+    for a, attackers in enumerate(g._attackers):
         exact = True
         for b in attackers:
             if b != a:
-                outcome = preference(names[b], name)
+                outcome = preference(b, a)
                 if outcome.verdict is Verdict.FIRST_BETTER:
                     break
                 exact = exact and outcome.exact
         else:
-            defended.append(name)
-            if not exact:
-                open_.append(name)
-    return frozenset(defended), frozenset(open_)
+            verdicts[a] = 1 if exact else _OPEN
+    return verdicts
 
 
 def valuation_preference(values: Mapping[str, object]) -> Callable[[str, str], ComparisonOutcome]:
@@ -500,10 +513,17 @@ def valuation_preference(values: Mapping[str, object]) -> Callable[[str, str], C
     labels by their total order: exactly, except floats, which come with
     no error bound.  Every outcome is truthy: test its verdict.
     """
-    if values and all(isinstance(v, TupledValue) for v in values.values()):
+    index = {name: i for i, name in enumerate(values)}
+    preference = _preference([*values.values()])
+    return lambda a, b: preference(index[a], index[b])
+
+
+def _preference(values: list) -> Callable[[int, int], ComparisonOutcome]:
+    """`valuation_preference` over values listed by index."""
+    if values and all(isinstance(v, TupledValue) for v in values):
         return lambda a, b: compare(values[a], values[b])
-    rank = TotalPreorder(values)._ranks  # of one kind: all floats or none
-    better, worse, tie = _ORDER_OUTCOMES[isinstance(next(iter(values.values()), None), float)]
+    rank = _ranked(values)  # of one kind: all floats or none
+    better, worse, tie = _ORDER_OUTCOMES[isinstance(next(iter(values), None), float)]
     return lambda a, b: better if rank[a] > rank[b] else worse if rank[a] < rank[b] else tie
 
 
@@ -523,7 +543,7 @@ def classification_report(
     """Bundle extensions, levels, and per-valuation well-defended sets."""
     search = _semantics_search(g, semantics)
     extensions = tuple(_sorted_extensions(g, search))
-    level = _levels(g, search)
+    level = _named_levels(g, _levels(g, search))
     defended = {
         name: well_defended(g, values)
         for name, values in (valuations or {}).items()
@@ -626,19 +646,19 @@ def _values(g: AttackGraph, instance: LocalInstance | None, depth: int = 10) -> 
     return evaluate_local(g, instance)
 
 
-def _defended(g: AttackGraph, instance: LocalInstance | None, depth: int = 10) -> frozenset[str]:
-    """`well_defended(g, _values(g, instance, depth))`; on a cyclic graph
+def _defended(g: AttackGraph, instance: LocalInstance | None, depth: int = 10) -> bytearray:
+    """The `_verdicts` of `_values(g, instance, depth)`; on a cyclic graph
     the tupled values are unrolled to `depth` only when the ones unrolled
     once leave a verdict open."""
     if instance is None and depth > 1 and not g.is_well_founded():
         try:
-            defended, open_ = _verdicts(g, evaluate_cyclic(g, 1))
+            verdicts = _verdicts(g, [*evaluate_cyclic(g, 1).values()])
         except EvaluationBoundError:
             pass  # the full pass raises it again, with its own horizon
         else:
-            if not open_:
-                return defended
-    return well_defended(g, _values(g, instance, depth))
+            if _OPEN not in verdicts:
+                return verdicts
+    return _verdicts(g, [*_values(g, instance, depth).values()])
 
 
 def _resolve_valuation(valuation) -> tuple[str, LocalInstance | None]:
@@ -663,7 +683,9 @@ def compatibility_scan(
     """Search seeded random graphs for both directions of disagreement
     between clean acceptance and well-defendedness.
 
-    Each trial classifies its graph first and computes the valuation only
+    A graph drawn before in the scan is skipped: fewer witnesses are
+    missing than at its first draw.  Each other trial classifies its graph
+    first, searching each part shape once, and computes the valuation only
     when a witness still missing can occur on it: a cleanly-not-defended
     one needs a clean argument with an attacker (an unattacked argument is
     well-defended vacuously, whatever the valuation), and a
@@ -681,10 +703,15 @@ def compatibility_scan(
     _check_semantics(semantics)
     name, instance = _resolve_valuation(valuation)
     clean_witness = defended_witness = None
+    drawn = set()  # each graph's (names, attacker rows)
+    searched_shapes = {}  # the part search's, for this scan alone
     for trial in range(1, trials + 1):
         g = next(stream)
-        levels = classify(g, semantics)
-        clean = [levels[a] in CLEAN_LEVELS for a in g.arguments]
+        if (key := (g._args, g._attackers)) in drawn:
+            continue
+        drawn.add(key)
+        search = _searched_parts(g, semantics == "stable", searched_shapes)
+        clean = [level < 2 for level in _levels(g, search)]  # uni or cleanly
         if not (
             (clean_witness is None
              and any(c and attackers for c, attackers in zip(clean, g._attackers)))
@@ -695,10 +722,10 @@ def compatibility_scan(
             defended = _defended(g, instance)
         except ConvergenceError:
             continue
-        for a, is_clean in zip(g.arguments, clean):
-            if is_clean and a not in defended and clean_witness is None:
+        for a, is_clean, is_defended in zip(g.arguments, clean, defended):
+            if is_clean and not is_defended and clean_witness is None:
                 clean_witness = Witness("cleanly-not-defended", g, a, trial)
-            if a in defended and not is_clean and defended_witness is None:
+            if is_defended and not is_clean and defended_witness is None:
                 defended_witness = Witness("defended-not-cleanly", g, a, trial)
         if clean_witness is not None and defended_witness is not None:
             break

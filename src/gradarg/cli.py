@@ -18,13 +18,17 @@ import json
 import signal
 import sys
 from fractions import Fraction
+from itertools import compress
 from operator import attrgetter, itemgetter
 
 from .acceptability import (
+    LEVELS,
     _defended,
+    _levels,
+    _named_levels,
+    _semantics_search,
+    _sorted_extensions,
     _values,
-    classification_report,
-    classify,
     preferred_extensions,
     stable_extensions,
 )
@@ -48,11 +52,10 @@ EXIT_COMPUTE = 3
 # 740,239 arguments in 8 MiB.  On it, on 8 MiB of a chain, of disjoint
 # mutual attacks (125,767 undecided parts) and of a 3-cycle feeding a
 # chain (one undecided part of 242,275 components), every command peaks at
-# 340 MB or less (VmHWM, KiB / 1,024), under every model, inside a 512 MiB
-# address space.  The largest peaks are `classify` of all three models on
-# the declarations, 340 MB in text and 339 MB in JSON; under one model,
-# `value`, `well-defended` and `classify` stay within 280 MB on every shape
-# but the mutual attacks, where the tuples model exits 3 at 303 MB.
+# 290 MB or less (VmHWM, KiB / 1,024), under every model, inside a 512 MiB
+# address space.  The largest peaks are on the mutual attacks, where the
+# tuples model exits 3 at 282 MB; `classify` of all three models peaks at
+# 217 MB on the declarations, in text and in JSON.
 # `value` peaks highest on the declarations: 204 MB under the categoriser
 # and 215 MB under the tuples model.
 INPUT_BOUND = 8 * 1024 * 1024
@@ -254,32 +257,29 @@ def _cmd_solve(args) -> int:
 def _cmd_classify(args) -> int:
     g = _read_graph(args.path)
     models = list(dict.fromkeys(args.models or MODELS))  # repeats dropped
-    # One value map at a time: each is dropped once its set is taken.
+    # One value map at a time: each is dropped once its verdicts are taken.
     defended = {m: _defended(g, MODELS[m], args.depth) for m in models}
-    if args.format == "text":
-        # Text lists no extension, so it forms none: the levels are folded
-        # part by part, as classify() folds them, past the extension cap.
-        level = classify(g, args.semantics)
-        extensions = None  # the document, which lists them, is not printed
-    else:
-        report = classification_report(g, args.semantics)
-        level = report.level
-        extensions = [e.members for e in report.extensions]
+    search = _semantics_search(g, args.semantics)
+    # Text lists no extension, so it forms none: the levels are folded part
+    # by part, past the extension cap.
+    extensions = (None if args.format == "text"
+                  else [e.members for e in _sorted_extensions(g, search)])
+    level = _levels(g, search)
+    del search  # not held through the printing
+    names = g.arguments
 
     def lines():
-        for name in g.arguments:
-            holders = [m for m in models if name in defended[m]]
+        for name, lev, *marks in zip(names, level, *defended.values()):
+            holders = [m for m, mark in zip(models, marks) if mark]
             tag = f" [well-defended:{','.join(holders)}]" if holders else ""
-            yield f"{name} {level[name]}{tag}"
+            yield f"{name} {LEVELS[lev]}{tag}"
 
     def fields():
         return {
             "semantics": args.semantics,
             "extensions": extensions,
-            "levels": level,
-            "well_defended": {
-                m: [n for n in g.arguments if n in defended[m]] for m in models
-            },
+            "levels": _named_levels(g, level),
+            "well_defended": {m: [*compress(names, defended[m])] for m in models},
         }
 
     return _emit(args, fields, lines())
@@ -287,8 +287,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_well_defended(args) -> int:
     g = _read_graph(args.path)
-    defended = _defended(g, MODELS[args.model], args.depth)
-    names = [n for n in g.arguments if n in defended]
+    names = [*compress(g.arguments, _defended(g, MODELS[args.model], args.depth))]
     return _emit(args, lambda: {"model": args.model, "well_defended": names}, names)
 
 

@@ -115,9 +115,9 @@ class AttackGraph:
     `_attackers[i]` and `_targets[i]` are tuples of indices, sorted and
     free of duplicates, so a graph does not remember how its attacks were
     written.  `_components()` is the condensation, a flat dependency order
-    plus the cycle unions' members, computed once, and `_grounded()` the
-    grounded labelling that the rooted labelling and extension enumeration
-    read.  Names appear only at the API edge.
+    plus the cycle unions' members, and `_grounded()` the grounded
+    labelling that the rooted labelling and extension enumeration read;
+    each is computed once.  Names appear only at the API edge.
 
     `AttackGraph(arguments, attacks)` checks every name and endpoint; a
     name must be an identifier of the framework format.  The
@@ -126,7 +126,7 @@ class AttackGraph:
     """
 
     __slots__ = ("_args", "_index", "_attackers", "_targets",
-                 "_condensation", "_named_condensation")
+                 "_condensation", "_named_condensation", "_labels")
 
     def __init__(self, arguments, attacks=()):
         args: list[str] = []
@@ -166,7 +166,7 @@ class AttackGraph:
         self._index = index
         self._attackers = attackers
         self._targets = tuple(targets)
-        self._condensation = self._named_condensation = None
+        self._condensation = self._named_condensation = self._labels = None
 
     # -- basic accessors ------------------------------------------------
 
@@ -303,12 +303,14 @@ class AttackGraph:
             self._condensation = _condense(self._targets, self._attackers)
         return self._condensation
 
-    def _grounded(self) -> list[int]:
-        """The grounded labelling by declaration index, in one queue pass:
-        IN once every attacker is OUT, OUT once some attacker is IN,
-        undecided (0) for the rest."""
+    def _grounded(self) -> bytes:
+        """The grounded labelling by declaration index, one byte each,
+        computed once in one queue pass: IN once every attacker is OUT, OUT
+        once some attacker is IN, undecided (0) for the rest."""
+        if self._labels is not None:
+            return self._labels
         live = [len(a) for a in self._attackers]  # attackers not yet OUT
-        label = [0 if k else _IN for k in live]
+        label = bytearray(0 if k else _IN for k in live)
         queue = [i for i, k in enumerate(live) if not k]
         for i in queue:  # the queue grows while it is read
             for t in self._targets[i]:
@@ -321,7 +323,8 @@ class AttackGraph:
                     if not live[t] and not label[t]:
                         label[t] = _IN
                         queue.append(t)
-        return label
+        self._labels = bytes(label)
+        return self._labels
 
     def condensation(self) -> tuple[tuple[str, ...], ...]:
         """Strongly connected components in a dependency order: every

@@ -280,16 +280,21 @@ def _value_kind(value) -> str:
     raise MixedValueKindsError(f"unsupported value {value!r}")
 
 
+def _ranked(values: list) -> list:
+    """The ranks of a list of values of one kind (else MixedValueKindsError)."""
+    # The kind of a value is the kind of its type: check one per type.
+    sample = dict(zip(map(type, values), values))
+    kinds = set(map(_value_kind, sample.values()))
+    if len(kinds) > 1:
+        raise MixedValueKindsError(f"mixed value kinds: {sorted(kinds)}")
+    return list(map(_rank, values)) if "label" in kinds else values
+
+
 class TotalPreorder:
     """Complete preorder induced by a value map (higher value, better)."""
 
     def __init__(self, values: Mapping[str, object]):
-        # The kind of a value is the kind of its type: check one per type.
-        sample = dict(zip(map(type, values.values()), values.values()))
-        kinds = set(map(_value_kind, sample.values()))
-        if len(kinds) > 1:
-            raise MixedValueKindsError(f"mixed value kinds: {sorted(kinds)}")
-        self._ranks = dict(zip(values, map(_rank, values.values())))
+        self._ranks = dict(zip(values, _ranked([*values.values()])))
 
     def geq(self, a: str, b: str) -> bool:
         return self._ranks[a] >= self._ranks[b]

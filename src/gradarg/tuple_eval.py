@@ -32,7 +32,7 @@ number of attacks exceeds WORK_BOUND, before filling its counts.  Exact
 parities have no horizon, and their runs grow with the graph alone: the
 pass stops once the exact parities it has filled take more than
 EXACT_BITS_BOUND bits, counting each run's count bits and a fixed charge
-per run.
+per run, and the count bits of the cycle unions' rows.
 An argument's counts are kept as the pair (even runs, odd runs) of
 ascending (length, count) runs, the very tuples its value holds.  A
 singleton fills each parity from its attackers' runs of the other parity;
@@ -64,8 +64,8 @@ WORK_BOUND = 2_000_000
 
 # Largest total size, in bits, of the exact numbers one evaluation makes:
 # about 128 MiB of integers.  Local evaluation counts the numerators and
-# denominators of its Fractions, tuple evaluation the counts of its exact
-# parities.  A 25,000-chain's categoriser values take 433,902,861 bits.
+# denominators of its Fractions, tuple evaluation its counts.  A
+# 25,000-chain's categoriser values take 433,902,861 bits.
 EXACT_BITS_BOUND = 2**30
 
 # Bits charged against EXACT_BITS_BOUND for each run an exact parity keeps,
@@ -136,7 +136,7 @@ def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
     counts: list = [None] * len(names)
     horizon: list = [None] * len(names)
     values: list = [None] * len(names)
-    made = 0  # bits of the exact parities' counts so far
+    made = 0  # bits of the exact parities' counts and union rows so far
     order, unions = g._components()
     for x in order:
         if x >= 0:
@@ -168,16 +168,17 @@ def _walk_values(g: AttackGraph, depth: int | None) -> dict[str, TupledValue]:
             continue
         if depth is None:
             raise CyclicGraphError("graph contains a cycle; use evaluate_cyclic")
-        _walk_union(g, unions[~x], depth, attacks, counts, horizon, values)
+        made = _walk_union(g, unions[~x], depth, attacks, counts, horizon, values, made)
     return dict(zip(names, values))
 
 
-def _walk_union(g: AttackGraph, comp, depth, attacks, counts, horizon, values) -> None:
+def _walk_union(g: AttackGraph, comp, depth, attacks, counts, horizon, values, made) -> int:
     """Set the counts, horizons and values of one cycle union's members,
-    unrolled `depth` times, from rows indexed by walk length.  Each
-    member's runs of a parity pair a stride-2 slice of its row with one
-    list of lengths that all the members share; the rows end with the
-    call, before the next component fills."""
+    unrolled `depth` times, from rows indexed by walk length, and return
+    the bits charged, `made` plus the rows' counts, held to EXACT_BITS_BOUND
+    at each length.  Each member's runs of a parity pair a stride-2 slice
+    of its row with one list of lengths that all the members share; the
+    rows end with the call, before the next component fills."""
     attackers_of = g._attackers
     members = set(comp)
     cap = depth * len(comp)
@@ -214,6 +215,10 @@ def _walk_union(g: AttackGraph, comp, depth, attacks, counts, horizon, values) -
             for r in within:
                 total += r[before]
             row[length] = total
+            made += total.bit_length()
+        if made > EXACT_BITS_BOUND:
+            raise EvaluationBoundError(
+                f"cycle union counts exceed the evaluation bound of {EXACT_BITS_BOUND} bits")
     lengths = list(range(top + 1))  # one int per length, shared by the members' runs
     for m in comp:
         row = rows[m]
@@ -222,6 +227,7 @@ def _walk_union(g: AttackGraph, comp, depth, attacks, counts, horizon, values) -
         counts[m] = (tuple(compress(zip(lengths[2:end + 1:2], even), even)),
                      tuple(compress(zip(lengths[1:end + 1:2], odd), odd)))
         values[m] = _tupled(counts[m], horizon[m])
+    return made
 
 
 def _entered_horizons(g: AttackGraph, comp, entries, cap, counts, horizon):

@@ -40,8 +40,12 @@ from gradarg import (
     well_defended,
 )
 from gradarg import acceptability
-from gradarg.acceptability import CLEAN_LEVELS, ENUMERATION_BOUND
+from gradarg.acceptability import ENUMERATION_BOUND
 from gradarg.cli import main
+
+# The first two levels both imply that no direct attacker sits in any
+# extension; "uni" additionally requires membership in all of them.
+CLEAN_LEVELS = {"uni", "cleanly"}
 
 
 def bitmask_extensions(g):
@@ -809,6 +813,50 @@ class TestCompatibilityScan:
         report = compatibility_scan("rooted_labelling", seed=1, trials=2000)
         assert report.trials_used == 2000
         assert len(valuations) < 1000
+
+    @pytest.mark.parametrize("semantics", ["preferred", "stable"])
+    def test_each_part_shape_is_searched_and_each_graph_valued_once(
+            self, monkeypatch, semantics):
+        shapes, valued = [], []
+        search, evaluate = acceptability._part_masks, acceptability.evaluate_local
+
+        def searched(order, unions, attackers, stable):
+            shapes.append(tuple(map(tuple, attackers)))
+            return search(order, unions, attackers, stable)
+
+        def evaluated(g, instance):
+            valued.append((g.arguments, g.attacks))
+            return evaluate(g, instance)
+
+        monkeypatch.setattr(acceptability, "_part_masks", searched)
+        monkeypatch.setattr(acceptability, "evaluate_local", evaluated)
+        report = compatibility_scan(max_based(), seed=1, trials=400, semantics=semantics)
+        assert len(shapes) == len(set(shapes)) > 0
+        assert len(valued) == len(set(valued)) > 0
+        # the stream repeats graphs and part shapes, so both were skipped
+        graphs = list(itertools.islice(scan_graph_stream(1), report.trials_used))
+        assert len({(g.arguments, g.attacks) for g in graphs}) < len(graphs)
+        shapes.clear()
+        for g in {(g.arguments, g.attacks): g for g in graphs}.values():
+            classify(g, semantics)
+        assert len(set(shapes)) < len(shapes)
+
+    def test_a_scan_does_not_depend_on_earlier_scans(self, monkeypatch):
+        searches = []
+        search = acceptability._part_masks
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(acceptability, "_part_masks", counted)
+        first = compatibility_scan("categoriser", seed=3, trials=300)
+        alone = len(searches)
+        for seed in range(3):
+            compatibility_scan("categoriser", seed=seed, trials=300)
+        searches.clear()
+        assert compatibility_scan("categoriser", seed=3, trials=300) == first
+        assert len(searches) == alone > 0
 
 
 def eager_scan(valuation, *, seed, trials, semantics, acyclic_only):

@@ -85,7 +85,7 @@ def check_coarsening(g, depths):
                     assert short.runs == cut(long, short.horizon), (g.attacks, a, depth)
         for b, a, outcome in exact:
             assert compare(deep[b], deep[a]) == outcome, (g.attacks, b, a, depth)
-        assert _defended(g, None, depth) == well_defended(g, deep), (g.attacks, depth)
+        assert named(g, _defended(g, None, depth)) == well_defended(g, deep), (g.attacks, depth)
 
 
 @pytest.mark.parametrize("source", [sweep, stream, seeded, hand_built])
@@ -119,6 +119,18 @@ def value_maps(g, depths):
     """The tupled values at each depth, then each built-in local instance's."""
     return [*(evaluate_cyclic(g, depth) for depth in depths),
             *(evaluate_local(g, instance) for instance in builtin_instances().values())]
+
+
+def named(g, verdicts, wanted=(1, 2)):
+    """The arguments whose verdict, by declaration index, is among `wanted`:
+    by default the well-defended ones, with (2,) the open ones."""
+    return {a for a, verdict in zip(g.arguments, verdicts) if verdict in wanted}
+
+
+def verdicts(g, values):
+    """`_verdicts` of a value map, as (defended, open) sets of names."""
+    found = _verdicts(g, [values[a] for a in g.arguments])
+    return named(g, found), named(g, found, (2,))
 
 
 def expected_verdicts(g, values):
@@ -164,7 +176,7 @@ def test_open_sets_are_the_defended_arguments_an_inexact_comparison_leaves(sourc
     opened = {"exact": 0, "float": 0}
     for g in source():
         for values in value_maps(g, [1, 10]):
-            defended, open_ = _verdicts(g, values)
+            defended, open_ = verdicts(g, values)
             assert defended == well_defended(g, values)
             assert (defended, open_) == expected_verdicts(g, values), g.attacks
             for a in open_:  # never open for an attack on itself
@@ -183,5 +195,5 @@ def test_depth_1_leaves_a_tuple_verdict_open_on_1034_cyclic_stream_graphs():
     # Each of these sends `_defended` on to a second evaluation at --depth;
     # settling more verdicts at depth 1 shows as a smaller count.
     cyclic = [g for g in stream() if not g.is_well_founded()]
-    opened = sum(bool(_verdicts(g, evaluate_cyclic(g, 1))[1]) for g in cyclic)
+    opened = sum(bool(verdicts(g, evaluate_cyclic(g, 1))[1]) for g in cyclic)
     assert (len(cyclic), opened) == (1355, 1034)

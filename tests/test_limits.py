@@ -221,6 +221,24 @@ class TestEvaluationBound:
         assert done.stdout == ""
         assert elapsed < 20
 
+    @pytest.mark.parametrize("command", ["value", "well-defended"])
+    def test_oversized_union_rows_fail_fast(self, tmp_path, command):
+        # two self-attacking arguments attacking each other: their walk
+        # counts double at each length, so rows to a horizon of 120,000
+        # would take about 1.4e10 bits; the rows are charged as they fill
+        path = tmp_path / "pair.apx"
+        path.write_text("arg(a). arg(b). att(a,a). att(b,b). att(a,b). att(b,a).\n",
+                        encoding="utf-8")
+        start = time.monotonic()
+        done = run_cli([command, str(path), "--model", "tuples", "--depth", "60000"],
+                       limit=MEMORY_LIMIT)
+        elapsed = time.monotonic() - start
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.splitlines()[0] == (
+            "gradarg: cycle union counts exceed the evaluation bound of 1073741824 bits")
+        assert done.stdout == ""
+        assert elapsed < 20
+
     def test_exact_tuple_counts_inside_the_bound_answer(self, tmp_path):
         # 1,000,999 runs of 661,938,543 count bits in all: the charge for
         # each run still leaves them inside the bound
@@ -440,7 +458,19 @@ class TestDensestInput:
     for each.  `value` checks every value before it prints and then writes
     each line as it renders it.  On a 2-core virtual machine with Python
     3.11, `value` took about 4 s and peaked at about 205 MB under the
-    categoriser and 215 MB under the tuples model."""
+    categoriser and 215 MB under the tuples model, and JSON `classify`,
+    which holds each result by declaration index until it prints it, took
+    about 4 s and peaked at about 217 MB."""
+
+    def test_json_classify_answers(self, tmp_path):
+        text, count = shortest_declarations(INPUT_BOUND)
+        path = tmp_path / "densest.apx"
+        path.write_text(text, encoding="ascii")
+        done = run_cli(["classify", str(path), "--format", "json"], limit=MEMORY_LIMIT)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith('{\n  "command": "classify",\n  "semantics": "preferred"')
+        assert done.stdout.count('": "uni"') == count == 740_239
+        assert peak_kib(done) < 240 * 1024
 
     def test_categoriser_value_answers(self, tmp_path):
         self.check_value(tmp_path, "categoriser", "1")
@@ -606,7 +636,18 @@ class TestUnprintableLocalValues:
 CYCLIC = random_attack_graph(9, 30, 0.08)
 
 
-@pytest.mark.parametrize("command", ["value", "well-defended", "label-ranking"])
+# Each case's command line, the input path going after its first word;
+# label-ranking runs LABEL_RANKING instead.
+HASH_SEED_COMMANDS = {
+    "value": ["value", "--model", "tuples"],
+    "well-defended": ["well-defended", "--model", "tuples"],
+    "well-defended-categoriser": ["well-defended", "--model", "categoriser"],
+    "classify-json": ["classify", "--format", "json"],
+    "label-ranking": None,
+}
+
+
+@pytest.mark.parametrize("command", HASH_SEED_COMMANDS)
 @pytest.mark.parametrize("source", ["mcycles", "seeded"])
 def test_output_is_independent_of_the_hash_seed(tmp_path, command, source):
     if source == "seeded":
@@ -619,7 +660,8 @@ def test_output_is_independent_of_the_hash_seed(tmp_path, command, source):
         if command == "label-ranking":
             done = run_python(["-c", LABEL_RANKING, path], hash_seed=hash_seed)
         else:
-            done = run_cli([command, path, "--model", "tuples"], hash_seed=hash_seed)
+            head, *rest = HASH_SEED_COMMANDS[command]
+            done = run_cli([head, path, *rest], hash_seed=hash_seed)
         assert done.returncode == 0, done.stderr
         outputs.add(done.stdout)
     assert len(outputs) == 1
